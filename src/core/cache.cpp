@@ -25,6 +25,10 @@ std::uint64_t approx_bytes(const GraphEntry& entry) {
          entry.graph.edges().size() * sizeof(passes::DfEdge);
 }
 
+std::uint64_t approx_bytes(const WorkloadSummary& entry) {
+  return 256 + entry.classes.size() * (sizeof(PacketClass) + 64);
+}
+
 std::uint64_t approx_bytes(const MappingEntry& entry) {
   return 128 + entry.mapping.node_pool.size() * sizeof(std::uint32_t) +
          entry.mapping.state_region.size() * sizeof(NodeId) +
@@ -69,61 +73,60 @@ std::uint64_t storm(ShardedLru<T>& cache, const char* stage) {
 
 void AnalysisCache::configure(const CacheConfig& config) {
   enabled_.store(config.enabled, std::memory_order_relaxed);
+  summaries_.set_capacity(config.max_entries);
   lowered_.set_capacity(config.max_entries);
   graphs_.set_capacity(config.max_entries);
   mappings_.set_capacity(config.max_entries);
 }
 
-std::shared_ptr<const LoweredEntry> AnalysisCache::find_lowered(std::uint64_t key) {
+template <typename T>
+std::shared_ptr<const T> AnalysisCache::find(ShardedLru<T>& stage, std::uint64_t key,
+                                             const char* name, std::uint64_t ordinal) {
   if (!enabled()) return nullptr;
-  auto entry = lowered_.find(key);
-  if (poisoned(entry, key, "lowered")) entry = nullptr;
-  count_lookup(entry ? hits_ : misses_, entry != nullptr, "lowered", 0, key);
+  auto entry = stage.find(key);
+  if (poisoned(entry, key, name)) entry = nullptr;
+  count_lookup(entry ? hits_ : misses_, entry != nullptr, name, ordinal, key);
   return entry;
+}
+
+template <typename T>
+void AnalysisCache::insert(ShardedLru<T>& stage, std::uint64_t key, std::shared_ptr<const T> entry,
+                           const char* name) {
+  if (!enabled()) return;
+  const std::uint64_t bytes = approx_bytes(*entry);
+  std::uint64_t evicted = 0;
+  std::uint64_t added = 0;
+  stage.insert(key, std::move(entry), bytes, &evicted, &added);
+  if (fault::inject("cache/evict_storm", key)) evicted += storm(stage, name);
+  if (evicted > 0) {
+    evictions_.fetch_add(evicted, std::memory_order_relaxed);
+    obs::metrics().counter("cache/evictions", std::string("stage=") + name).inc(evicted);
+  }
+  obs::metrics().gauge("cache/bytes").set(static_cast<double>(stats().bytes));
+}
+
+std::shared_ptr<const LoweredEntry> AnalysisCache::find_lowered(std::uint64_t key) {
+  return find(lowered_, key, "lowered", 0);
 }
 
 std::shared_ptr<const GraphEntry> AnalysisCache::find_graph(std::uint64_t key) {
-  if (!enabled()) return nullptr;
-  auto entry = graphs_.find(key);
-  if (poisoned(entry, key, "graph")) entry = nullptr;
-  count_lookup(entry ? hits_ : misses_, entry != nullptr, "graph", 1, key);
-  return entry;
+  return find(graphs_, key, "graph", 1);
 }
 
 std::shared_ptr<const MappingEntry> AnalysisCache::find_mapping(std::uint64_t key) {
-  if (!enabled()) return nullptr;
-  auto entry = mappings_.find(key);
-  if (poisoned(entry, key, "map")) entry = nullptr;
-  count_lookup(entry ? hits_ : misses_, entry != nullptr, "map", 2, key);
-  return entry;
+  return find(mappings_, key, "map", 2);
+}
+
+std::shared_ptr<const WorkloadSummary> AnalysisCache::find_summary(std::uint64_t key) {
+  return find(summaries_, key, "summary", 3);
 }
 
 void AnalysisCache::insert_lowered(std::uint64_t key, std::shared_ptr<const LoweredEntry> entry) {
-  if (!enabled()) return;
-  const std::uint64_t bytes = approx_bytes(*entry);
-  std::uint64_t evicted = 0;
-  std::uint64_t added = 0;
-  lowered_.insert(key, std::move(entry), bytes, &evicted, &added);
-  if (fault::inject("cache/evict_storm", key)) evicted += storm(lowered_, "lowered");
-  if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    obs::metrics().counter("cache/evictions", "stage=lowered").inc(evicted);
-  }
-  obs::metrics().gauge("cache/bytes").set(static_cast<double>(stats().bytes));
+  insert(lowered_, key, std::move(entry), "lowered");
 }
 
 void AnalysisCache::insert_graph(std::uint64_t key, std::shared_ptr<const GraphEntry> entry) {
-  if (!enabled()) return;
-  const std::uint64_t bytes = approx_bytes(*entry);
-  std::uint64_t evicted = 0;
-  std::uint64_t added = 0;
-  graphs_.insert(key, std::move(entry), bytes, &evicted, &added);
-  if (fault::inject("cache/evict_storm", key)) evicted += storm(graphs_, "graph");
-  if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    obs::metrics().counter("cache/evictions", "stage=graph").inc(evicted);
-  }
-  obs::metrics().gauge("cache/bytes").set(static_cast<double>(stats().bytes));
+  insert(graphs_, key, std::move(entry), "graph");
 }
 
 void AnalysisCache::insert_mapping(std::uint64_t key, std::uint64_t family_key,
@@ -133,16 +136,11 @@ void AnalysisCache::insert_mapping(std::uint64_t key, std::uint64_t family_key,
     std::lock_guard<std::mutex> lock(family_mu_);
     family_bases_[family_key] = entry->mapping.ilp_basis;
   }
-  const std::uint64_t bytes = approx_bytes(*entry);
-  std::uint64_t evicted = 0;
-  std::uint64_t added = 0;
-  mappings_.insert(key, std::move(entry), bytes, &evicted, &added);
-  if (fault::inject("cache/evict_storm", key)) evicted += storm(mappings_, "map");
-  if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    obs::metrics().counter("cache/evictions", "stage=map").inc(evicted);
-  }
-  obs::metrics().gauge("cache/bytes").set(static_cast<double>(stats().bytes));
+  insert(mappings_, key, std::move(entry), "map");
+}
+
+void AnalysisCache::insert_summary(std::uint64_t key, std::shared_ptr<const WorkloadSummary> entry) {
+  insert(summaries_, key, std::move(entry), "summary");
 }
 
 std::vector<std::size_t> AnalysisCache::family_basis(std::uint64_t family_key) const {
@@ -156,11 +154,12 @@ CacheStats AnalysisCache::stats() const {
   out.hits = hits_.load(std::memory_order_relaxed);
   out.misses = misses_.load(std::memory_order_relaxed);
   out.evictions = evictions_.load(std::memory_order_relaxed);
-  out.bytes = lowered_.bytes() + graphs_.bytes() + mappings_.bytes();
+  out.bytes = summaries_.bytes() + lowered_.bytes() + graphs_.bytes() + mappings_.bytes();
   return out;
 }
 
 void AnalysisCache::clear() {
+  summaries_.clear();
   lowered_.clear();
   graphs_.clear();
   mappings_.clear();
@@ -230,6 +229,26 @@ std::uint64_t hash_hints(const passes::CostHints& hints) {
   h.mix(hints.avg_payload);
   h.mix(hints.flow_cache_hit_rate);
   h.mix(hints.branch_prob);
+  return h.digest();
+}
+
+std::uint64_t summary_key(const workload::WorkloadProfile& profile, std::size_t payload_buckets,
+                          double flow_cache_capacity) {
+  // Field by field, doubles by bit pattern: serialize() rounds, and two
+  // specs that differ past its precision generate different traces.
+  Fnv1a h;
+  h.mix(std::string_view("summary"));
+  h.mix(profile.tcp_fraction);
+  h.mix(profile.flows);
+  h.mix(profile.zipf_alpha);
+  h.mix(static_cast<std::uint64_t>(profile.payload_min));
+  h.mix(static_cast<std::uint64_t>(profile.payload_max));
+  h.mix(profile.pps);
+  h.mix(profile.packets);
+  h.mix_byte(static_cast<std::uint8_t>(profile.arrivals));
+  h.mix(profile.seed);
+  h.mix(static_cast<std::uint64_t>(payload_buckets));
+  h.mix(flow_cache_capacity);
   return h.digest();
 }
 

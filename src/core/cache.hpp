@@ -1,19 +1,26 @@
 // Content-addressed memoization of pipeline stages.
 //
 // Clara's workflow (paper Fig. 2) is fully deterministic in the tuple
-// (NF, LNIC parameters Π/Γ/Θ, options): sweep points and repeated
-// analyze() calls re-derive byte-identical lowered functions, dataflow
-// graphs, and ILP mappings. This cache keys each stage by an FNV digest
-// of everything the stage reads and replays the stored result instead
-// of re-running the stage — on a warm pass every ILP solve is skipped.
+// (NF, LNIC parameters Π/Γ/Θ, workload profile, options): sweep points
+// and repeated analyze() calls re-derive byte-identical workload
+// summaries, lowered functions, dataflow graphs, and ILP mappings. This
+// cache keys each stage by an FNV digest of everything the stage reads
+// and replays the stored result instead of re-running the stage — on a
+// warm pass every trace generation and every ILP solve is skipped.
 //
-// Three stage caches, chained by content:
+// Four stage caches:
+//   summary  key = H(every WorkloadProfile field) ⊕ payload buckets
+//                  ⊕ flow-cache capacity
 //   lowered  key = H(input fn) ⊕ stage toggles
 //   graph    key = H(lowered fn) ⊕ H(cost hints) ⊕ H(profile)
 //   mapping  key = graph key ⊕ H(MapOptions) ⊕ ilp/greedy
-// Keying the graph on the *lowered* function's hash (not the input's)
-// lets consumers that already hold a lowered function — the load-sweep
-// driver, the co-residence study — address the same entries.
+// A profile (seed included) fully determines its generated trace, so the
+// summary stage answers for a spec workload without generating it; a
+// concrete trace (a file, say) is not identified by its profile and is
+// never looked up here. Keying the graph on the *lowered* function's
+// hash (not the input's) lets consumers that already hold a lowered
+// function — the load-sweep driver, the co-residence study — address
+// the same entries.
 //
 // Entries are immutable once inserted (handed out as shared_ptr<const>);
 // each stage cache is a sharded LRU with a per-shard mutex. Lookups that
@@ -37,6 +44,7 @@
 #include <vector>
 
 #include "cir/function.hpp"
+#include "core/predict.hpp"
 #include "lnic/profiles.hpp"
 #include "mapping/mapping.hpp"
 #include "passes/api_subst.hpp"
@@ -44,6 +52,7 @@
 #include "passes/dataflow.hpp"
 #include "passes/optimize.hpp"
 #include "passes/patterns.hpp"
+#include "workload/profile.hpp"
 
 namespace clara::core {
 
@@ -53,7 +62,7 @@ struct CacheConfig {
   std::size_t max_entries = 256;
 };
 
-/// Aggregate accounting across all three stage caches. Mirrored into
+/// Aggregate accounting across all four stage caches. Mirrored into
 /// obs metrics as cache/{hits,misses,evictions,bytes} with a stage label.
 struct CacheStats {
   std::uint64_t hits = 0;
@@ -188,6 +197,9 @@ class AnalysisCache {
   void configure(const CacheConfig& config);
   [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
+  std::shared_ptr<const WorkloadSummary> find_summary(std::uint64_t key);
+  void insert_summary(std::uint64_t key, std::shared_ptr<const WorkloadSummary> entry);
+
   std::shared_ptr<const LoweredEntry> find_lowered(std::uint64_t key);
   void insert_lowered(std::uint64_t key, std::shared_ptr<const LoweredEntry> entry);
 
@@ -213,7 +225,15 @@ class AnalysisCache {
   void clear();
 
  private:
+  template <typename T>
+  std::shared_ptr<const T> find(ShardedLru<T>& stage, std::uint64_t key, const char* name,
+                                std::uint64_t ordinal);
+  template <typename T>
+  void insert(ShardedLru<T>& stage, std::uint64_t key, std::shared_ptr<const T> entry,
+              const char* name);
+
   std::atomic<bool> enabled_{true};
+  ShardedLru<WorkloadSummary> summaries_;
   ShardedLru<LoweredEntry> lowered_;
   ShardedLru<GraphEntry> graphs_;
   ShardedLru<MappingEntry> mappings_;
@@ -236,6 +256,12 @@ std::uint64_t hash_profile(const lnic::NicProfile& profile);
 
 /// Digest of the workload-derived cost hints.
 std::uint64_t hash_hints(const passes::CostHints& hints);
+
+/// Key of the summary of the trace `profile` generates: every profile
+/// field at full precision (seed included), the payload bucket count,
+/// and the NIC's flow-cache capacity.
+std::uint64_t summary_key(const workload::WorkloadProfile& profile, std::size_t payload_buckets,
+                          double flow_cache_capacity);
 
 /// Key of the lowering front-end result.
 std::uint64_t lowered_key(std::uint64_t input_fn_hash, bool pattern_matching, bool optimize_ir);

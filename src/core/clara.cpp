@@ -23,21 +23,26 @@ Error dump_on_failure(Error error) {
   return error;
 }
 
-}  // namespace
+/// What analyze() and repair() share before they map: the lowered NF,
+/// its dataflow graph, and the options the mapper runs under.
+struct Prefix {
+  Analysis analysis;  // the lowering results filled in
+  std::shared_ptr<const GraphEntry> graph;
+  std::uint64_t graph_key = 0;  // 0 when the cache is bypassed
+  mapping::MapOptions map;      // options.map, at the workload's offered rate
+};
 
-Analyzer::Analyzer(lnic::NicProfile profile)
-    : profile_(std::move(profile)), profile_hash_(hash_profile(profile_)) {}
-
-Result<Analysis> Analyzer::analyze(const cir::Function& nf, const workload::Trace& trace,
-                                   const AnalyzeOptions& options) const {
-  CLARA_TRACE_SCOPE("core/analyze");
+Result<Prefix> lower_and_build_graph(const cir::Function& nf, const WorkloadSummary& workload,
+                                     std::uint64_t profile_hash, const AnalyzeOptions& options,
+                                     bool use_cache) {
   auto& cache = analysis_cache();
-  const bool use_cache = options.use_cache && cache.enabled();
 
   // Stage 1: lowering (substitution -> patterns -> optimize -> verify).
-  // Cached on the *input* function's content plus the stage toggles.
-  // Only successful lowerings are cached; the unknown-calls policy is
-  // applied after retrieval so a cached entry serves both policies.
+  // Cached on the *input* function's content plus the stage toggles, so
+  // it is profile-independent: repair() on a faulted profile hits the
+  // entry the healthy analysis made. Only successful lowerings are
+  // cached; the unknown-calls policy is applied after retrieval so a
+  // cached entry serves both policies.
   std::uint64_t lkey = 0;
   std::shared_ptr<const LoweredEntry> lowered;
   if (use_cache) {
@@ -73,35 +78,81 @@ Result<Analysis> Analyzer::analyze(const cir::Function& nf, const workload::Trac
     return dump_on_failure(make_error(ErrorCode::kUnknownCall, os.str()));
   }
 
-  Analysis analysis;
-  analysis.lowered = lowered->fn;
-  analysis.substitution = lowered->substitution;
-  analysis.patterns = lowered->patterns;
-  analysis.optimizations = lowered->optimizations;
+  Prefix prefix;
+  prefix.analysis.lowered = lowered->fn;
+  prefix.analysis.substitution = lowered->substitution;
+  prefix.analysis.patterns = lowered->patterns;
+  prefix.analysis.optimizations = lowered->optimizations;
 
   // Stage 2: dataflow graph. Keyed on the *lowered* function's hash so
   // holders of a lowered function (the load-sweep driver) can address
-  // the same entry without re-running stage 1.
-  const passes::CostHints hints = hints_from_trace(trace, profile_);
-  std::uint64_t gkey = 0;
-  std::shared_ptr<const GraphEntry> graph_entry;
+  // the same entry without re-running stage 1, and on the profile's
+  // hash (offline/derate state included) so a faulted profile never
+  // aliases the healthy profile's entry.
+  const passes::CostHints& hints = workload.hints;
   if (use_cache) {
-    gkey = graph_key(lowered->lowered_hash, hash_hints(hints), profile_hash_);
-    graph_entry = cache.find_graph(gkey);
+    prefix.graph_key = graph_key(lowered->lowered_hash, hash_hints(hints), profile_hash);
+    prefix.graph = cache.find_graph(prefix.graph_key);
   }
-  if (!graph_entry) {
+  if (!prefix.graph) {
     auto entry = std::make_shared<GraphEntry>();
     entry->lowered = lowered;  // keep-alive: the graph points into this fn
     entry->graph = passes::DataflowGraph::build(entry->lowered->fn, hints);
-    if (use_cache) cache.insert_graph(gkey, entry);
-    graph_entry = std::move(entry);
+    if (use_cache) cache.insert_graph(prefix.graph_key, entry);
+    prefix.graph = std::move(entry);
   }
-  const passes::DataflowGraph& graph = graph_entry->graph;
 
-  mapping::MapOptions map_options = options.map;
-  if (map_options.pps == mapping::MapOptions{}.pps && trace.profile.pps > 0.0) {
-    map_options.pps = trace.profile.pps;
+  prefix.map = options.map;
+  if (prefix.map.pps == mapping::MapOptions{}.pps && workload.profile.pps > 0.0) {
+    prefix.map.pps = workload.profile.pps;
   }
+  return prefix;
+}
+
+/// Prices the mapped analysis and writes its porting report.
+Result<Analysis> finish(Analysis analysis, const passes::DataflowGraph& graph,
+                        const mapping::Mapper& mapper, const WorkloadSummary& workload,
+                        const PredictOptions& options) {
+  analysis.degraded = analysis.mapping.degraded;
+  analysis.repaired = analysis.mapping.repaired;
+  auto prediction = predict(analysis.lowered, graph, analysis.mapping, mapper, workload, options);
+  if (!prediction) return dump_on_failure(prediction.error());
+  analysis.prediction = std::move(prediction).value();
+  analysis.report = mapping::describe_mapping(analysis.mapping, graph, mapper, analysis.lowered);
+  return analysis;
+}
+
+}  // namespace
+
+Analyzer::Analyzer(lnic::NicProfile profile)
+    : profile_(std::move(profile)), profile_hash_(hash_profile(profile_)) {}
+
+std::shared_ptr<const WorkloadSummary> Analyzer::summarize(const workload::WorkloadProfile& workload,
+                                                           const AnalyzeOptions& options) const {
+  auto& cache = analysis_cache();
+  const bool use_cache = options.use_cache && cache.enabled();
+  const std::size_t buckets = options.predict.payload_buckets;
+  std::uint64_t key = 0;
+  if (use_cache) {
+    key = summary_key(workload, buckets, flow_cache_capacity(profile_));
+    if (auto hit = cache.find_summary(key)) return hit;
+  }
+  auto entry = std::make_shared<const WorkloadSummary>(
+      core::summarize(workload::generate_trace(workload), profile_, buckets));
+  if (use_cache) cache.insert_summary(key, entry);
+  return entry;
+}
+
+Result<Analysis> Analyzer::analyze(const cir::Function& nf, const WorkloadSummary& workload,
+                                   const AnalyzeOptions& options) const {
+  CLARA_TRACE_SCOPE("core/analyze");
+  auto& cache = analysis_cache();
+  const bool use_cache = options.use_cache && cache.enabled();
+  auto prefix = lower_and_build_graph(nf, workload, profile_hash_, options, use_cache);
+  if (!prefix) return prefix.error();
+  Prefix& p = prefix.value();
+  const passes::DataflowGraph& graph = p.graph->graph;
+  const passes::CostHints& hints = workload.hints;
 
   // Stage 3: the mapping solve — the expensive stage the cache exists
   // for. A hit skips the ILP entirely; a miss within a known model
@@ -112,11 +163,11 @@ Result<Analysis> Analyzer::analyze(const cir::Function& nf, const workload::Trac
   std::uint64_t family = 0;
   std::shared_ptr<const MappingEntry> mapping_entry;
   if (use_cache) {
-    mkey = mapping_key(gkey, map_options, options.stages.ilp(), &family);
+    mkey = mapping_key(p.graph_key, p.map, options.stages.ilp(), &family);
     mapping_entry = cache.find_mapping(mkey);
   }
   if (!mapping_entry) {
-    mapping::MapOptions solve_options = map_options;
+    mapping::MapOptions solve_options = p.map;
     if (use_cache && options.stages.ilp() && solve_options.warm_basis.empty()) {
       solve_options.warm_basis = cache.family_basis(family);
     }
@@ -128,111 +179,47 @@ Result<Analysis> Analyzer::analyze(const cir::Function& nf, const workload::Trac
     if (use_cache) cache.insert_mapping(mkey, family, entry);
     mapping_entry = std::move(entry);
   }
-  analysis.mapping = mapping_entry->mapping;
-  analysis.degraded = analysis.mapping.degraded;
-
-  auto prediction = predict(analysis.lowered, graph, analysis.mapping, mapper, trace, options.predict);
-  if (!prediction) return dump_on_failure(prediction.error());
-  analysis.prediction = std::move(prediction).value();
-
-  analysis.report = mapping::describe_mapping(analysis.mapping, graph, mapper, analysis.lowered);
-  return analysis;
+  p.analysis.mapping = mapping_entry->mapping;
+  return finish(std::move(p.analysis), graph, mapper, workload, options.predict);
 }
 
-Result<Analysis> Analyzer::repair(const cir::Function& nf, const workload::Trace& trace,
+Result<Analysis> Analyzer::analyze(const cir::Function& nf, const workload::Trace& trace,
+                                   const AnalyzeOptions& options) const {
+  return analyze(nf, core::summarize(trace, profile_, options.predict.payload_buckets), options);
+}
+
+Result<Analysis> Analyzer::repair(const cir::Function& nf, const WorkloadSummary& workload,
                                   const Analysis& previous, const AnalyzeOptions& options) const {
   CLARA_TRACE_SCOPE("core/repair");
   auto& cache = analysis_cache();
   const bool use_cache = options.use_cache && cache.enabled();
-
-  // Lowering: identical to analyze() — the key depends only on the input
-  // NF and the stage toggles, so when the healthy analysis just ran this
-  // is a warm hit and no work repeats.
-  std::uint64_t lkey = 0;
-  std::shared_ptr<const LoweredEntry> lowered;
-  if (use_cache) {
-    lkey = lowered_key(cir::hash_function(nf), options.stages.patterns(), options.stages.optimize());
-    lowered = cache.find_lowered(lkey);
-  }
-  if (!lowered) {
-    auto entry = std::make_shared<LoweredEntry>();
-    entry->fn = nf;
-    entry->substitution = passes::substitute_framework_apis(entry->fn);
-    if (options.stages.patterns()) {
-      entry->patterns = passes::collapse_packet_loops(entry->fn);
-    }
-    if (options.stages.optimize()) {
-      entry->optimizations = passes::optimize(entry->fn);
-    }
-    if (auto status = cir::verify(entry->fn); !status) {
-      return dump_on_failure(make_error(
-          ErrorCode::kVerify, "lowered NF failed verification: " + status.error().message));
-    }
-    entry->lowered_hash = cir::hash_function(entry->fn);
-    if (use_cache) cache.insert_lowered(lkey, entry);
-    lowered = std::move(entry);
-  }
-  if (options.fail_on_unknown_calls && !lowered->substitution.unknown_calls.empty()) {
-    std::ostringstream os;
-    os << "unrecognized calls in '" << nf.name << "':";
-    for (const auto& name : lowered->substitution.unknown_calls) os << " " << name;
-    return dump_on_failure(make_error(ErrorCode::kUnknownCall, os.str()));
-  }
-
-  Analysis analysis;
-  analysis.lowered = lowered->fn;
-  analysis.substitution = lowered->substitution;
-  analysis.patterns = lowered->patterns;
-  analysis.optimizations = lowered->optimizations;
-
-  // Graph: keyed on the faulted profile's hash (offline/derate state is
-  // mixed into hash_profile), so a degraded profile never aliases the
-  // healthy profile's entry.
-  const passes::CostHints hints = hints_from_trace(trace, profile_);
-  std::uint64_t gkey = 0;
-  std::shared_ptr<const GraphEntry> graph_entry;
-  if (use_cache) {
-    gkey = graph_key(lowered->lowered_hash, hash_hints(hints), profile_hash_);
-    graph_entry = cache.find_graph(gkey);
-  }
-  if (!graph_entry) {
-    auto entry = std::make_shared<GraphEntry>();
-    entry->lowered = lowered;
-    entry->graph = passes::DataflowGraph::build(entry->lowered->fn, hints);
-    if (use_cache) cache.insert_graph(gkey, entry);
-    graph_entry = std::move(entry);
-  }
-  const passes::DataflowGraph& graph = graph_entry->graph;
-
-  mapping::MapOptions map_options = options.map;
-  if (map_options.pps == mapping::MapOptions{}.pps && trace.profile.pps > 0.0) {
-    map_options.pps = trace.profile.pps;
-  }
+  auto prefix = lower_and_build_graph(nf, workload, profile_hash_, options, use_cache);
+  if (!prefix) return prefix.error();
+  Prefix& p = prefix.value();
+  const passes::DataflowGraph& graph = p.graph->graph;
 
   // Incremental repair instead of a cold solve. The reduced model still
   // warm-starts from the model family's recorded basis when one exists.
   // The result is deliberately NOT inserted into the mapping cache.
   const mapping::Mapper mapper(profile_);
-  mapping::MapOptions solve_options = map_options;
+  mapping::MapOptions solve_options = p.map;
   if (use_cache && options.stages.ilp() && solve_options.warm_basis.empty()) {
     std::uint64_t family = 0;
-    (void)mapping_key(gkey, map_options, options.stages.ilp(), &family);
+    (void)mapping_key(p.graph_key, p.map, options.stages.ilp(), &family);
     solve_options.warm_basis = cache.family_basis(family);
   }
-  auto repaired = options.stages.ilp() ? mapper.repair(graph, hints, previous.mapping, solve_options)
-                                       : mapper.map_greedy(graph, hints, solve_options);
+  auto repaired = options.stages.ilp()
+                      ? mapper.repair(graph, workload.hints, previous.mapping, solve_options)
+                      : mapper.map_greedy(graph, workload.hints, solve_options);
   if (!repaired) return dump_on_failure(repaired.error());
-  analysis.mapping = std::move(repaired).value();
-  if (!options.stages.ilp()) analysis.mapping.repaired = true;  // greedy re-solve is still a repair
-  analysis.degraded = analysis.mapping.degraded;
-  analysis.repaired = analysis.mapping.repaired;
+  p.analysis.mapping = std::move(repaired).value();
+  if (!options.stages.ilp()) p.analysis.mapping.repaired = true;  // greedy re-solve is still a repair
+  return finish(std::move(p.analysis), graph, mapper, workload, options.predict);
+}
 
-  auto prediction = predict(analysis.lowered, graph, analysis.mapping, mapper, trace, options.predict);
-  if (!prediction) return dump_on_failure(prediction.error());
-  analysis.prediction = std::move(prediction).value();
-
-  analysis.report = mapping::describe_mapping(analysis.mapping, graph, mapper, analysis.lowered);
-  return analysis;
+Result<Analysis> Analyzer::repair(const cir::Function& nf, const workload::Trace& trace,
+                                  const Analysis& previous, const AnalyzeOptions& options) const {
+  return repair(nf, core::summarize(trace, profile_, options.predict.payload_buckets), previous, options);
 }
 
 namespace {
@@ -240,11 +227,12 @@ namespace {
 /// EMEM working-set pressure one NF exerts on its neighbours: active
 /// bytes of its EMEM-placed state objects, plus the spilled packet-tail
 /// buffer pool when its traffic exceeds the CTM residency.
-double emem_pressure(const Analysis& analysis, const workload::Trace& trace, const lnic::NicProfile& profile) {
+double emem_pressure(const Analysis& analysis, const WorkloadSummary& workload,
+                     const lnic::NicProfile& profile) {
   double pressure = 0.0;
   const double residency = profile.params.scalar(lnic::keys::kCtmPacketResidency);
-  if (residency > 0.0 && trace.mean_payload() + 54.0 > residency) pressure += 1024.0 * 2048.0;
-  const std::uint32_t flows = trace.distinct_flows();
+  if (residency > 0.0 && workload.mean_payload + 54.0 > residency) pressure += 1024.0 * 2048.0;
+  const std::uint32_t flows = workload.distinct_flows;
   for (std::size_t s = 0; s < analysis.lowered.state_objects.size(); ++s) {
     const NodeId region = analysis.mapping.state_region[s];
     const auto* mem = profile.graph.node(region).memory();
@@ -261,19 +249,19 @@ double emem_pressure(const Analysis& analysis, const workload::Trace& trace, con
 
 }  // namespace
 
-Result<CoResident> Analyzer::coresident(const cir::Function& nf_a, const workload::Trace& trace_a,
-                                        const cir::Function& nf_b, const workload::Trace& trace_b,
+Result<CoResident> Analyzer::coresident(const cir::Function& nf_a, const WorkloadSummary& workload_a,
+                                        const cir::Function& nf_b, const WorkloadSummary& workload_b,
                                         const AnalyzeOptions& options) const {
   // Solo pass to obtain mappings and working sets. The shared pass below
   // re-analyzes under interference options that only perturb prediction,
   // so its lowering/graph/mapping stages all hit the cache warm.
-  auto solo_a = analyze(nf_a, trace_a, options);
+  auto solo_a = analyze(nf_a, workload_a, options);
   if (!solo_a) return solo_a.error();
-  auto solo_b = analyze(nf_b, trace_b, options);
+  auto solo_b = analyze(nf_b, workload_b, options);
   if (!solo_b) return solo_b.error();
 
-  const double pressure_a = emem_pressure(solo_a.value(), trace_a, profile_);
-  const double pressure_b = emem_pressure(solo_b.value(), trace_b, profile_);
+  const double pressure_a = emem_pressure(solo_a.value(), workload_a, profile_);
+  const double pressure_b = emem_pressure(solo_b.value(), workload_b, profile_);
 
   AnalyzeOptions opts_a = options;
   opts_a.predict.nic_share = 0.5;
@@ -282,15 +270,23 @@ Result<CoResident> Analyzer::coresident(const cir::Function& nf_a, const workloa
   opts_b.predict.nic_share = 0.5;
   opts_b.predict.foreign_cache_pressure_bytes = pressure_a;
 
-  auto shared_a = analyze(nf_a, trace_a, opts_a);
+  auto shared_a = analyze(nf_a, workload_a, opts_a);
   if (!shared_a) return shared_a.error();
-  auto shared_b = analyze(nf_b, trace_b, opts_b);
+  auto shared_b = analyze(nf_b, workload_b, opts_b);
   if (!shared_b) return shared_b.error();
 
   CoResident out;
   out.first = std::move(shared_a).value();
   out.second = std::move(shared_b).value();
   return out;
+}
+
+Result<CoResident> Analyzer::coresident(const cir::Function& nf_a, const workload::Trace& trace_a,
+                                        const cir::Function& nf_b, const workload::Trace& trace_b,
+                                        const AnalyzeOptions& options) const {
+  const std::size_t buckets = options.predict.payload_buckets;
+  return coresident(nf_a, core::summarize(trace_a, profile_, buckets), nf_b,
+                    core::summarize(trace_b, profile_, buckets), options);
 }
 
 }  // namespace clara::core

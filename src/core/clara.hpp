@@ -1,8 +1,13 @@
 // Clara — the top-level API (paper Fig. 2 workflow).
 //
 //   Analyzer clara(lnic::netronome_agilio_cx());
-//   auto analysis = clara.analyze(my_nf_cir, trace);
+//   auto analysis = clara.analyze(my_nf_cir, *clara.summarize(profile));
 //   // analysis.value().prediction.mean_latency_cycles, .report, ...
+//
+// Every analysis reads its workload as a WorkloadSummary (core/predict):
+// summarize(profile) takes it from the analysis cache's summary stage,
+// so a repeated spec workload generates no trace; the trace-taking
+// overloads summarize a concrete trace afresh.
 //
 // analyze() runs the full pipeline on an *unported* NF:
 //   API substitution (framework calls -> virtual calls)
@@ -13,6 +18,7 @@
 //   -> workload replay and latency/throughput prediction.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -104,8 +110,20 @@ class Analyzer {
  public:
   explicit Analyzer(lnic::NicProfile profile);
 
-  /// Analyzes an unported NF against a workload trace. The offered rate
-  /// is taken from the trace's profile unless options.map.pps overrides.
+  /// The summary of the trace `workload` generates, for this NIC and
+  /// options.predict.payload_buckets. Looked up in (and added to) the
+  /// analysis cache's summary stage when options.use_cache allows, so a
+  /// hit generates no trace; otherwise generated and summarized afresh.
+  [[nodiscard]] std::shared_ptr<const WorkloadSummary> summarize(
+      const workload::WorkloadProfile& workload, const AnalyzeOptions& options = {}) const;
+
+  /// Analyzes an unported NF against a summarized workload, which must
+  /// come from summarize() on this NIC with the same payload buckets.
+  /// The offered rate is taken from the workload's profile unless
+  /// options.map.pps overrides.
+  [[nodiscard]] Result<Analysis> analyze(const cir::Function& nf, const WorkloadSummary& workload,
+                                         const AnalyzeOptions& options = {}) const;
+  /// Same, against a concrete trace (summarized here, never memoized).
   [[nodiscard]] Result<Analysis> analyze(const cir::Function& nf, const workload::Trace& trace,
                                          const AnalyzeOptions& options = {}) const;
 
@@ -117,7 +135,12 @@ class Analyzer {
   /// only displaced nodes/states are re-solved. The repaired mapping is
   /// NOT inserted into the analysis cache (it is pinned to the previous
   /// assignment, not the model's optimum). `previous` should come from
-  /// analyze() on the healthy profile with the same NF and stages.
+  /// analyze() on the healthy profile with the same NF and stages. Unit
+  /// faults leave the flow cache alone, so the healthy analysis's
+  /// workload summary serves here too.
+  [[nodiscard]] Result<Analysis> repair(const cir::Function& nf, const WorkloadSummary& workload,
+                                        const Analysis& previous,
+                                        const AnalyzeOptions& options = {}) const;
   [[nodiscard]] Result<Analysis> repair(const cir::Function& nf, const workload::Trace& trace,
                                         const Analysis& previous,
                                         const AnalyzeOptions& options = {}) const;
@@ -125,6 +148,9 @@ class Analyzer {
   /// Co-resident interference analysis (paper §3.5): each NF gets half
   /// the NIC's compute parallelism and sees the other's working set as
   /// EMEM cache pressure.
+  [[nodiscard]] Result<CoResident> coresident(const cir::Function& nf_a, const WorkloadSummary& workload_a,
+                                              const cir::Function& nf_b, const WorkloadSummary& workload_b,
+                                              const AnalyzeOptions& options = {}) const;
   [[nodiscard]] Result<CoResident> coresident(const cir::Function& nf_a, const workload::Trace& trace_a,
                                               const cir::Function& nf_b, const workload::Trace& trace_b,
                                               const AnalyzeOptions& options = {}) const;

@@ -35,10 +35,10 @@ void ensure_energy_defaults(lnic::ParameterStore& params, const std::string& pro
 
 EnergyEstimate predict_energy(const cir::Function& fn, const passes::DataflowGraph& graph,
                               const mapping::Mapping& mapping, const mapping::Mapper& mapper,
-                              const workload::Trace& trace) {
+                              const WorkloadSummary& workload) {
   lnic::ParameterStore params = mapper.profile().params;  // copy: we may add defaults
   ensure_energy_defaults(params, mapper.profile().name);
-  const passes::CostHints hints = hints_from_trace(trace, mapper.profile());
+  const passes::CostHints& hints = workload.hints;
 
   const double npu_nj = params.scalar(ek::kNpuPerCycle);
   const double accel_nj = params.scalar(ek::kAccelPerCycle);
@@ -68,10 +68,10 @@ EnergyEstimate predict_energy(const cir::Function& fn, const passes::DataflowGra
     }
   }
   // Datapath: moving the frame on and off the device.
-  const double frame = trace.mean_payload() + 54.0;
+  const double frame = workload.mean_payload + 54.0;
   out.nj_per_packet += 2.0 * frame * params.scalar(ek::kDmaPerByte);
 
-  const double pps = trace.profile.pps;
+  const double pps = workload.profile.pps;
   const double idle = params.scalar(ek::kIdleWatts);
   out.watts_at_rate = idle + out.nj_per_packet * 1e-9 * pps;
   out.nj_per_packet_total = pps > 0.0 ? out.watts_at_rate / pps * 1e9 : out.nj_per_packet;

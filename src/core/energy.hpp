@@ -46,6 +46,6 @@ struct EnergyEstimate {
 /// and workload the latency prediction used.
 EnergyEstimate predict_energy(const cir::Function& fn, const passes::DataflowGraph& graph,
                               const mapping::Mapping& mapping, const mapping::Mapper& mapper,
-                              const workload::Trace& trace);
+                              const WorkloadSummary& workload);
 
 }  // namespace clara::core

@@ -51,14 +51,14 @@ double host_node_cycles(const passes::DfNode& node, const cir::Function& fn, con
 
 Result<PartialResult> plan_partial_offload(const cir::Function& fn, const passes::DataflowGraph& graph,
                                            const mapping::Mapping& mapping, const mapping::Mapper& mapper,
-                                           const workload::Trace& trace, const HostModel& host) {
+                                           const WorkloadSummary& workload, const HostModel& host) {
   const auto& nodes = graph.nodes();
   if (nodes.empty()) return make_error("partial offload: empty dataflow graph");
   const std::size_t n = nodes.size();
 
-  const passes::CostHints hints = hints_from_trace(trace, mapper.profile());
+  const passes::CostHints& hints = workload.hints;
   const double nic_clock = mapper.profile().params.scalar(lnic::keys::kClockHz);
-  const double frame = trace.mean_payload() + 54.0;
+  const double frame = workload.mean_payload + 54.0;
 
   // Valid cuts: no dataflow edge may run from the host side back to the
   // NIC side (node ids are assigned in reverse post-order, so prefix

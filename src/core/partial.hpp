@@ -78,7 +78,7 @@ struct PartialResult {
 /// reuse the ILP's unit bindings).
 Result<PartialResult> plan_partial_offload(const cir::Function& fn, const passes::DataflowGraph& graph,
                                            const mapping::Mapping& mapping, const mapping::Mapper& mapper,
-                                           const workload::Trace& trace, const HostModel& host = {});
+                                           const WorkloadSummary& workload, const HostModel& host = {});
 
 /// Renders the plan table.
 std::string describe_partial(const PartialResult& result, const passes::DataflowGraph& graph);

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "cir/builder.hpp"
 #include "cir/interp.hpp"
@@ -19,57 +19,6 @@ using passes::DataflowGraph;
 namespace keys = lnic::keys;
 
 namespace {
-
-struct PacketClass {
-  std::uint8_t proto = 6;
-  bool syn = false;
-  bool new_flow = false;
-  std::uint32_t bucket = 0;
-  std::uint64_t count = 0;
-  double payload_sum = 0.0;
-  workload::PacketMeta rep;
-
-  [[nodiscard]] double payload() const {
-    return count > 0 ? payload_sum / static_cast<double>(count) : 0.0;
-  }
-  [[nodiscard]] double frame_len() const { return payload() + (proto == 6 ? 54.0 : 42.0); }
-  [[nodiscard]] std::string name() const {
-    return strf("%s%s%s/p%.0f", proto == 6 ? "tcp" : "udp", syn ? "+syn" : "", new_flow ? "+new" : "",
-                payload());
-  }
-};
-
-std::vector<PacketClass> classify(const workload::Trace& trace, std::size_t buckets) {
-  std::uint16_t lo = 0xffff, hi = 0;
-  for (const auto& p : trace.packets) {
-    lo = std::min(lo, p.payload_len);
-    hi = std::max(hi, p.payload_len);
-  }
-  const double width = hi > lo ? static_cast<double>(hi - lo) / static_cast<double>(buckets) : 1.0;
-
-  std::unordered_set<std::uint32_t> seen_flows;
-  std::map<std::uint32_t, PacketClass> classes;
-  for (const auto& p : trace.packets) {
-    const bool new_flow = seen_flows.insert(p.flow_id).second;
-    auto bucket = static_cast<std::uint32_t>((p.payload_len - lo) / width);
-    if (bucket >= buckets) bucket = static_cast<std::uint32_t>(buckets) - 1;
-    const std::uint32_t key = p.proto | (p.is_syn() ? 1u << 8 : 0) | (new_flow ? 1u << 9 : 0) | (bucket << 16);
-    auto& cls = classes[key];
-    if (cls.count == 0) {
-      cls.proto = p.proto;
-      cls.syn = p.is_syn();
-      cls.new_flow = new_flow;
-      cls.bucket = bucket;
-      cls.rep = p;
-    }
-    ++cls.count;
-    cls.payload_sum += p.payload_len;
-  }
-  std::vector<PacketClass> out;
-  out.reserve(classes.size());
-  for (auto& [key, cls] : classes) out.push_back(std::move(cls));
-  return out;
-}
 
 /// Answers vcalls from the class's representative packet and a flow
 /// model: hash tables keyed by flow hit exactly when the flow is not
@@ -119,41 +68,101 @@ class ModelHandler final : public cir::VCallHandler {
 
 }  // namespace
 
-CostHints hints_from_trace(const workload::Trace& trace, const lnic::NicProfile& profile) {
-  CostHints hints;
-  hints.avg_payload = trace.mean_payload();
+std::string PacketClass::name() const {
+  return strf("%s%s%s/p%.0f", proto == 6 ? "tcp" : "udp", syn ? "+syn" : "", new_flow ? "+new" : "",
+              payload());
+}
+
+double flow_cache_capacity(const lnic::NicProfile& nic) {
+  return nic.params.try_scalar(keys::kFlowCacheCapacity).value_or(0.0);
+}
+
+WorkloadSummary summarize(const workload::Trace& trace, const lnic::NicProfile& nic,
+                          std::size_t payload_buckets) {
+  CLARA_TRACE_SCOPE("core/summarize");
+  WorkloadSummary out;
+  out.profile = trace.profile;
+  out.packets = trace.packets.size();
+  out.flow_cache_capacity = flow_cache_capacity(nic);
+  out.payload_buckets = payload_buckets;
+
+  // Payload range and sum, packets per flow, and which packet opens its
+  // flow — in packet order, so every sum matches a plain scan.
+  std::uint16_t lo = 0xffff, hi = 0;
+  double payload_sum = 0.0;
+  std::unordered_map<std::uint32_t, std::uint64_t> flow_packets;
+  std::vector<bool> opens_flow(trace.packets.size());
+  for (std::size_t i = 0; i < trace.packets.size(); ++i) {
+    const auto& p = trace.packets[i];
+    lo = std::min(lo, p.payload_len);
+    hi = std::max(hi, p.payload_len);
+    payload_sum += p.payload_len;
+    opens_flow[i] = flow_packets[p.flow_id]++ == 0;
+  }
+  out.distinct_flows = static_cast<std::uint32_t>(flow_packets.size());
+  if (out.packets > 0) out.mean_payload = payload_sum / static_cast<double>(out.packets);
+
+  CostHints& hints = out.hints;
+  hints.avg_payload = out.mean_payload;
   hints.params["payload_len"] = hints.avg_payload;
   hints.params["pkt_len"] = hints.avg_payload + 54.0;
 
   // Flow-cache hit rate: coverage of the top-capacity flows, less one
   // compulsory miss per cached flow.
-  const double capacity = profile.params.try_scalar(keys::kFlowCacheCapacity).value_or(0.0);
-  if (capacity > 0.0 && !trace.packets.empty()) {
-    std::unordered_map<std::uint32_t, std::uint64_t> counts;
-    for (const auto& p : trace.packets) ++counts[p.flow_id];
-    std::vector<std::uint64_t> sorted;
-    sorted.reserve(counts.size());
-    for (const auto& [flow, count] : counts) sorted.push_back(count);
-    std::sort(sorted.rbegin(), sorted.rend());
-    const auto top = std::min<std::size_t>(static_cast<std::size_t>(capacity), sorted.size());
+  const double capacity = out.flow_cache_capacity;
+  if (capacity > 0.0 && out.packets > 0) {
+    std::vector<std::uint64_t> counts;
+    counts.reserve(flow_packets.size());
+    for (const auto& [flow, count] : flow_packets) counts.push_back(count);
+    const auto top = std::min<std::size_t>(static_cast<std::size_t>(capacity), counts.size());
+    std::nth_element(counts.begin(), counts.begin() + static_cast<std::ptrdiff_t>(top), counts.end(),
+                     std::greater<>());
     std::uint64_t covered = 0;
-    for (std::size_t i = 0; i < top; ++i) covered += sorted[i];
-    const double total = static_cast<double>(trace.packets.size());
+    for (std::size_t i = 0; i < top; ++i) covered += counts[i];
+    const double total = static_cast<double>(out.packets);
     hints.flow_cache_hit_rate = std::max(0.0, (static_cast<double>(covered) - static_cast<double>(top)) / total);
   } else {
     hints.flow_cache_hit_rate = 0.0;
   }
-  return hints;
+
+  // Packet classes: protocol, SYN, flow novelty, payload bucket.
+  const double width = hi > lo ? static_cast<double>(hi - lo) / static_cast<double>(payload_buckets) : 1.0;
+  std::map<std::uint32_t, PacketClass> classes;
+  for (std::size_t i = 0; i < trace.packets.size(); ++i) {
+    const auto& p = trace.packets[i];
+    const bool new_flow = opens_flow[i];
+    auto bucket = static_cast<std::uint32_t>((p.payload_len - lo) / width);
+    if (bucket >= payload_buckets) bucket = static_cast<std::uint32_t>(payload_buckets) - 1;
+    const std::uint32_t key = p.proto | (p.is_syn() ? 1u << 8 : 0) | (new_flow ? 1u << 9 : 0) | (bucket << 16);
+    auto& cls = classes[key];
+    if (cls.count == 0) {
+      cls.proto = p.proto;
+      cls.syn = p.is_syn();
+      cls.new_flow = new_flow;
+      cls.bucket = bucket;
+      cls.rep = p;
+    }
+    ++cls.count;
+    cls.payload_sum += p.payload_len;
+  }
+  out.classes.reserve(classes.size());
+  for (auto& [key, cls] : classes) out.classes.push_back(std::move(cls));
+  return out;
 }
 
 Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, const mapping::Mapping& mapping,
-                           const mapping::Mapper& mapper, const workload::Trace& trace,
+                           const mapping::Mapper& mapper, const WorkloadSummary& workload,
                            const PredictOptions& options) {
   CLARA_TRACE_SCOPE("predict/run");
-  if (trace.packets.empty()) return make_error("predict: empty trace");
+  if (workload.packets == 0) return make_error("predict: empty trace");
   const auto& profile = mapper.profile();
+  if (workload.flow_cache_capacity != flow_cache_capacity(profile) ||
+      workload.payload_buckets != options.payload_buckets) {
+    return make_error(ErrorCode::kInternal,
+                      "predict: workload summarized for another flow cache or payload bucket count");
+  }
   const auto& params = profile.params;
-  const CostHints hints = hints_from_trace(trace, profile);
+  const CostHints& hints = workload.hints;
 
   // --- EMEM cache hit-rate estimate (working set vs. capacity) ----------
   double emem_ws = options.foreign_cache_pressure_bytes;
@@ -162,7 +171,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
     const auto* mem = profile.graph.node(region).memory();
     if (mem->kind == lnic::MemKind::kEmem) emem_cache_capacity = mem->cache_capacity;
   }
-  const std::uint32_t distinct = trace.distinct_flows();
+  const std::uint32_t distinct = workload.distinct_flows;
   for (std::size_t s = 0; s < fn.state_objects.size(); ++s) {
     const NodeId region = mapping.state_region[s];
     const auto* mem = profile.graph.node(region).memory();
@@ -178,7 +187,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   // 2 kB); they join the contended working set and, when the pool fits
   // in what the state leaves of the cache, tail reads mostly hit.
   const double residency = params.scalar(keys::kCtmPacketResidency);
-  const double avg_frame = trace.mean_payload() + 54.0;
+  const double avg_frame = workload.mean_payload + 54.0;
   const double tail_pool = 1024.0 * 2048.0;
   const bool tails_spill = residency > 0.0 && avg_frame > residency;
   if (tails_spill) emem_ws += tail_pool;
@@ -275,8 +284,8 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   };
 
   // --- Per-class costing --------------------------------------------------
-  auto classes = classify(trace, options.payload_buckets);
-  const double total_packets = static_cast<double>(trace.packets.size());
+  const auto& classes = workload.classes;
+  const double total_packets = static_cast<double>(workload.packets);
 
   struct ClassCost {
     double base = 0.0;                       // latency without queueing
@@ -412,7 +421,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
 
   // --- Queueing (Θ) and throughput ----------------------------------------
   const double clock = params.scalar(keys::kClockHz);
-  const double pps = trace.profile.pps;
+  const double pps = workload.profile.pps;
   const double lambda_cycles = pps / clock;  // packets per cycle
 
   Prediction pred;

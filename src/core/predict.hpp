@@ -7,7 +7,9 @@
 //   1. the trace is collapsed into packet equivalence classes (protocol,
 //      SYN, flow novelty, payload bucket) — the per-packet-type profiles
 //      the paper describes ("TCP SYN packets experience higher latency,
-//      but the following packets will hit the flow cache");
+//      but the following packets will hit the flow cache"). summarize()
+//      does this in one pass and keeps the result as a WorkloadSummary,
+//      which is all prediction reads of a workload;
 //   2. one representative packet per class is pushed through the CIR
 //      interpreter against a workload model (tables answer hit/miss by
 //      flow novelty), yielding block counts and vcall arguments;
@@ -32,6 +34,41 @@
 #include "workload/tracegen.hpp"
 
 namespace clara::core {
+
+/// A packet equivalence class of a trace, with the first packet that
+/// fell into it as the representative the interpreter replays.
+struct PacketClass {
+  std::uint8_t proto = 6;
+  bool syn = false;
+  bool new_flow = false;
+  std::uint32_t bucket = 0;
+  std::uint64_t count = 0;
+  double payload_sum = 0.0;
+  workload::PacketMeta rep;
+
+  [[nodiscard]] double payload() const {
+    return count > 0 ? payload_sum / static_cast<double>(count) : 0.0;
+  }
+  [[nodiscard]] double frame_len() const { return payload() + (proto == 6 ? 54.0 : 42.0); }
+  [[nodiscard]] std::string name() const;
+};
+
+/// Everything prediction reads of a workload (paper §3.5: Clara prices
+/// per-packet-type profiles, not individual packets). The hints depend
+/// on the NIC's flow-cache capacity and the classes on the payload
+/// bucket count, so a summary records both and serves only analyses
+/// that agree on them.
+struct WorkloadSummary {
+  /// The trace's profile: the offered rate, and the spec a response echoes.
+  workload::WorkloadProfile profile;
+  std::uint64_t packets = 0;
+  double mean_payload = 0.0;
+  std::uint32_t distinct_flows = 0;
+  passes::CostHints hints;
+  std::vector<PacketClass> classes;  // ascending class key
+  double flow_cache_capacity = 0.0;
+  std::size_t payload_buckets = 0;
+};
 
 /// A packet equivalence class with its predicted latency.
 struct ClassProfile {
@@ -90,16 +127,23 @@ struct PredictOptions {
   double foreign_cache_pressure_bytes = 0.0;
 };
 
-/// Predicts performance of a mapped NF on a workload. The function must
-/// already be API-substituted and verified (the Analyzer facade does
-/// this).
+/// Predicts performance of a mapped NF on a summarized workload. The
+/// function must already be API-substituted and verified (the Analyzer
+/// facade does this), and `workload` must be summarized for the mapper's
+/// NIC with options.payload_buckets.
 Result<Prediction> predict(const cir::Function& fn, const passes::DataflowGraph& graph,
                            const mapping::Mapping& mapping, const mapping::Mapper& mapper,
-                           const workload::Trace& trace, const PredictOptions& options = {});
+                           const WorkloadSummary& workload, const PredictOptions& options = {});
 
-/// Workload-derived hint extraction shared by the mapper and predictor:
-/// average payload, loop-trip parameters, and the flow-cache hit rate
-/// estimated from observed flow popularity vs. cache capacity.
-passes::CostHints hints_from_trace(const workload::Trace& trace, const lnic::NicProfile& profile);
+/// The flow-cache capacity `nic` declares, in entries (0 when it has none).
+double flow_cache_capacity(const lnic::NicProfile& nic);
+
+/// Summarizes `trace` in one pass over its packets (plus one to
+/// classify them): the packet classes, mean payload, distinct flows, and
+/// the hints the mapper and predictor share — average payload, loop-trip
+/// parameters, and the flow-cache hit rate estimated from observed flow
+/// popularity vs. `nic`'s cache capacity.
+WorkloadSummary summarize(const workload::Trace& trace, const lnic::NicProfile& nic,
+                          std::size_t payload_buckets);
 
 }  // namespace clara::core

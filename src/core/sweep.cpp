@@ -12,7 +12,6 @@
 #include "obs/pool.hpp"
 #include "obs/trace.hpp"
 #include "passes/dataflow.hpp"
-#include "workload/tracegen.hpp"
 
 namespace clara::core {
 
@@ -125,16 +124,15 @@ Accumulator merge_stats(const std::vector<SweepResult>& results) {
 }
 
 std::vector<LoadSweepPoint> predict_load_sweep(const Analyzer& analyzer, const Analysis& analysis,
-                                               const workload::WorkloadProfile& profile,
+                                               const WorkloadSummary& base,
                                                const std::vector<double>& loads_pps,
                                                const AnalyzeOptions& options, std::size_t jobs,
                                                SweepFailureSummary* failures) {
   // The graph the mapping was priced against: rebuilt from the lowered
-  // function with hints taken at the base profile (mirrors analyze()).
-  // The graph cache is keyed on the lowered function's content, so when
+  // function with the base workload's hints (mirrors analyze()). The
+  // graph cache is keyed on the lowered function's content, so when
   // analyze() just ran this lookup is warm and the rebuild is skipped.
-  const auto base_trace = workload::generate_trace(profile);
-  const auto hints = hints_from_trace(base_trace, analyzer.profile());
+  const passes::CostHints& hints = base.hints;
   auto& cache = analysis_cache();
   const bool use_cache = options.use_cache && cache.enabled();
   std::uint64_t gkey = 0;
@@ -161,19 +159,19 @@ std::vector<LoadSweepPoint> predict_load_sweep(const Analyzer& analyzer, const A
   std::vector<LoadSweepPoint> out(loads_pps.size());
   SweepOptions sweep_options;
   sweep_options.jobs = jobs;
-  const auto grid = make_grid(loads_pps, {}, profile.seed);
+  const auto grid = make_grid(loads_pps, {}, base.profile.seed);
   run_sweep(grid,
             [&](const SweepPoint& point, SweepResult& result) {
               auto& slot = out[point.index];
               slot = LoadSweepPoint{};  // retries rewrite the slot from scratch
               slot.pps = point.load_pps;
               slot.seed = point.seed;
-              workload::WorkloadProfile shard = profile;
+              workload::WorkloadProfile shard = base.profile;
               shard.pps = point.load_pps;
               shard.seed = point.seed;
-              const auto trace = workload::generate_trace(shard);
+              const auto summary = analyzer.summarize(shard, options);
               auto prediction =
-                  predict(analysis.lowered, graph, analysis.mapping, mapper, trace, options.predict);
+                  predict(analysis.lowered, graph, analysis.mapping, mapper, *summary, options.predict);
               if (!prediction) {
                 result.ok = false;
                 result.error = slot.error = prediction.error().message;

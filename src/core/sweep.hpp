@@ -99,10 +99,13 @@ Histogram merge_histograms(const std::vector<SweepResult>& results, const SweepO
 Accumulator merge_stats(const std::vector<SweepResult>& results);
 
 /// Predictor sensitivity sweep: re-predicts an analyzed NF at each
-/// offered load, regenerating the workload per point on an independent
-/// seed stream. The mapping is NOT recomputed — the sweep answers "how
-/// does the predicted latency/throughput of *this* mapping move with
-/// load", the what-if question Clara exists for (paper §3.5).
+/// offered load, on the base workload's profile with the point's rate
+/// and an independent seed stream; each point's summary comes from the
+/// analysis cache's summary stage (Analyzer::summarize). The mapping is
+/// NOT recomputed — the sweep answers "how does the predicted
+/// latency/throughput of *this* mapping move with load", the what-if
+/// question Clara exists for (paper §3.5). `base` is the workload the
+/// analysis was made against.
 struct LoadSweepPoint {
   double pps = 0.0;
   std::uint64_t seed = 0;
@@ -112,7 +115,7 @@ struct LoadSweepPoint {
 };
 
 std::vector<LoadSweepPoint> predict_load_sweep(const Analyzer& analyzer, const Analysis& analysis,
-                                               const workload::WorkloadProfile& profile,
+                                               const WorkloadSummary& base,
                                                const std::vector<double>& loads_pps,
                                                const AnalyzeOptions& options = {},
                                                std::size_t jobs = 0,

@@ -1,6 +1,9 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <memory>
+#include <optional>
 #include <utility>
 
 #include "cir/printer.hpp"
@@ -50,21 +53,31 @@ Result<cir::Function> resolve_nf(const Request& request) {
   return entry->build();
 }
 
-Result<lnic::NicProfile> resolve_nic(const Request& request) {
-  for (auto& profile : lnic::all_profiles()) {
-    if (profile.name == request.nic) return std::move(profile);
-  }
-  return make_error(ErrorCode::kParse, strf("unknown NIC profile \"%s\"", request.nic.c_str()));
-}
+/// A request's workload: the summary every kind analyzes against, and
+/// for validate the packets the simulator replays.
+struct Workload {
+  std::shared_ptr<const core::WorkloadSummary> summary;
+  std::optional<workload::Trace> trace;
+};
 
-Result<workload::Trace> resolve_trace(const Request& request) {
+Result<Workload> resolve_workload(const Request& request, const core::Analyzer& analyzer) {
+  Workload out;
   if (!request.trace_file.empty()) {
-    return workload::read_trace(request.trace_file);
+    auto trace = workload::read_trace(request.trace_file);
+    if (!trace) return trace.error();
+    // A file can change under the same path, so its summary is taken
+    // afresh and never memoized.
+    out.summary = std::make_shared<const core::WorkloadSummary>(core::summarize(
+        trace.value(), analyzer.profile(), request.options.predict.payload_buckets));
+    if (request.kind == RequestKind::kValidate) out.trace = std::move(trace).value();
+    return out;
   }
   const std::string spec = request.workload.empty() ? kDefaultWorkload : request.workload;
   auto profile = workload::parse_profile(spec);
   if (!profile) return profile.error();
-  return workload::generate_trace(profile.value());
+  out.summary = analyzer.summarize(profile.value(), request.options);
+  if (request.kind == RequestKind::kValidate) out.trace = workload::generate_trace(profile.value());
+  return out;
 }
 
 /// Copies the deterministic analysis summary (and the requested extra
@@ -72,11 +85,11 @@ Result<workload::Trace> resolve_trace(const Request& request) {
 /// validate response carries its base analysis alongside the
 /// kind-specific payload.
 void fill_analysis(Response& response, const Request& request, const core::Analyzer& analyzer,
-                   const cir::Function& fn, const workload::Trace& trace,
+                   const cir::Function& fn, const core::WorkloadSummary& workload,
                    const core::Analysis& analysis) {
   response.nf_name = fn.name;
   response.nic = analyzer.profile().name;
-  response.workload = trace.profile.serialize();
+  response.workload = workload.profile.serialize();
   response.substituted = analysis.substitution.substituted;
   response.patterns = analysis.patterns.total();
   response.greedy_mapper = analysis.mapping.greedy;
@@ -103,19 +116,18 @@ void fill_analysis(Response& response, const Request& request, const core::Analy
     response.breakdown_text = obs::render_breakdown(analysis.prediction.breakdown);
   }
   if (request.energy || request.partial) {
-    const auto hints = core::hints_from_trace(trace, analyzer.profile());
-    const auto graph = passes::DataflowGraph::build(analysis.lowered, hints);
+    const auto graph = passes::DataflowGraph::build(analysis.lowered, workload.hints);
     const mapping::Mapper mapper(analyzer.profile());
     if (request.energy) {
       const auto energy =
-          core::predict_energy(analysis.lowered, graph, analysis.mapping, mapper, trace);
+          core::predict_energy(analysis.lowered, graph, analysis.mapping, mapper, workload);
       response.energy_nj_per_packet = energy.nj_per_packet;
       response.energy_watts = energy.watts_at_rate;
       response.energy_nj_per_packet_total = energy.nj_per_packet_total;
     }
     if (request.partial) {
       const auto partial =
-          core::plan_partial_offload(analysis.lowered, graph, analysis.mapping, mapper, trace);
+          core::plan_partial_offload(analysis.lowered, graph, analysis.mapping, mapper, workload);
       if (partial) {
         response.partial_text =
             "partial-offload plans:\n" + core::describe_partial(partial.value(), graph);
@@ -133,8 +145,8 @@ void fill_analysis(Response& response, const Request& request, const core::Analy
 }
 
 Response handle_analyze(const Request& request, const core::Analyzer& analyzer,
-                        const cir::Function& fn, const workload::Trace& trace) {
-  auto analysis = analyzer.analyze(fn, trace, request.options);
+                        const cir::Function& fn, const core::WorkloadSummary& workload) {
+  auto analysis = analyzer.analyze(fn, workload, request.options);
   if (!analysis) {
     return core::error_response(request, analysis.error().code, analysis.error().message);
   }
@@ -142,12 +154,12 @@ Response handle_analyze(const Request& request, const core::Analyzer& analyzer,
   response.id = request.id;
   response.kind = request.kind;
   response.ok = true;
-  fill_analysis(response, request, analyzer, fn, trace, analysis.value());
+  fill_analysis(response, request, analyzer, fn, workload, analysis.value());
   return response;
 }
 
 Response handle_sweep(const Request& request, const core::Analyzer& analyzer,
-                      const cir::Function& fn, const workload::Trace& trace) {
+                      const cir::Function& fn, const core::WorkloadSummary& workload) {
   if (request.sweep_pps.empty()) {
     return core::error_response(request, ErrorCode::kParse,
                                 "sweep request needs a non-empty sweep_pps grid");
@@ -158,7 +170,7 @@ Response handle_sweep(const Request& request, const core::Analyzer& analyzer,
                                   "sweep_pps load points must be positive");
     }
   }
-  auto analysis = analyzer.analyze(fn, trace, request.options);
+  auto analysis = analyzer.analyze(fn, workload, request.options);
   if (!analysis) {
     return core::error_response(request, analysis.error().code, analysis.error().message);
   }
@@ -166,8 +178,8 @@ Response handle_sweep(const Request& request, const core::Analyzer& analyzer,
   response.id = request.id;
   response.kind = request.kind;
   response.ok = true;
-  fill_analysis(response, request, analyzer, fn, trace, analysis.value());
-  const auto sweep = core::predict_load_sweep(analyzer, analysis.value(), trace.profile,
+  fill_analysis(response, request, analyzer, fn, workload, analysis.value());
+  const auto sweep = core::predict_load_sweep(analyzer, analysis.value(), workload,
                                               request.sweep_pps, request.options);
   for (const auto& point : sweep) {
     core::SweepPointSummary summary;
@@ -186,7 +198,7 @@ Response handle_sweep(const Request& request, const core::Analyzer& analyzer,
 }
 
 Response handle_repair(const Request& request, const core::Analyzer& analyzer,
-                       const cir::Function& fn, const workload::Trace& trace) {
+                       const cir::Function& fn, const core::WorkloadSummary& workload) {
   auto plan = fault::FaultPlan::parse(request.fault_plan);
   if (!plan) return core::error_response(request, plan.error().code, plan.error().message);
   if (!plan.value().sites.empty()) {
@@ -200,21 +212,17 @@ Response handle_repair(const Request& request, const core::Analyzer& analyzer,
                                 "repair request's fault_plan names no unit faults");
   }
 
-  auto healthy = analyzer.analyze(fn, trace, request.options);
+  auto healthy = analyzer.analyze(fn, workload, request.options);
   if (!healthy) {
     return core::error_response(request, healthy.error().code, healthy.error().message);
   }
 
-  auto faulted_profile = resolve_nic(request);
-  if (!faulted_profile) {
-    return core::error_response(request, faulted_profile.error().code,
-                                faulted_profile.error().message);
-  }
-  if (auto applied = fault::apply_to_profile(plan.value(), faulted_profile.value()); !applied) {
+  lnic::NicProfile faulted_profile = analyzer.profile();
+  if (auto applied = fault::apply_to_profile(plan.value(), faulted_profile); !applied) {
     return core::error_response(request, applied.error().code, applied.error().message);
   }
-  const core::Analyzer degraded_analyzer(std::move(faulted_profile).value());
-  auto repaired = degraded_analyzer.repair(fn, trace, healthy.value(), request.options);
+  const core::Analyzer degraded_analyzer(std::move(faulted_profile));
+  auto repaired = degraded_analyzer.repair(fn, workload, healthy.value(), request.options);
   if (!repaired) {
     return core::error_response(request, repaired.error().code, repaired.error().message);
   }
@@ -222,20 +230,21 @@ Response handle_repair(const Request& request, const core::Analyzer& analyzer,
   response.id = request.id;
   response.kind = request.kind;
   response.ok = true;
-  fill_analysis(response, request, degraded_analyzer, fn, trace, repaired.value());
+  fill_analysis(response, request, degraded_analyzer, fn, workload, repaired.value());
   return response;
 }
 
 Response handle_validate(const Request& request, const core::Analyzer& analyzer,
-                         const cir::Function& fn, const workload::Trace& trace) {
-  auto analysis = analyzer.analyze(fn, trace, request.options);
+                         const cir::Function& fn, const core::WorkloadSummary& workload,
+                         const workload::Trace& trace) {
+  auto analysis = analyzer.analyze(fn, workload, request.options);
   if (!analysis) {
     return core::error_response(request, analysis.error().code, analysis.error().message);
   }
   obs::ValidationScenario scenario;
   scenario.nf = request.nf.empty() ? fn.name : request.nf;
   scenario.variant = "serve";
-  scenario.workload = trace.profile.serialize();
+  scenario.workload = workload.profile.serialize();
   // The corpus lpm variants carry their knobs in the name; mirror them
   // so the ported simulator program matches what resolve_nf built.
   if (scenario.nf == "lpm") {
@@ -254,7 +263,7 @@ Response handle_validate(const Request& request, const core::Analyzer& analyzer,
   response.id = request.id;
   response.kind = request.kind;
   response.ok = true;
-  fill_analysis(response, request, analyzer, fn, trace, analysis.value());
+  fill_analysis(response, request, analyzer, fn, workload, analysis.value());
   response.predicted_cycles = validated.value().predicted_cycles;
   response.simulated_cycles = validated.value().simulated_cycles;
   response.rel_err = validated.value().rel_err;
@@ -264,7 +273,9 @@ Response handle_validate(const Request& request, const core::Analyzer& analyzer,
 
 }  // namespace
 
-Service::Service(ServiceOptions options) : options_(options), gate_(options.max_inflight) {}
+Service::Service(ServiceOptions options) : options_(options), gate_(options.max_inflight) {
+  for (auto& profile : lnic::all_profiles()) analyzers_.emplace_back(std::move(profile));
+}
 
 Response Service::handle(const Request& request) {
   const std::string kind_label = std::string("kind=") + to_string(request.kind);
@@ -298,21 +309,28 @@ Response Service::dispatch(const Request& request) const {
   }
   auto fn = resolve_nf(request);
   if (!fn) return core::error_response(request, fn.error().code, fn.error().message);
-  auto nic = resolve_nic(request);
-  if (!nic) return core::error_response(request, nic.error().code, nic.error().message);
-  auto trace = resolve_trace(request);
-  if (!trace) return core::error_response(request, trace.error().code, trace.error().message);
+  const auto analyzer = std::find_if(analyzers_.begin(), analyzers_.end(), [&](const auto& a) {
+    return a.profile().name == request.nic;
+  });
+  if (analyzer == analyzers_.end()) {
+    return core::error_response(request, ErrorCode::kParse,
+                                strf("unknown NIC profile \"%s\"", request.nic.c_str()));
+  }
+  auto resolved = resolve_workload(request, *analyzer);
+  if (!resolved) {
+    return core::error_response(request, resolved.error().code, resolved.error().message);
+  }
 
-  const core::Analyzer analyzer(std::move(nic).value());
+  const core::WorkloadSummary& workload = *resolved.value().summary;
   switch (request.kind) {
     case RequestKind::kAnalyze:
-      return handle_analyze(request, analyzer, fn.value(), trace.value());
+      return handle_analyze(request, *analyzer, fn.value(), workload);
     case RequestKind::kSweep:
-      return handle_sweep(request, analyzer, fn.value(), trace.value());
+      return handle_sweep(request, *analyzer, fn.value(), workload);
     case RequestKind::kRepair:
-      return handle_repair(request, analyzer, fn.value(), trace.value());
+      return handle_repair(request, *analyzer, fn.value(), workload);
     case RequestKind::kValidate:
-      return handle_validate(request, analyzer, fn.value(), trace.value());
+      return handle_validate(request, *analyzer, fn.value(), workload, *resolved.value().trace);
     case RequestKind::kHello: break;  // handled above
   }
   return core::error_response(request, ErrorCode::kInternal, "unhandled request kind");

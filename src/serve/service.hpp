@@ -3,11 +3,16 @@
 // Service::handle() turns a core::Request into a core::Response: it
 // resolves the NF (corpus name or inline CIR), the LNIC profile, and
 // the workload, runs the Analyzer, and fills the response with the
-// deterministic analysis summary. The CLI calls handle() in-process;
-// the daemon (serve/daemon) calls it from pool tasks, one per request
-// line, so the Service must be safe to call concurrently — it keeps no
-// per-request mutable state and never touches process-global knobs
-// (fault plans apply per-request via fault::apply_to_profile).
+// deterministic analysis summary. The built-in profiles and their
+// Analyzers are built once per Service; a spec workload resolves
+// through the analysis cache's summary stage, so a warm request
+// generates no trace (validate still generates one for the simulator,
+// and a trace file is summarized afresh on every request). The CLI
+// calls handle() in-process; the daemon (serve/daemon) calls it from
+// pool tasks, one per request line, so the Service must be safe to call
+// concurrently — it keeps no per-request mutable state and never
+// touches process-global knobs (fault plans apply per-request to a copy
+// of the profile via fault::apply_to_profile).
 //
 // Admission control: a counting gate bounds concurrently-executing
 // requests; beyond max_inflight, handle() immediately answers with
@@ -22,7 +27,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <vector>
 
+#include "core/clara.hpp"
 #include "core/request.hpp"
 
 namespace clara::serve {
@@ -83,6 +90,7 @@ class Service {
 
   ServiceOptions options_;
   InflightGate gate_;
+  std::vector<core::Analyzer> analyzers_;  // one per built-in NIC profile
 };
 
 }  // namespace clara::serve

@@ -2,16 +2,20 @@
 
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/strings.hpp"
 
 namespace clara::workload {
 
 std::string WorkloadProfile::serialize() const {
+  // Doubles print shortest-round-trip, so parse(serialize()) restores
+  // every field exactly.
   std::ostringstream os;
-  os << "tcp=" << tcp_fraction << " flows=" << flows << " zipf=" << zipf_alpha;
+  os << "tcp=" << json_number(tcp_fraction) << " flows=" << flows
+     << " zipf=" << json_number(zipf_alpha);
   os << " payload=" << payload_min;
   if (payload_max != payload_min) os << ":" << payload_max;
-  os << " pps=" << pps << " packets=" << packets;
+  os << " pps=" << json_number(pps) << " packets=" << packets;
   os << " arrivals=" << (arrivals == ArrivalProcess::kPoisson ? "poisson" : "deterministic");
   os << " seed=" << seed;
   return os.str();

@@ -1,8 +1,9 @@
 // Cache subsystem tests (ctest label `cache`): hit/miss/eviction
 // accounting of the content-addressed analysis cache, bit-identical
 // results cache-on vs cache-off at every jobs level, deterministic
-// deadline degradation, and cache-key sensitivity to every Π/Γ/Θ and
-// option input.
+// deadline degradation, cache-key sensitivity to every Π/Γ/Θ, option
+// and workload-profile input, and the summary stage answering for a
+// generated trace bit-identically.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -206,6 +207,84 @@ TEST(AnalysisCacheTest, KeysSensitiveToEveryInput) {
   EXPECT_NE(graph_key(1, 2, 3), graph_key(4, 2, 3));
   EXPECT_NE(graph_key(1, 2, 3), graph_key(1, 4, 3));
   EXPECT_NE(graph_key(1, 2, 3), graph_key(1, 2, 4));
+}
+
+TEST(AnalysisCacheTest, SummaryKeySensitiveToEveryProfileField) {
+  const auto base =
+      workload::parse_profile("tcp=0.8 flows=2000 payload=300 pps=60000 packets=2000 seed=42").value();
+  const std::uint64_t key = summary_key(base, 8, 4096.0);
+  EXPECT_EQ(summary_key(base, 8, 4096.0), key);
+  EXPECT_NE(summary_key(base, 9, 4096.0), key);   // payload buckets
+  EXPECT_NE(summary_key(base, 8, 65536.0), key);  // flow-cache capacity
+
+  const std::vector<void (*)(workload::WorkloadProfile&)> edits = {
+      [](workload::WorkloadProfile& p) { p.seed += 1; },
+      // Past serialize()'s old 6 significant digits: still a different trace.
+      [](workload::WorkloadProfile& p) { p.tcp_fraction = 0.8000001; },
+      [](workload::WorkloadProfile& p) { p.flows += 1; },
+      [](workload::WorkloadProfile& p) { p.zipf_alpha = 1.0000001; },
+      [](workload::WorkloadProfile& p) { p.payload_min -= 1; },
+      [](workload::WorkloadProfile& p) { p.payload_max += 1; },
+      [](workload::WorkloadProfile& p) { p.pps = 60000.01; },
+      [](workload::WorkloadProfile& p) { p.packets += 1; },
+      [](workload::WorkloadProfile& p) { p.arrivals = workload::ArrivalProcess::kPoisson; },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    workload::WorkloadProfile changed = base;
+    edits[i](changed);
+    EXPECT_NE(summary_key(changed, 8, 4096.0), key) << "edit " << i;
+  }
+}
+
+TEST(AnalysisCacheTest, SummaryStageAnswersLikeTheGeneratedTrace) {
+  CacheGuard guard;
+  Analyzer clara_tool(lnic::netronome_agilio_cx());
+  const auto profile =
+      workload::parse_profile("tcp=0.8 flows=2000 payload=64:1500 pps=60000 packets=2000").value();
+
+  const auto cold = clara_tool.summarize(profile);
+  const auto warm = clara_tool.summarize(profile);
+  EXPECT_EQ(warm, cold) << "a repeat is served the cached entry";
+  auto stats = analysis_cache().stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  // Uncached requests neither consult nor fill the stage.
+  AnalyzeOptions off;
+  off.use_cache = false;
+  const auto uncached = clara_tool.summarize(profile, off);
+  EXPECT_NE(uncached, warm);
+  EXPECT_EQ(analysis_cache().stats().hits, stats.hits);
+  EXPECT_EQ(analysis_cache().stats().misses, stats.misses);
+
+  // The cached summary prices the NF exactly as its trace does.
+  const auto trace = workload::generate_trace(profile);
+  const auto direct = summarize(trace, clara_tool.profile(), PredictOptions{}.payload_buckets);
+  EXPECT_EQ(warm->mean_payload, trace.mean_payload());
+  EXPECT_EQ(warm->distinct_flows, trace.distinct_flows());
+  EXPECT_EQ(warm->hints.flow_cache_hit_rate, direct.hints.flow_cache_hit_rate);
+  const auto from_summary = clara_tool.analyze(nf::build_nat_nf(), *warm, off);
+  const auto from_trace = clara_tool.analyze(nf::build_nat_nf(), trace, off);
+  ASSERT_TRUE(from_summary.ok()) << from_summary.error().message;
+  ASSERT_TRUE(from_trace.ok()) << from_trace.error().message;
+  expect_same_analysis(from_trace.value(), from_summary.value(), "summary vs trace");
+  const auto& a = from_trace.value().prediction;
+  const auto& b = from_summary.value().prediction;
+  ASSERT_EQ(a.classes.size(), b.classes.size());
+  for (std::size_t i = 0; i < a.classes.size(); ++i) {
+    EXPECT_EQ(a.classes[i].name, b.classes[i].name);
+    EXPECT_EQ(a.classes[i].fraction, b.classes[i].fraction);
+    EXPECT_EQ(a.classes[i].latency_cycles, b.classes[i].latency_cycles);
+  }
+  EXPECT_EQ(a.flow_cache_hit_rate, b.flow_cache_hit_rate);
+  EXPECT_EQ(a.emem_cache_hit_rate, b.emem_cache_hit_rate);
+
+  // A summary taken for another bucket count is refused, not misread.
+  AnalyzeOptions coarse = off;
+  coarse.predict.payload_buckets = 4;
+  const auto mismatched = clara_tool.analyze(nf::build_nat_nf(), *warm, coarse);
+  ASSERT_FALSE(mismatched.ok());
+  EXPECT_EQ(mismatched.error().code, ErrorCode::kInternal);
 }
 
 TEST(AnalysisCacheTest, ProfileParameterChangesDigest) {

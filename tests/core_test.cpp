@@ -221,8 +221,9 @@ TEST(Analyzer, FlowCacheHitRateEstimatedFromSkew) {
   Analyzer clara_tool(lnic::netronome_agilio_cx());
   const auto skewed = make_trace("flows=50000 zipf=1.3 payload=300 pps=60000 packets=30000");
   const auto uniform = make_trace("flows=50000 zipf=0.0 payload=300 pps=60000 packets=30000");
-  const auto hints_skewed = hints_from_trace(skewed, clara_tool.profile());
-  const auto hints_uniform = hints_from_trace(uniform, clara_tool.profile());
+  const std::size_t buckets = PredictOptions{}.payload_buckets;
+  const auto hints_skewed = summarize(skewed, clara_tool.profile(), buckets).hints;
+  const auto hints_uniform = summarize(uniform, clara_tool.profile(), buckets).hints;
   EXPECT_GT(hints_skewed.flow_cache_hit_rate, hints_uniform.flow_cache_hit_rate);
 }
 

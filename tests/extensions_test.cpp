@@ -26,17 +26,22 @@ workload::Trace make_trace(const std::string& spec) {
 struct Pipeline {
   cir::Function fn;
   lnic::NicProfile profile;
+  core::WorkloadSummary workload;
   passes::DataflowGraph graph;
   mapping::Mapper mapper;
   mapping::Mapping mapping;
 
   Pipeline(cir::Function raw, const workload::Trace& trace)
-      : fn(std::move(raw)), profile(lnic::netronome_agilio_cx()), mapper(profile) {
+      : fn(std::move(raw)),
+        profile(lnic::netronome_agilio_cx()),
+        workload(core::summarize(trace, profile, core::PredictOptions{}.payload_buckets)),
+        mapper(profile) {
     passes::substitute_framework_apis(fn);
     passes::collapse_packet_loops(fn);
-    const auto hints = core::hints_from_trace(trace, profile);
-    graph = passes::DataflowGraph::build(fn, hints);
-    auto result = mapper.map(graph, hints, {.pps = trace.profile.pps});
+    graph = passes::DataflowGraph::build(fn, workload.hints);
+    mapping::MapOptions options;
+    options.pps = trace.profile.pps;
+    auto result = mapper.map(graph, workload.hints, options);
     EXPECT_TRUE(result.ok()) << (result.ok() ? "" : result.error().message);
     mapping = std::move(result).value();
   }
@@ -65,13 +70,13 @@ TEST(Energy, DefaultsDoNotOverride) {
 TEST(Energy, PredictionPositiveAndRateScaling) {
   const auto trace = make_trace("payload=300 pps=60000 packets=5000");
   Pipeline p(nf::build_nat_nf(), trace);
-  const auto estimate = core::predict_energy(p.fn, p.graph, p.mapping, p.mapper, trace);
+  const auto estimate = core::predict_energy(p.fn, p.graph, p.mapping, p.mapper, p.workload);
   EXPECT_GT(estimate.nj_per_packet, 0.0);
   EXPECT_GT(estimate.watts_at_rate, 14.0);  // at least idle power
 
   const auto fast_trace = make_trace("payload=300 pps=6000000 packets=5000");
   Pipeline p2(nf::build_nat_nf(), fast_trace);
-  const auto fast = core::predict_energy(p2.fn, p2.graph, p2.mapping, p2.mapper, fast_trace);
+  const auto fast = core::predict_energy(p2.fn, p2.graph, p2.mapping, p2.mapper, p2.workload);
   EXPECT_GT(fast.watts_at_rate, estimate.watts_at_rate);           // more dynamic power
   EXPECT_LT(fast.nj_per_packet_total, estimate.nj_per_packet_total);  // idle amortized
 }
@@ -80,8 +85,9 @@ TEST(Energy, DpiCostsMoreThanRewrite) {
   const auto trace = make_trace("payload=1000 pps=60000 packets=5000");
   Pipeline dpi(nf::build_dpi_nf(), trace);
   Pipeline rewrite(nf::build_rewrite_nf(), trace);
-  const auto e_dpi = core::predict_energy(dpi.fn, dpi.graph, dpi.mapping, dpi.mapper, trace);
-  const auto e_rw = core::predict_energy(rewrite.fn, rewrite.graph, rewrite.mapping, rewrite.mapper, trace);
+  const auto e_dpi = core::predict_energy(dpi.fn, dpi.graph, dpi.mapping, dpi.mapper, dpi.workload);
+  const auto e_rw = core::predict_energy(rewrite.fn, rewrite.graph, rewrite.mapping, rewrite.mapper,
+                                          rewrite.workload);
   EXPECT_GT(e_dpi.nj_per_packet, 2.0 * e_rw.nj_per_packet);
 }
 
@@ -99,7 +105,7 @@ TEST(Energy, PredictionTracksSimulatorWithinFactor) {
   // Energy is a coarser model than latency; require factor-2 agreement.
   const auto trace = make_trace("tcp=0.8 flows=10000 payload=300 pps=60000 packets=10000");
   Pipeline p(nf::build_nat_nf(), trace);
-  const auto predicted = core::predict_energy(p.fn, p.graph, p.mapping, p.mapper, trace);
+  const auto predicted = core::predict_energy(p.fn, p.graph, p.mapping, p.mapper, p.workload);
 
   nicsim::NicSim sim;
   auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
@@ -115,7 +121,7 @@ TEST(Energy, PredictionTracksSimulatorWithinFactor) {
 TEST(Partial, IncludesEndpointPlans) {
   const auto trace = make_trace("payload=300 pps=60000 packets=3000");
   Pipeline p(nf::build_nat_nf(), trace);
-  const auto result = core::plan_partial_offload(p.fn, p.graph, p.mapping, p.mapper, trace);
+  const auto result = core::plan_partial_offload(p.fn, p.graph, p.mapping, p.mapper, p.workload);
   ASSERT_TRUE(result.ok()) << result.error().message;
   const auto& plans = result.value().plans;
   ASSERT_GE(plans.size(), 2u);
@@ -128,7 +134,7 @@ TEST(Partial, IncludesEndpointPlans) {
 TEST(Partial, BestIsMinimal) {
   const auto trace = make_trace("payload=600 pps=60000 packets=3000");
   Pipeline p(nf::build_vnf_chain(), trace);
-  const auto result = core::plan_partial_offload(p.fn, p.graph, p.mapping, p.mapper, trace);
+  const auto result = core::plan_partial_offload(p.fn, p.graph, p.mapping, p.mapper, p.workload);
   ASSERT_TRUE(result.ok());
   const auto& r = result.value();
   for (const auto& plan : r.plans) {
@@ -166,7 +172,7 @@ TEST(Partial, NicFilterPlusHostTailPrefersSplit) {
   Pipeline p(b.take(), trace);
   core::HostModel host;
   host.host_core_weight = 20.0;  // host cores are the scarce resource
-  const auto result = core::plan_partial_offload(p.fn, p.graph, p.mapping, p.mapper, trace, host);
+  const auto result = core::plan_partial_offload(p.fn, p.graph, p.mapping, p.mapper, p.workload, host);
   ASSERT_TRUE(result.ok());
   const auto& best = result.value().best_plan();
   EXPECT_GT(best.cut, 0u);                     // not pure-host
@@ -177,7 +183,7 @@ TEST(Partial, NicFilterPlusHostTailPrefersSplit) {
 TEST(Partial, DescribeListsAllPlans) {
   const auto trace = make_trace("payload=300 pps=60000 packets=3000");
   Pipeline p(nf::build_nat_nf(), trace);
-  const auto result = core::plan_partial_offload(p.fn, p.graph, p.mapping, p.mapper, trace);
+  const auto result = core::plan_partial_offload(p.fn, p.graph, p.mapping, p.mapper, p.workload);
   ASSERT_TRUE(result.ok());
   const auto text = core::describe_partial(result.value(), p.graph);
   EXPECT_NE(text.find("full offload"), std::string::npos);

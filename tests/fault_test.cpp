@@ -556,6 +556,37 @@ TEST(CacheFaultTest, EvictStormFlushesButPreservesResults) {
   cache.clear();
 }
 
+TEST(CacheFaultTest, SummaryStageTakesPartInPoisonAndStorms) {
+  auto& cache = core::analysis_cache();
+  cache.configure({});
+  cache.clear();
+  const core::Analyzer analyzer(lnic::netronome_agilio_cx());
+  const auto profile = test_trace().profile;
+  const auto clean = analyzer.summarize(profile);
+
+  fault::FaultPlan plan;
+  plan.add_site({"cache/poison", 1.0, 0, fault::kNoTrigger, 0.0});
+  plan.add_site({"cache/evict_storm", 1.0, 0, fault::kNoTrigger, 0.0});
+  fault::ScopedPlan scoped(plan);
+  auto& detected = obs::metrics().counter("fault/cache_poison_detected", "stage=summary");
+  auto& storms = obs::metrics().counter("fault/cache_evict_storms", "stage=summary");
+  const auto detected_before = detected.value();
+  const auto storms_before = storms.value();
+  // The cached entry is found corrupt, recomputed, and its re-insert
+  // flushes the stage: same summary, fresh object.
+  const auto recomputed = analyzer.summarize(profile);
+  EXPECT_GT(detected.value(), detected_before);
+  EXPECT_GT(storms.value(), storms_before);
+  EXPECT_NE(recomputed, clean);
+  EXPECT_EQ(recomputed->hints.flow_cache_hit_rate, clean->hints.flow_cache_hit_rate);
+  ASSERT_EQ(recomputed->classes.size(), clean->classes.size());
+  for (std::size_t i = 0; i < clean->classes.size(); ++i) {
+    EXPECT_EQ(recomputed->classes[i].name(), clean->classes[i].name());
+    EXPECT_EQ(recomputed->classes[i].count, clean->classes[i].count);
+  }
+  cache.clear();
+}
+
 // --- sweep retry-once-then-record --------------------------------------------
 
 TEST(SweepRetryTest, TransientFailureRecoversOnRetry) {
@@ -670,8 +701,9 @@ TEST(SweepRetryTest, PredictLoadSweepSurvivesInjectedSolverFault) {
   plan.add_site({"ilp/wave_timeout", 0.0, 1, fault::kNoTrigger, 0.0});
   fault::ScopedPlan scoped(plan);
   core::SweepFailureSummary summary;
-  const auto sweep = core::predict_load_sweep(analyzer, analysis.value(), trace.profile,
-                                              {2e4, 6e4}, options, 1, &summary);
+  const auto base = core::summarize(trace, analyzer.profile(), options.predict.payload_buckets);
+  const auto sweep = core::predict_load_sweep(analyzer, analysis.value(), base, {2e4, 6e4}, options,
+                                              1, &summary);
   ASSERT_EQ(sweep.size(), 2u);
   EXPECT_TRUE(sweep[0].ok) << sweep[0].error;
   EXPECT_TRUE(sweep[1].ok) << sweep[1].error;

@@ -3,6 +3,9 @@
 // typed kParse error and a did-you-mean suggestion, the Service answers
 // identical requests with byte-identical payloads at every jobs level,
 // a warm daemon answers repeated analyses without re-solving the ILP,
+// a warm one answers spec workloads from the summary stage without
+// generating a trace, every request kind answers byte-identically with
+// the cache on or off, trace files are re-read on every request,
 // deadline expiry degrades instead of erroring, and the admission gate
 // rejects overload with typed responses rather than dropped
 // connections. The resilience half (docs/robustness.md "Serve
@@ -40,6 +43,8 @@
 #include "serve/loadgen.hpp"
 #include "serve/registry.hpp"
 #include "serve/service.hpp"
+#include "workload/trace_io.hpp"
+#include "workload/tracegen.hpp"
 
 namespace clara::serve {
 namespace {
@@ -347,6 +352,126 @@ TEST(ServeServiceTest, WarmCacheAnswersWithoutIlpSolves) {
   EXPECT_EQ(solves.value(), solves_before) << "warm analyze must not re-solve the ILP";
   EXPECT_GT(core::analysis_cache().stats().hits, hits_before);
   EXPECT_EQ(warm.to_json(), cold.to_json());
+}
+
+/// One request of every kind on the small nat workload.
+std::vector<Request> every_kind() {
+  std::vector<Request> requests(4, small_analyze("nat"));
+  requests[1].kind = RequestKind::kSweep;
+  requests[1].sweep_pps = {40'000.0, 80'000.0};
+  requests[2].kind = RequestKind::kRepair;
+  requests[2].fault_plan = "fail-unit csum\n";
+  requests[3].kind = RequestKind::kValidate;
+  return requests;
+}
+
+TEST(ServeServiceTest, WarmCacheAnswersWithoutTraceGeneration) {
+  CacheGuard cache;
+  Service service(ServiceOptions{0});
+  auto& hits = obs::metrics().counter("cache/hits", "stage=summary");
+  auto& misses = obs::metrics().counter("cache/misses", "stage=summary");
+
+  // Summaries a warm request reads: its workload, plus one per sweep point.
+  const std::vector<std::pair<Request, std::uint64_t>> cases = {
+      {every_kind()[0], 1}, {every_kind()[1], 3}, {every_kind()[2], 1}};
+  for (const auto& [request, summaries] : cases) {
+    const std::string what = to_string(request.kind);
+    const Response cold = service.handle(request);
+    ASSERT_TRUE(cold.ok) << what << ": " << cold.error;
+    const std::uint64_t hits_before = hits.value();
+    const std::uint64_t misses_before = misses.value();
+    const Response warm = service.handle(request);
+    ASSERT_TRUE(warm.ok) << what << ": " << warm.error;
+    EXPECT_EQ(hits.value() - hits_before, summaries) << what;
+    EXPECT_EQ(misses.value(), misses_before) << what << " generated a trace";
+    EXPECT_EQ(warm.to_json(), cold.to_json()) << what;
+  }
+}
+
+TEST(ServeServiceTest, EveryKindIsByteIdenticalCacheOnOrOffAcrossJobsLevels) {
+  Service service(ServiceOptions{0});
+  const auto requests = every_kind();
+  std::vector<std::string> reference;
+  for (const std::size_t jobs_level : {1u, 2u, 8u}) {
+    JobsGuard jobs(jobs_level);
+    CacheGuard cache;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const std::string tag = strf("jobs=%zu %s", jobs_level, to_string(requests[i].kind));
+      Request uncached = requests[i];
+      uncached.options.use_cache = false;
+      const Response off = service.handle(uncached);
+      const Response cold = service.handle(requests[i]);
+      const Response warm = service.handle(requests[i]);
+      ASSERT_TRUE(off.ok) << tag << ": " << off.error;
+      ASSERT_TRUE(cold.ok) << tag << ": " << cold.error;
+      ASSERT_TRUE(warm.ok) << tag << ": " << warm.error;
+      if (reference.size() == i) reference.push_back(off.to_json());
+      EXPECT_EQ(off.to_json(), reference[i]) << tag << " cache=off";
+      EXPECT_EQ(cold.to_json(), reference[i]) << tag << " cache=on cold";
+      EXPECT_EQ(warm.to_json(), reference[i]) << tag << " cache=on warm";
+    }
+  }
+}
+
+TEST(ServeServiceTest, RewrittenTraceFileAnswersFromItsNewContent) {
+  CacheGuard cache;
+  Service service(ServiceOptions{0});
+  const auto write = [](const char* spec, const std::string& path) {
+    const auto trace = workload::generate_trace(workload::parse_profile(spec).value());
+    return workload::write_trace(trace, path).ok();
+  };
+  const std::string path = strf("/tmp/clara-serve-test-rewrite-%d.cltr", static_cast<int>(::getpid()));
+  const std::string fresh = strf("/tmp/clara-serve-test-fresh-%d.cltr", static_cast<int>(::getpid()));
+  const char* kSmall = "tcp=0.8 flows=2000 payload=300 packets=2000 seed=5";
+  const char* kLarge = "tcp=0.8 flows=2000 payload=1200 packets=2000 seed=5";
+  auto& hits = obs::metrics().counter("cache/hits", "stage=summary");
+  auto& misses = obs::metrics().counter("cache/misses", "stage=summary");
+  const std::uint64_t lookups_before = hits.value() + misses.value();
+
+  Request request = small_analyze("nat");
+  request.trace_file = path;
+  ASSERT_TRUE(write(kSmall, path));
+  const Response before = service.handle(request);
+  ASSERT_TRUE(write(kLarge, path));
+  const Response after = service.handle(request);
+  ASSERT_TRUE(write(kLarge, fresh));
+  Request reference = request;
+  reference.trace_file = fresh;
+  const Response expected = service.handle(reference);
+  ::unlink(path.c_str());
+  ::unlink(fresh.c_str());
+
+  ASSERT_TRUE(before.ok) << before.error;
+  ASSERT_TRUE(after.ok) << after.error;
+  ASSERT_TRUE(expected.ok) << expected.error;
+  EXPECT_NE(after.mean_latency_cycles, before.mean_latency_cycles);
+  EXPECT_EQ(after.to_json(), expected.to_json());
+  EXPECT_EQ(hits.value() + misses.value(), lookups_before)
+      << "trace files never reach the summary stage";
+}
+
+TEST(ServeServiceTest, SpecsDifferingOnlyInSeedOrSeventhDigitDoNotShareASummary) {
+  CacheGuard cache;
+  Service service(ServiceOptions{0});
+  auto& misses = obs::metrics().counter("cache/misses", "stage=summary");
+  const std::uint64_t misses_before = misses.value();
+
+  Request base = small_analyze("nat");
+  Request finer = base;
+  finer.workload = "tcp=0.8000001 flows=2000 payload=300 pps=60000 packets=2000 seed=42";
+  Request reseeded = base;
+  reseeded.workload = "tcp=0.8 flows=2000 payload=300 pps=60000 packets=2000 seed=43";
+  const Response a = service.handle(base);
+  const Response b = service.handle(finer);
+  const Response c = service.handle(reseeded);
+  ASSERT_TRUE(a.ok) << a.error;
+  ASSERT_TRUE(b.ok) << b.error;
+  ASSERT_TRUE(c.ok) << c.error;
+  EXPECT_EQ(misses.value() - misses_before, 3u) << "each spec is summarized on its own";
+  EXPECT_NE(b.workload.find("tcp=0.8000001 "), std::string::npos) << b.workload;
+  EXPECT_NE(a.workload, b.workload);
+  EXPECT_NE(c.workload.find("seed=43"), std::string::npos) << c.workload;
+  EXPECT_NE(a.to_json(), c.to_json());
 }
 
 TEST(ServeServiceTest, DeadlineExpiryDegradesInsteadOfFailing) {

@@ -40,6 +40,19 @@ TEST(Profile, SerializeRoundTrip) {
   EXPECT_DOUBLE_EQ(p2.value().tcp_fraction, p.tcp_fraction);
   EXPECT_EQ(p2.value().payload_max, p.payload_max);
   EXPECT_EQ(p2.value().packets, p.packets);
+
+  // Doubles past the stream default's 6 significant digits survive
+  // exactly, and the values in everyday use print as before.
+  p = parse_profile("tcp=0.123456789 zipf=1.0000001 pps=1234567").value();
+  const auto exact = parse_profile(p.serialize());
+  ASSERT_TRUE(exact.ok()) << exact.error().message;
+  EXPECT_EQ(exact.value().tcp_fraction, 0.123456789);
+  EXPECT_EQ(exact.value().zipf_alpha, 1.0000001);
+  EXPECT_EQ(exact.value().pps, 1234567.0);
+  EXPECT_NE(p.serialize().find("pps=1234567 "), std::string::npos) << p.serialize();
+  EXPECT_EQ(parse_profile("tcp=0.8 zipf=1 pps=60000").value().serialize(),
+            "tcp=0.8 flows=10000 zipf=1 payload=300 pps=60000 packets=100000 "
+            "arrivals=deterministic seed=42");
 }
 
 TEST(Profile, RejectsBadInput) {
