@@ -213,7 +213,11 @@ Result<Analysis> Analyzer::repair(const cir::Function& nf, const WorkloadSummary
                       : mapper.map_greedy(graph, workload.hints, solve_options);
   if (!repaired) return dump_on_failure(repaired.error());
   p.analysis.mapping = std::move(repaired).value();
-  if (!options.stages.ilp()) p.analysis.mapping.repaired = true;  // greedy re-solve is still a repair
+  if (!options.stages.ilp()) {
+    // A greedy re-solve is still a repair, and it re-places every node.
+    p.analysis.mapping.repaired = true;
+    p.analysis.mapping.repair_displaced = p.analysis.mapping.node_pool.size();
+  }
   return finish(std::move(p.analysis), graph, mapper, workload, options.predict);
 }
 

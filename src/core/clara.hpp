@@ -132,12 +132,13 @@ class Analyzer {
   /// profile (cache-warm where keys still match), then incrementally
   /// repairs `previous`'s mapping via mapping::Mapper::repair instead of
   /// solving cold: assignments to surviving resources stay pinned and
-  /// only displaced nodes/states are re-solved. The repaired mapping is
-  /// NOT inserted into the analysis cache (it is pinned to the previous
-  /// assignment, not the model's optimum). `previous` should come from
-  /// analyze() on the healthy profile with the same NF and stages. Unit
-  /// faults leave the flow cache alone, so the healthy analysis's
-  /// workload summary serves here too.
+  /// only displaced nodes/states are re-solved. Without the ILP stage the
+  /// greedy mapper re-places every node, and repair_displaced counts them
+  /// all. The repaired mapping is NOT inserted into the analysis cache
+  /// (it is pinned to the previous assignment, not the model's optimum).
+  /// `previous` should come from analyze() on the healthy profile with
+  /// the same NF and stages. Unit faults leave the flow cache alone, so
+  /// the healthy analysis's workload summary serves here too.
   [[nodiscard]] Result<Analysis> repair(const cir::Function& nf, const WorkloadSummary& workload,
                                         const Analysis& previous,
                                         const AnalyzeOptions& options = {}) const;

@@ -45,10 +45,6 @@ struct SolveOptions {
   LpAlgorithm algorithm = LpAlgorithm::kRevised;
 };
 
-/// Deprecated spelling from before deadlines existed; new code should
-/// say SolveOptions.
-using MilpOptions = SolveOptions;
-
 /// Index of the integer variable whose fractional part is closest to
 /// one half (the classic most-fractional branching rule), or -1 when
 /// every integer variable is integral within tol. Ties break toward the

@@ -164,114 +164,215 @@ std::vector<PoolSignature> pool_signatures(const std::vector<UnitPool>& pools) {
   return sigs;
 }
 
-}  // namespace
+/// Bytes of a region that state may occupy: a CTM keeps the rest of its
+/// capacity for packet buffers.
+double usable_bytes(const lnic::MemoryRegion& mem, const MapOptions& options) {
+  const double capacity = static_cast<double>(mem.capacity);
+  return mem.kind == lnic::MemKind::kCtm ? capacity * options.ctm_state_fraction : capacity;
+}
 
-Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, const MapOptions& options) const {
-  CLARA_TRACE_SCOPE("mapping/map");
+/// access_cycles() prices a pool that cannot reach a region at 1e12; no
+/// real access latency comes anywhere near this.
+bool unreachable(double access_cycles) { return access_cycles >= 1e11; }
+
+/// Weighted per-packet cycles `node` spends on state `s` held in
+/// `region` when it runs on `pool`; 0 when the node never touches s.
+double access_term(const Mapper& mapper, const DfNode& node, const UnitPool& pool, std::size_t s, NodeId region,
+                   const cir::Function& fn) {
+  const double accesses = Mapper::node_state_accesses(node, pool.kind, static_cast<std::uint32_t>(s), fn);
+  return accesses > 0.0 ? node.weight * accesses * mapper.access_cycles(pool, region) : 0.0;
+}
+
+/// Θ: per-packet cycles `pool` can serve at the offered rate.
+double theta_budget(const Mapper& mapper, const UnitPool& pool, const MapOptions& options) {
+  return mapper.profile().params.scalar(lnic::keys::kClockHz) / options.pps * pool.parallelism;
+}
+
+/// Assignments a placement model takes as given: a pool index per
+/// dataflow node and an index into the state regions per state object,
+/// -1 where the solver chooses. map() pins nothing; repair() pins what
+/// the fault left intact.
+struct Pins {
+  explicit Pins(const DataflowGraph& graph)
+      : pool(graph.nodes().size(), -1), region(graph.function()->state_objects.size(), -1) {}
+  std::vector<int> pool;
+  std::vector<int> region;
+};
+
+/// Per-packet Θ demand of the nodes pinned to pool `p`.
+double pinned_demand(const Mapper& mapper, const DataflowGraph& graph, const CostHints& hints, const Pins& pins,
+                     std::size_t p) {
+  double demand = 0.0;
+  for (std::size_t i = 0; i < graph.nodes().size(); ++i) {
+    if (pins.pool[i] != static_cast<int>(p)) continue;
+    demand += graph.nodes()[i].weight * mapper.node_queueable_cost_on_pool(graph.nodes()[i], mapper.pools()[p],
+                                                                           *graph.function(), hints);
+  }
+  return demand;
+}
+
+struct PlacementModel {
+  ilp::Model model;
+  std::vector<std::vector<int>> x;  // x[i][p]: node i on pool p (-1 = no variable)
+  std::vector<std::vector<int>> y;  // y[s][r]: state s in region r (-1 = no variable)
+};
+
+/// The placement ILP of paper §3.4 (DESIGN.md §5) over the assignments
+/// `pins` leaves open. Pinned nodes and states get no variables: their
+/// access costs fold into the objective coefficients of the free
+/// variables they pair with, and their bytes, stages and demand into the
+/// Γ, Π and Θ right-hand sides. With nothing pinned this is the full
+/// model. Fails when a free node or state has nowhere to go.
+Result<PlacementModel> build_model(const Mapper& mapper, const DataflowGraph& graph, const CostHints& hints,
+                                   const MapOptions& options, const std::vector<NodeId>& regions,
+                                   const Pins& pins) {
   const cir::Function& fn = *graph.function();
   const auto& nodes = graph.nodes();
-  const auto regions = state_regions();
+  const auto& pools = mapper.pools();
+  const auto& profile = mapper.profile();
   const std::size_t n_states = fn.state_objects.size();
+  const auto bytes = [&](std::size_t s) { return static_cast<double>(fn.state_objects[s].total_bytes()); };
+  std::vector<double> usable(regions.size());
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    usable[r] = usable_bytes(*profile.graph.node(regions[r]).memory(), options);
+  }
 
-  ilp::Model model;
+  // A pinned counterpart the pairing cannot reach excludes a free
+  // assignment outright (between free ones, the w rows below forbid it).
+  const auto blocked = [&](const DfNode& node, const UnitPool& pool, std::size_t s, NodeId region) {
+    return Mapper::node_state_accesses(node, pool.kind, static_cast<std::uint32_t>(s), fn) > 0.0 &&
+           unreachable(mapper.access_cycles(pool, region));
+  };
+  const auto reaches_pinned_states = [&](std::size_t i, const UnitPool& pool) {
+    for (std::size_t s = 0; s < n_states; ++s) {
+      if (pins.region[s] >= 0 && blocked(nodes[i], pool, s, regions[pins.region[s]])) return false;
+    }
+    return true;
+  };
+  const auto reached_by_pinned_nodes = [&](std::size_t s, NodeId region) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (pins.pool[i] >= 0 && blocked(nodes[i], pools[pins.pool[i]], s, region)) return false;
+    }
+    return true;
+  };
+
+  PlacementModel out;
+  ilp::Model& model = out.model;
+  auto& x = out.x;
+  auto& y = out.y;
 
   // x[i][p]: node i on pool p (only feasible pairs get variables).
-  std::vector<std::vector<int>> x(nodes.size(), std::vector<int>(pools_.size(), -1));
+  x.assign(nodes.size(), std::vector<int>(pools.size(), -1));
   for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (pins.pool[i] >= 0) continue;
     ilp::LinExpr assign;
-    bool any = false;
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      if (!pool_feasible(nodes[i], pools_[p])) continue;
+    for (std::size_t p = 0; p < pools.size(); ++p) {
+      if (!mapper.pool_feasible(nodes[i], pools[p]) || !reaches_pinned_states(i, pools[p])) continue;
       x[i][p] = model.add_binary(strf("x_%zu_%zu", i, p));
       assign.add(x[i][p], 1.0);
-      any = true;
     }
-    if (!any) {
+    if (assign.terms().empty()) {
       return make_error(strf("node '%s' cannot be placed on any compute unit of %s", nodes[i].label.c_str(),
-                             profile_->name.c_str()));
+                             profile.name.c_str()));
     }
     model.add_constraint(std::move(assign), ilp::Sense::kEq, 1.0, strf("assign_node_%zu", i));
   }
 
   // y[s][r]: state s in region r.
-  std::vector<std::vector<int>> y(n_states, std::vector<int>(regions.size(), -1));
+  y.assign(n_states, std::vector<int>(regions.size(), -1));
   for (std::size_t s = 0; s < n_states; ++s) {
+    if (pins.region[s] >= 0) continue;
     ilp::LinExpr assign;
-    bool any = false;
     for (std::size_t r = 0; r < regions.size(); ++r) {
-      const auto* mem = profile_->graph.node(regions[r]).memory();
-      double usable = static_cast<double>(mem->capacity);
-      if (mem->kind == lnic::MemKind::kCtm) usable *= options.ctm_state_fraction;
-      if (static_cast<double>(fn.state_objects[s].total_bytes()) > usable) continue;  // never fits alone
+      if (bytes(s) > usable[r]) continue;  // never fits alone
+      if (!reached_by_pinned_nodes(s, regions[r])) continue;
       y[s][r] = model.add_binary(strf("y_%zu_%zu", s, r));
       assign.add(y[s][r], 1.0);
-      any = true;
     }
-    if (!any) {
-      return make_error(strf("state object '%s' (%s) fits no memory region of %s",
-                             fn.state_objects[s].name.c_str(),
-                             format_bytes(fn.state_objects[s].total_bytes()).c_str(), profile_->name.c_str()));
+    if (assign.terms().empty()) {
+      return make_error(strf("state object '%s' (%s) fits no memory region of %s", fn.state_objects[s].name.c_str(),
+                             format_bytes(fn.state_objects[s].total_bytes()).c_str(), profile.name.c_str()));
     }
     model.add_constraint(std::move(assign), ilp::Sense::kEq, 1.0, strf("assign_state_%zu", s));
   }
 
   // Γ capacity: states sharing a region must fit together.
   for (std::size_t r = 0; r < regions.size(); ++r) {
-    const auto* mem = profile_->graph.node(regions[r]).memory();
-    double usable = static_cast<double>(mem->capacity);
-    if (mem->kind == lnic::MemKind::kCtm) usable *= options.ctm_state_fraction;
+    double free_bytes = usable[r];
     ilp::LinExpr used;
-    bool any = false;
     for (std::size_t s = 0; s < n_states; ++s) {
-      if (y[s][r] < 0) continue;
-      used.add(y[s][r], static_cast<double>(fn.state_objects[s].total_bytes()));
-      any = true;
+      if (pins.region[s] == static_cast<int>(r)) free_bytes -= bytes(s);
+      if (y[s][r] >= 0) used.add(y[s][r], bytes(s));
     }
-    if (any) model.add_constraint(std::move(used), ilp::Sense::kLe, usable, strf("capacity_%zu", r));
+    if (!used.terms().empty()) {
+      model.add_constraint(std::move(used), ilp::Sense::kLe, free_bytes, strf("capacity_%zu", r));
+    }
   }
 
-  // Π pipeline order: stage(node k) >= stage(node t) along dataflow edges.
+  // Π pipeline order: stage(node k) >= stage(node t) along dataflow edges,
+  // as Σ stage·x[t] − Σ stage·x[k] <= 0. Profiles without stages need no
+  // rows; an edge with both ends pinned has nothing left to decide.
+  const bool staged =
+      std::any_of(pools.begin(), pools.end(), [](const UnitPool& pool) { return pool.pipeline_stage != 0; });
   for (const auto& edge : graph.edges()) {
+    const int from = pins.pool[edge.from];
+    const int to = pins.pool[edge.to];
+    if (!staged || (from >= 0 && to >= 0)) continue;
     ilp::LinExpr diff;
-    bool nontrivial = false;
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      const double stage = pools_[p].pipeline_stage;
+    for (std::size_t p = 0; p < pools.size(); ++p) {
+      const double stage = pools[p].pipeline_stage;
       if (x[edge.from][p] >= 0) diff.add(x[edge.from][p], stage);
       if (x[edge.to][p] >= 0) diff.add(x[edge.to][p], -stage);
-      if (stage != 0.0) nontrivial = true;
     }
-    if (nontrivial) {
-      model.add_constraint(std::move(diff), ilp::Sense::kLe, 0.0, strf("order_%u_%u", edge.from, edge.to));
-    }
+    double rhs = 0.0;
+    if (from >= 0) rhs -= static_cast<double>(pools[from].pipeline_stage);
+    if (to >= 0) rhs += static_cast<double>(pools[to].pipeline_stage);
+    model.add_constraint(std::move(diff), ilp::Sense::kLe, rhs, strf("order_%u_%u", edge.from, edge.to));
   }
 
-  // Objective: compute costs + linearized state-access costs.
+  // Objective: compute costs, plus each free node's accesses to pinned
+  // states on its x and pinned nodes' accesses to each free state on its y.
   ilp::LinExpr objective;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
+    for (std::size_t p = 0; p < pools.size(); ++p) {
       if (x[i][p] < 0) continue;
-      objective.add(x[i][p], nodes[i].weight * node_cost_on_pool(nodes[i], pools_[p], fn, hints));
+      double coeff = nodes[i].weight * mapper.node_cost_on_pool(nodes[i], pools[p], fn, hints);
+      for (std::size_t s = 0; s < n_states; ++s) {
+        if (pins.region[s] >= 0) coeff += access_term(mapper, nodes[i], pools[p], s, regions[pins.region[s]], fn);
+      }
+      objective.add(x[i][p], coeff);
+    }
+  }
+  for (std::size_t s = 0; s < n_states; ++s) {
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      if (y[s][r] < 0) continue;
+      double coeff = 0.0;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (pins.pool[i] >= 0) coeff += access_term(mapper, nodes[i], pools[pins.pool[i]], s, regions[r], fn);
+      }
+      if (coeff != 0.0) objective.add(y[s][r], coeff);
     }
   }
 
-  // State-access terms: w >= x_sum_by_kind + y - 1 with w continuous; the
-  // positive objective coefficient pins w to the product at optimum.
+  // Free node × free state access terms: w >= x_sum_by_kind + y - 1 with
+  // w continuous; the positive objective coefficient pins w to the
+  // product at optimum.
   for (std::size_t i = 0; i < nodes.size(); ++i) {
+    // Group feasible pools by kind: the access count depends on the unit
+    // kind, not the specific pool.
+    std::map<lnic::UnitKind, std::vector<std::size_t>> by_kind;
+    for (std::size_t p = 0; p < pools.size(); ++p) {
+      if (x[i][p] >= 0) by_kind[pools[p].kind].push_back(p);
+    }
     for (std::size_t s = 0; s < n_states; ++s) {
-      // Group feasible pools by kind: the access count depends on the
-      // unit kind, not the specific pool.
-      std::map<lnic::UnitKind, std::vector<std::size_t>> by_kind;
-      for (std::size_t p = 0; p < pools_.size(); ++p) {
-        if (x[i][p] >= 0) by_kind[pools_[p].kind].push_back(p);
-      }
       for (const auto& [kind, pool_idxs] : by_kind) {
-        const double accesses = node_state_accesses(nodes[i], kind, static_cast<std::uint32_t>(s), fn);
+        const double accesses = Mapper::node_state_accesses(nodes[i], kind, static_cast<std::uint32_t>(s), fn);
         if (accesses <= 0.0) continue;
         for (std::size_t r = 0; r < regions.size(); ++r) {
           if (y[s][r] < 0) continue;
           // Representative pool of this kind for latency purposes.
-          const double lat = access_cycles(pools_[pool_idxs.front()], regions[r]);
-          if (lat >= 1e11) {
+          const double lat = mapper.access_cycles(pools[pool_idxs.front()], regions[r]);
+          if (unreachable(lat)) {
             // Unreachable pairing: forbid x (any pool of this kind) with y.
             for (const std::size_t p : pool_idxs) {
               ilp::LinExpr forbid;
@@ -293,23 +394,63 @@ Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, 
 
   // Θ service capacity: per-packet demand on a pool must not exceed its
   // parallelism budget at the offered rate.
-  const double clock = profile_->params.scalar(lnic::keys::kClockHz);
-  const double budget_per_unit = clock / options.pps;
-  for (std::size_t p = 0; p < pools_.size(); ++p) {
+  for (std::size_t p = 0; p < pools.size(); ++p) {
     ilp::LinExpr demand;
-    bool any = false;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       if (x[i][p] < 0) continue;
-      demand.add(x[i][p], nodes[i].weight * node_queueable_cost_on_pool(nodes[i], pools_[p], fn, hints));
-      any = true;
+      demand.add(x[i][p], nodes[i].weight * mapper.node_queueable_cost_on_pool(nodes[i], pools[p], fn, hints));
     }
-    if (any) {
-      model.add_constraint(std::move(demand), ilp::Sense::kLe, budget_per_unit * pools_[p].parallelism,
+    if (!demand.terms().empty()) {
+      model.add_constraint(std::move(demand), ilp::Sense::kLe,
+                           theta_budget(mapper, pools[p], options) - pinned_demand(mapper, graph, hints, pins, p),
                            strf("theta_%zu", p));
     }
   }
 
   model.set_objective(std::move(objective));
+  return out;
+}
+
+/// The assignment a solve of `placement` chose, pinned assignments
+/// included, with the solver's statistics.
+Mapping extract(const PlacementModel& placement, const ilp::Solution& solution, const Pins& pins,
+                const std::vector<NodeId>& regions) {
+  Mapping mapping;
+  mapping.status = solution.status;
+  mapping.objective = solution.objective;
+  mapping.ilp_nodes_explored = solution.nodes_explored;
+  mapping.ilp_pivots = solution.pivots;
+  mapping.ilp_incumbents = solution.incumbents;
+  mapping.degraded = solution.degraded;
+  mapping.ilp_basis = solution.basis;
+  mapping.node_pool.assign(pins.pool.size(), 0);
+  for (std::size_t i = 0; i < pins.pool.size(); ++i) {
+    if (pins.pool[i] >= 0) mapping.node_pool[i] = static_cast<std::uint32_t>(pins.pool[i]);
+    for (std::size_t p = 0; p < placement.x[i].size(); ++p) {
+      const int var = placement.x[i][p];
+      if (var >= 0 && solution.value(var) > 0.5) mapping.node_pool[i] = static_cast<std::uint32_t>(p);
+    }
+  }
+  mapping.state_region.assign(pins.region.size(), kInvalidNode);
+  for (std::size_t s = 0; s < pins.region.size(); ++s) {
+    if (pins.region[s] >= 0) mapping.state_region[s] = regions[pins.region[s]];
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      const int var = placement.y[s][r];
+      if (var >= 0 && solution.value(var) > 0.5) mapping.state_region[s] = regions[r];
+    }
+  }
+  return mapping;
+}
+
+}  // namespace
+
+Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, const MapOptions& options) const {
+  CLARA_TRACE_SCOPE("mapping/map");
+  const auto regions = state_regions();
+  const Pins none(graph);
+  auto placement = build_model(*this, graph, hints, options, regions, none);
+  if (!placement) return placement.error();
+  const ilp::Model& model = placement.value().model;
 
   const ilp::SolveOptions solve_options = options.to_solve_options();
   obs::metrics().gauge("mapping/ilp_variables").set(static_cast<double>(model.num_vars()));
@@ -336,28 +477,9 @@ Result<Mapping> Mapper::map(const DataflowGraph& graph, const CostHints& hints, 
     return make_error(ErrorCode::kInternal, "mapping ILP unbounded (model bug)");
   }
 
-  Mapping mapping;
-  mapping.status = solution.status;
-  mapping.ilp_nodes_explored = solution.nodes_explored;
-  mapping.ilp_pivots = solution.pivots;
-  mapping.ilp_incumbents = solution.incumbents;
-  mapping.degraded = solution.degraded;
-  mapping.ilp_basis = solution.basis;
-  mapping.objective = solution.objective;
-  obs::metrics().gauge("mapping/objective_cycles").set(solution.objective);
-  mapping.node_pool.assign(nodes.size(), 0);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      if (x[i][p] >= 0 && solution.value(x[i][p]) > 0.5) mapping.node_pool[i] = static_cast<std::uint32_t>(p);
-    }
-  }
-  mapping.state_region.assign(n_states, kInvalidNode);
-  for (std::size_t s = 0; s < n_states; ++s) {
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      if (y[s][r] >= 0 && solution.value(y[s][r]) > 0.5) mapping.state_region[s] = regions[r];
-    }
-  }
+  Mapping mapping = extract(placement.value(), solution, none, regions);
   mapping.pool_sig = pool_signatures(pools_);
+  obs::metrics().gauge("mapping/objective_cycles").set(solution.objective);
   return mapping;
 }
 
@@ -405,9 +527,7 @@ Result<Mapping> Mapper::map_greedy(const DataflowGraph& graph, const CostHints& 
     if (pool.kind == lnic::UnitKind::kNpuCore) npu_pool = &pool;
   }
   for (std::size_t r = 0; r < regions.size(); ++r) {
-    const auto* mem = profile_->graph.node(regions[r]).memory();
-    remaining[r] = static_cast<double>(mem->capacity);
-    if (mem->kind == lnic::MemKind::kCtm) remaining[r] *= options.ctm_state_fraction;
+    remaining[r] = usable_bytes(*profile_->graph.node(regions[r]).memory(), options);
     region_order[r] = r;
   }
   std::sort(region_order.begin(), region_order.end(), [&](std::size_t a, std::size_t b) {
@@ -432,11 +552,7 @@ Result<Mapping> Mapper::map_greedy(const DataflowGraph& graph, const CostHints& 
     }
     // Account access cost against the chosen region.
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const auto& pool = pools_[mapping.node_pool[i]];
-      const double accesses = node_state_accesses(nodes[i], pool.kind, static_cast<std::uint32_t>(s), fn);
-      if (accesses > 0.0) {
-        mapping.objective += nodes[i].weight * accesses * access_cycles(pool, mapping.state_region[s]);
-      }
+      mapping.objective += access_term(*this, nodes[i], pools_[mapping.node_pool[i]], s, mapping.state_region[s], fn);
     }
   }
   return mapping;
@@ -472,276 +588,83 @@ Result<Mapping> Mapper::repair(const DataflowGraph& graph, const CostHints& hint
   }
 
   // Displacement, phase 1: a node survives when its pool still exists
-  // and remains feasible for it. pinned_pool[i] >= 0 ⇔ pinned.
-  std::vector<int> pinned_pool(nodes.size(), -1);
+  // and remains feasible for it.
+  Pins pins(graph);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const std::uint32_t op = previous.node_pool[i];
     if (op >= old_to_new.size()) {
       return make_error(ErrorCode::kInternal, "repair: previous mapping references an unknown pool");
     }
     const int np = old_to_new[op];
-    if (np >= 0 && pool_feasible(nodes[i], pools_[np])) pinned_pool[i] = np;
+    if (np >= 0 && pool_feasible(nodes[i], pools_[np])) pins.pool[i] = np;
   }
 
   // Displacement, phase 2: a derated pool may no longer carry its pinned
   // demand under Θ — free every node of an over-committed pool and let
   // the solve spread them.
-  const double clock = profile_->params.scalar(lnic::keys::kClockHz);
-  const double budget_per_unit = clock / options.pps;
   for (std::size_t p = 0; p < pools_.size(); ++p) {
-    double demand = 0.0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (pinned_pool[i] != static_cast<int>(p)) continue;
-      demand += nodes[i].weight * node_queueable_cost_on_pool(nodes[i], pools_[p], fn, hints);
-    }
-    if (demand > budget_per_unit * pools_[p].parallelism + 1e-9) {
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (pinned_pool[i] == static_cast<int>(p)) pinned_pool[i] = -1;
-      }
+    if (pinned_demand(*this, graph, hints, pins, p) > theta_budget(*this, pools_[p], options) + 1e-9) {
+      std::replace(pins.pool.begin(), pins.pool.end(), static_cast<int>(p), -1);
     }
   }
 
   // States survive when their region is still online (region ids are
   // stable across faults, so membership in state_regions() decides).
-  std::vector<int> pinned_region(n_states, -1);  // index into `regions`
   for (std::size_t s = 0; s < n_states; ++s) {
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      if (regions[r] == previous.state_region[s]) {
-        pinned_region[s] = static_cast<int>(r);
-        break;
-      }
-    }
+    const auto it = std::find(regions.begin(), regions.end(), previous.state_region[s]);
+    if (it != regions.end()) pins.region[s] = static_cast<int>(it - regions.begin());
   }
 
-  std::vector<std::size_t> free_nodes, free_states;
-  for (std::size_t i = 0; i < nodes.size(); ++i)
-    if (pinned_pool[i] < 0) free_nodes.push_back(i);
-  for (std::size_t s = 0; s < n_states; ++s)
-    if (pinned_region[s] < 0) free_states.push_back(s);
-  const std::size_t displaced = free_nodes.size();
-  obs::metrics().gauge("mapping/repair_displaced_nodes").set(static_cast<double>(displaced));
+  const auto displaced = static_cast<std::size_t>(std::count(pins.pool.begin(), pins.pool.end(), -1));
 
   // Final objective is evaluated directly from the assembled assignment
   // (identical to what the full model's objective expresses); the
   // reduced model only needs the *variable* terms, so pinned-constant
-  // bookkeeping never leaks into the result.
-  auto finalize = [&](Mapping m) {
+  // bookkeeping never leaks into the result. `resolved` counts the nodes
+  // the solve placed afresh.
+  auto finalize = [&](Mapping m, std::size_t resolved) {
     double objective = 0.0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const auto& pool = pools_[m.node_pool[i]];
       objective += nodes[i].weight * node_cost_on_pool(nodes[i], pool, fn, hints);
       for (std::size_t s = 0; s < n_states; ++s) {
         if (m.state_region[s] == kInvalidNode) continue;
-        const double accesses = node_state_accesses(nodes[i], pool.kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses > 0.0) objective += nodes[i].weight * accesses * access_cycles(pool, m.state_region[s]);
+        objective += access_term(*this, nodes[i], pool, s, m.state_region[s], fn);
       }
     }
     m.objective = objective;
     m.pool_sig = pool_signatures(pools_);
     m.repaired = true;
-    m.repair_displaced = displaced;
+    m.repair_displaced = resolved;
+    obs::metrics().gauge("mapping/repair_displaced_nodes").set(static_cast<double>(resolved));
     obs::metrics().gauge("mapping/objective_cycles").set(m.objective);
     return m;
   };
 
   // Pinning can over-constrain (e.g. the only region a displaced state
   // fits is crowded by pinned states): fall back to a cold full solve,
-  // still flagged repaired so callers know the fault path ran.
+  // still flagged repaired so callers know the fault path ran. It
+  // re-places every node.
   auto full_resolve = [&]() -> Result<Mapping> {
     auto full = map(graph, hints, options);
     if (!full.ok()) return full.error();
-    return finalize(std::move(full.value()));
+    return finalize(std::move(full.value()), nodes.size());
   };
 
-  if (free_nodes.empty() && free_states.empty()) {
+  if (displaced == 0 && std::find(pins.region.begin(), pins.region.end(), -1) == pins.region.end()) {
     // The fault missed every assignment: re-index onto the faulted
     // profile's pools and refresh the objective (pool composition may
     // have changed NUMA averages).
     Mapping m = previous;
-    for (std::size_t i = 0; i < nodes.size(); ++i) m.node_pool[i] = static_cast<std::uint32_t>(pinned_pool[i]);
-    return finalize(std::move(m));
+    for (std::size_t i = 0; i < nodes.size(); ++i) m.node_pool[i] = static_cast<std::uint32_t>(pins.pool[i]);
+    return finalize(std::move(m), 0);
   }
 
   // Reduced model: variables only for displaced nodes/states; pinned
   // assignments enter as objective coefficients and RHS reductions.
-  ilp::Model model;
-
-  std::vector<std::vector<int>> x(nodes.size(), std::vector<int>(pools_.size(), -1));
-  for (const std::size_t i : free_nodes) {
-    ilp::LinExpr assign;
-    bool any = false;
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      if (!pool_feasible(nodes[i], pools_[p])) continue;
-      // A pool that cannot reach a pinned state this node accesses is a
-      // hard exclusion (the full model forbids the pairing too).
-      bool reachable = true;
-      for (std::size_t s = 0; s < n_states && reachable; ++s) {
-        if (pinned_region[s] < 0) continue;
-        const double accesses = node_state_accesses(nodes[i], pools_[p].kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses > 0.0 && access_cycles(pools_[p], regions[pinned_region[s]]) >= 1e11) reachable = false;
-      }
-      if (!reachable) continue;
-      x[i][p] = model.add_binary(strf("rx_%zu_%zu", i, p));
-      assign.add(x[i][p], 1.0);
-      any = true;
-    }
-    if (!any) return full_resolve();
-    model.add_constraint(std::move(assign), ilp::Sense::kEq, 1.0, strf("rassign_node_%zu", i));
-  }
-
-  std::vector<std::vector<int>> y(n_states, std::vector<int>(regions.size(), -1));
-  for (const std::size_t s : free_states) {
-    ilp::LinExpr assign;
-    bool any = false;
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      const auto* mem = profile_->graph.node(regions[r]).memory();
-      double usable = static_cast<double>(mem->capacity);
-      if (mem->kind == lnic::MemKind::kCtm) usable *= options.ctm_state_fraction;
-      if (static_cast<double>(fn.state_objects[s].total_bytes()) > usable) continue;
-      // A region some pinned accessor cannot reach is excluded outright.
-      bool reachable = true;
-      for (std::size_t i = 0; i < nodes.size() && reachable; ++i) {
-        if (pinned_pool[i] < 0) continue;
-        const auto& pool = pools_[pinned_pool[i]];
-        const double accesses = node_state_accesses(nodes[i], pool.kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses > 0.0 && access_cycles(pool, regions[r]) >= 1e11) reachable = false;
-      }
-      if (!reachable) continue;
-      y[s][r] = model.add_binary(strf("ry_%zu_%zu", s, r));
-      assign.add(y[s][r], 1.0);
-      any = true;
-    }
-    if (!any) return full_resolve();
-    model.add_constraint(std::move(assign), ilp::Sense::kEq, 1.0, strf("rassign_state_%zu", s));
-  }
-
-  // Γ capacity with pinned bytes folded into the RHS.
-  for (std::size_t r = 0; r < regions.size(); ++r) {
-    const auto* mem = profile_->graph.node(regions[r]).memory();
-    double usable = static_cast<double>(mem->capacity);
-    if (mem->kind == lnic::MemKind::kCtm) usable *= options.ctm_state_fraction;
-    for (std::size_t s = 0; s < n_states; ++s) {
-      if (pinned_region[s] == static_cast<int>(r))
-        usable -= static_cast<double>(fn.state_objects[s].total_bytes());
-    }
-    ilp::LinExpr used;
-    bool any = false;
-    for (const std::size_t s : free_states) {
-      if (y[s][r] < 0) continue;
-      used.add(y[s][r], static_cast<double>(fn.state_objects[s].total_bytes()));
-      any = true;
-    }
-    if (any) model.add_constraint(std::move(used), ilp::Sense::kLe, usable, strf("rcapacity_%zu", r));
-  }
-
-  // Π pipeline order; edges with a pinned endpoint become stage bounds.
-  for (const auto& edge : graph.edges()) {
-    const bool from_free = pinned_pool[edge.from] < 0;
-    const bool to_free = pinned_pool[edge.to] < 0;
-    if (!from_free && !to_free) continue;  // held before the fault, both unchanged
-    ilp::LinExpr diff;
-    double rhs = 0.0;
-    bool nontrivial = false;
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      const double stage = pools_[p].pipeline_stage;
-      if (from_free && x[edge.from][p] >= 0) diff.add(x[edge.from][p], stage);
-      if (to_free && x[edge.to][p] >= 0) diff.add(x[edge.to][p], -stage);
-      if (stage != 0.0) nontrivial = true;
-    }
-    if (!from_free) rhs += static_cast<double>(pools_[pinned_pool[edge.from]].pipeline_stage) * -1.0;
-    if (!to_free) rhs += static_cast<double>(pools_[pinned_pool[edge.to]].pipeline_stage);
-    if (nontrivial) {
-      model.add_constraint(std::move(diff), ilp::Sense::kLe, rhs, strf("rorder_%u_%u", edge.from, edge.to));
-    }
-  }
-
-  // Objective over free variables. Displaced-node compute costs plus
-  // their access terms against *pinned* states ride on x directly.
-  ilp::LinExpr objective;
-  for (const std::size_t i : free_nodes) {
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      if (x[i][p] < 0) continue;
-      double coeff = nodes[i].weight * node_cost_on_pool(nodes[i], pools_[p], fn, hints);
-      for (std::size_t s = 0; s < n_states; ++s) {
-        if (pinned_region[s] < 0) continue;
-        const double accesses = node_state_accesses(nodes[i], pools_[p].kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses > 0.0) {
-          coeff += nodes[i].weight * accesses * access_cycles(pools_[p], regions[pinned_region[s]]);
-        }
-      }
-      objective.add(x[i][p], coeff);
-    }
-  }
-
-  // Pinned-node access terms against displaced states ride on y.
-  for (const std::size_t s : free_states) {
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      if (y[s][r] < 0) continue;
-      double coeff = 0.0;
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (pinned_pool[i] < 0) continue;
-        const auto& pool = pools_[pinned_pool[i]];
-        const double accesses = node_state_accesses(nodes[i], pool.kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses > 0.0) coeff += nodes[i].weight * accesses * access_cycles(pool, regions[r]);
-      }
-      if (coeff != 0.0) objective.add(y[s][r], coeff);
-    }
-  }
-
-  // Displaced × displaced: the full w-linearization, restricted.
-  for (const std::size_t i : free_nodes) {
-    for (const std::size_t s : free_states) {
-      std::map<lnic::UnitKind, std::vector<std::size_t>> by_kind;
-      for (std::size_t p = 0; p < pools_.size(); ++p) {
-        if (x[i][p] >= 0) by_kind[pools_[p].kind].push_back(p);
-      }
-      for (const auto& [kind, pool_idxs] : by_kind) {
-        const double accesses = node_state_accesses(nodes[i], kind, static_cast<std::uint32_t>(s), fn);
-        if (accesses <= 0.0) continue;
-        for (std::size_t r = 0; r < regions.size(); ++r) {
-          if (y[s][r] < 0) continue;
-          const double lat = access_cycles(pools_[pool_idxs.front()], regions[r]);
-          if (lat >= 1e11) {
-            for (const std::size_t p : pool_idxs) {
-              ilp::LinExpr forbid;
-              forbid.add(x[i][p], 1.0).add(y[s][r], 1.0);
-              model.add_constraint(std::move(forbid), ilp::Sense::kLe, 1.0);
-            }
-            continue;
-          }
-          const int w =
-              model.add_continuous(strf("rw_%zu_%zu_%d_%zu", i, s, static_cast<int>(kind), r), 0.0, 1.0);
-          ilp::LinExpr link;
-          for (const std::size_t p : pool_idxs) link.add(x[i][p], 1.0);
-          link.add(y[s][r], 1.0).add(w, -1.0);
-          model.add_constraint(std::move(link), ilp::Sense::kLe, 1.0);
-          objective.add(w, nodes[i].weight * accesses * lat);
-        }
-      }
-    }
-  }
-
-  // Θ with the pinned demand folded into the RHS.
-  for (std::size_t p = 0; p < pools_.size(); ++p) {
-    double pinned_demand = 0.0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (pinned_pool[i] != static_cast<int>(p)) continue;
-      pinned_demand += nodes[i].weight * node_queueable_cost_on_pool(nodes[i], pools_[p], fn, hints);
-    }
-    ilp::LinExpr demand;
-    bool any = false;
-    for (const std::size_t i : free_nodes) {
-      if (x[i][p] < 0) continue;
-      demand.add(x[i][p], nodes[i].weight * node_queueable_cost_on_pool(nodes[i], pools_[p], fn, hints));
-      any = true;
-    }
-    if (any) {
-      model.add_constraint(std::move(demand), ilp::Sense::kLe,
-                           budget_per_unit * pools_[p].parallelism - pinned_demand, strf("rtheta_%zu", p));
-    }
-  }
-
-  model.set_objective(std::move(objective));
+  auto placement = build_model(*this, graph, hints, options, regions, pins);
+  if (!placement) return full_resolve();
+  const ilp::Model& model = placement.value().model;
 
   const ilp::SolveOptions solve_options = options.to_solve_options();
   obs::metrics().gauge("mapping/repair_variables").set(static_cast<double>(model.num_vars()));
@@ -752,43 +675,16 @@ Result<Mapping> Mapper::repair(const DataflowGraph& graph, const CostHints& hint
       auto fallback = map_greedy(graph, hints, options);
       if (!fallback.ok()) return fallback.error();
       fallback.value().degraded = true;
-      return finalize(std::move(fallback.value()));
+      return finalize(std::move(fallback.value()), nodes.size());
     }
     return make_error(ErrorCode::kDeadline, "repair: ILP node budget exhausted without an integer solution");
   }
   if (solution.status == ilp::SolveStatus::kUnbounded) {
     return make_error(ErrorCode::kInternal, "repair ILP unbounded (model bug)");
   }
-
-  Mapping mapping;
-  mapping.status = solution.status;
-  mapping.ilp_nodes_explored = solution.nodes_explored;
-  mapping.ilp_pivots = solution.pivots;
-  mapping.ilp_incumbents = solution.incumbents;
-  mapping.degraded = solution.degraded;
-  mapping.ilp_basis = solution.basis;
-  mapping.node_pool.assign(nodes.size(), 0);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (pinned_pool[i] >= 0) {
-      mapping.node_pool[i] = static_cast<std::uint32_t>(pinned_pool[i]);
-      continue;
-    }
-    for (std::size_t p = 0; p < pools_.size(); ++p) {
-      if (x[i][p] >= 0 && solution.value(x[i][p]) > 0.5) mapping.node_pool[i] = static_cast<std::uint32_t>(p);
-    }
-  }
-  mapping.state_region.assign(n_states, kInvalidNode);
-  for (std::size_t s = 0; s < n_states; ++s) {
-    if (pinned_region[s] >= 0) {
-      mapping.state_region[s] = regions[pinned_region[s]];
-      continue;
-    }
-    for (std::size_t r = 0; r < regions.size(); ++r) {
-      if (y[s][r] >= 0 && solution.value(y[s][r]) > 0.5) mapping.state_region[s] = regions[r];
-    }
-  }
-  return finalize(std::move(mapping));
+  return finalize(extract(placement.value(), solution, pins, regions), displaced);
 }
+
 
 std::string describe_mapping(const Mapping& mapping, const DataflowGraph& graph, const Mapper& mapper,
                              const cir::Function& fn) {

@@ -85,8 +85,9 @@ struct Mapping {
   /// assignments were pinned and only displaced nodes were re-solved.
   /// Propagates into Analysis and the report text like `degraded`.
   bool repaired = false;
-  /// Dataflow nodes the repair had to re-solve (0 when not repaired, or
-  /// when the fault missed every assignment).
+  /// Dataflow nodes the repair had to re-solve: 0 when not repaired, or
+  /// when the fault missed every assignment; every node when the repair
+  /// fell back to a cold or greedy re-solve.
   std::size_t repair_displaced = 0;
 };
 
@@ -138,11 +139,12 @@ class Mapper {
   /// mapper is built on the *faulted* profile; `previous` is a mapping
   /// produced on the healthy twin. Assignments whose pool/region
   /// survived the fault are pinned — folded into the MILP as constants
-  /// (objective offsets, Θ/Γ right-hand-side reductions) — and only
+  /// (objective coefficients, Γ/Π/Θ right-hand-side reductions) — and only
   /// displaced nodes and states get variables, so the re-solve is much
-  /// cheaper than a cold map(). Falls back to a full re-solve when
-  /// pinning makes the model infeasible. The result is always flagged
-  /// Mapping::repaired and counted in the `ilp/repairs` metric.
+  /// cheaper than a cold map(); with nothing pinned the model is map()'s.
+  /// Falls back to a full re-solve when pinning makes the model
+  /// infeasible. The result is always flagged Mapping::repaired and
+  /// counted in the `ilp/repairs` metric.
   Result<Mapping> repair(const passes::DataflowGraph& graph, const passes::CostHints& hints,
                          const Mapping& previous, const MapOptions& options = {}) const;
 

@@ -4,13 +4,15 @@
 // Covers: FaultPlan parse/serialize round-trips and typed parse errors;
 // purity/determinism of the trigger decision; injection sites in the
 // simulator and the cache; LNIC unit fail/derate; Mapper::repair after
-// resource loss (including jobs-level bit-identity and the report NOTE);
+// resource loss (including jobs-level bit-identity, the report NOTE, the
+// nothing-pinned equivalence with map(), and the fallback counts);
 // the Analyzer degraded/repaired/greedy flag matrix; sweep
 // retry-once-then-record; and the hardened CIR parser, including a
 // seeded byte-mutation fuzz corpus that must return Result errors and
 // never abort.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -406,6 +408,94 @@ TEST(RepairTest, DerateWithoutDisplacementKeepsAssignments) {
   EXPECT_EQ(repaired.value().node_pool.size(), previous.value().node_pool.size());
 }
 
+TEST(RepairTest, NothingPinnedMatchesColdMap) {
+  // A previous mapping whose pools and regions have all vanished pins
+  // nothing, so repair() solves map()'s own model and must land on
+  // exactly map()'s assignment by exactly the same search. The firewall
+  // on the pipeline ASIC makes that search branch.
+  for (const bool branching : {false, true}) {
+    SCOPED_TRACE(branching ? "firewall on pipeline-asic" : "nat on netronome");
+    auto fn = branching ? nf::build_fw_nf() : nf::build_nat_nf();
+    passes::substitute_framework_apis(fn);
+    passes::CostHints hints;
+    const auto graph = passes::DataflowGraph::build(fn, hints);
+    const auto profile = branching ? lnic::pipeline_asic_nic() : lnic::netronome_agilio_cx();
+    const mapping::Mapper mapper(profile);
+    auto cold = mapper.map(graph, hints);
+    ASSERT_TRUE(cold.ok()) << cold.error().message;
+    const double cold_vars = obs::metrics().gauge("mapping/ilp_variables").value();
+
+    mapping::Mapping previous = cold.value();
+    for (auto& sig : previous.pool_sig) sig.pipeline_stage = 99;  // no pool has this stage
+    std::fill(previous.state_region.begin(), previous.state_region.end(), kInvalidNode);
+
+    auto& repair_vars = obs::metrics().gauge("mapping/repair_variables");
+    repair_vars.set(-1.0);
+    auto repaired = mapper.repair(graph, hints, previous);
+    ASSERT_TRUE(repaired.ok()) << repaired.error().message;
+    EXPECT_EQ(repair_vars.value(), cold_vars);  // its own solve, not the cold fallback
+    const auto& m = repaired.value();
+    EXPECT_EQ(m.node_pool, cold.value().node_pool);
+    EXPECT_EQ(m.state_region, cold.value().state_region);
+    EXPECT_EQ(m.ilp_pivots, cold.value().ilp_pivots);
+    EXPECT_EQ(m.ilp_nodes_explored, cold.value().ilp_nodes_explored);
+    EXPECT_EQ(m.repair_displaced, graph.nodes().size());
+    EXPECT_NEAR(m.objective, cold.value().objective, 1e-9 * cold.value().objective);
+    if (branching) {
+      EXPECT_GT(m.ilp_nodes_explored, 1u);
+    }
+  }
+}
+
+TEST(RepairTest, ColdFallbackReSolvesEveryNode) {
+  // Failing the pipeline ASIC's stage SRAM displaces NAT's flow table to
+  // DRAM, which the nodes pinned to match-action stages cannot reach:
+  // the pinned model has no room, so repair() solves cold and every node
+  // counts as re-solved.
+  auto fn = nf::build_nat_nf();
+  passes::substitute_framework_apis(fn);
+  passes::CostHints hints;
+  const auto graph = passes::DataflowGraph::build(fn, hints);
+  const auto healthy_profile = lnic::pipeline_asic_nic();
+  auto previous = mapping::Mapper(healthy_profile).map(graph, hints);
+  ASSERT_TRUE(previous.ok()) << previous.error().message;
+
+  auto profile = lnic::pipeline_asic_nic();
+  ASSERT_TRUE(profile.graph.mark_offline("stage-sram").ok());
+  const mapping::Mapper faulted(profile);
+  auto& repair_vars = obs::metrics().gauge("mapping/repair_variables");
+  repair_vars.set(-1.0);
+  auto repaired = faulted.repair(graph, hints, previous.value());
+  ASSERT_TRUE(repaired.ok()) << repaired.error().message;
+  EXPECT_EQ(repair_vars.value(), -1.0);  // no pinned model was solved
+  auto cold = faulted.map(graph, hints);
+  ASSERT_TRUE(cold.ok());
+  EXPECT_TRUE(repaired.value().repaired);
+  EXPECT_EQ(repaired.value().node_pool, cold.value().node_pool);
+  EXPECT_EQ(repaired.value().repair_displaced, graph.nodes().size());
+}
+
+TEST(RepairTest, GreedyFallbackReSolvesEveryNode) {
+  // A deadline that expires before the pinned model has an incumbent
+  // degrades the repair to the greedy mapper, which re-places every node.
+  RepairFixture fx;
+  const auto healthy_profile = lnic::netronome_agilio_cx();
+  auto previous = mapping::Mapper(healthy_profile).map(fx.graph, fx.hints);
+  ASSERT_TRUE(previous.ok());
+
+  fault::FaultPlan plan;
+  plan.add_site({"ilp/wave_timeout", 0.0, 0, 0, 0.0});
+  fault::ScopedPlan scoped(plan);
+  const mapping::Mapper faulted(fx.faulted_profile);
+  auto repaired = faulted.repair(fx.graph, fx.hints, previous.value());
+  ASSERT_TRUE(repaired.ok()) << repaired.error().message;
+  const auto& m = repaired.value();
+  EXPECT_TRUE(m.repaired);
+  EXPECT_TRUE(m.degraded);
+  EXPECT_TRUE(m.greedy);
+  EXPECT_EQ(m.repair_displaced, fx.graph.nodes().size());
+}
+
 // --- Analyzer flag matrix ----------------------------------------------------
 
 TEST(AnalyzerFaultTest, RepairedAnalysisCarriesFlagAndNote) {
@@ -501,6 +591,32 @@ TEST(AnalyzerFaultTest, GreedyAblationStillReportsPlainMapping) {
   EXPECT_FALSE(a.value().degraded);
   EXPECT_FALSE(a.value().repaired);
   EXPECT_EQ(a.value().report.find("repaired incrementally"), std::string::npos);
+}
+
+TEST(AnalyzerFaultTest, GreedyRepairReSolvesEveryNode) {
+  // Without the ILP stage a repair re-runs the greedy mapper, which
+  // re-places every node: none of them counts as pinned.
+  const auto trace = test_trace();
+  const auto nat = nf::build_nat_nf();
+  core::AnalyzeOptions options;
+  options.use_cache = false;
+  options.stages = core::PipelineStages::no_ilp();
+
+  const core::Analyzer healthy(lnic::netronome_agilio_cx());
+  auto base = healthy.analyze(nat, trace, options);
+  ASSERT_TRUE(base.ok()) << base.error().message;
+
+  auto profile = lnic::netronome_agilio_cx();
+  ASSERT_TRUE(profile.graph.mark_offline("csum").ok());
+  const core::Analyzer degraded(std::move(profile));
+  auto repaired = degraded.repair(nat, trace, base.value(), options);
+  ASSERT_TRUE(repaired.ok()) << repaired.error().message;
+  const auto& m = repaired.value().mapping;
+  EXPECT_TRUE(m.greedy);
+  EXPECT_TRUE(repaired.value().repaired);
+  EXPECT_EQ(m.repair_displaced, m.node_pool.size());
+  EXPECT_NE(repaired.value().report.find(std::to_string(m.node_pool.size()) + " nodes re-solved"),
+            std::string::npos);
 }
 
 // --- cache fault sites -------------------------------------------------------

@@ -102,7 +102,7 @@ ilp::Model branching_model() {
 
 TEST(PerfDeterminism, SolveMilpBitIdenticalAcrossJobs) {
   const auto model = branching_model();
-  ilp::MilpOptions options;
+  ilp::SolveOptions options;
   options.jobs = 1;
   const auto serial = solve_milp(model, options);
   ASSERT_EQ(serial.status, ilp::SolveStatus::kOptimal);
