@@ -81,10 +81,11 @@ MicroResult run_micro(const std::string& name, F&& body, std::size_t items_per_i
   return r;
 }
 
-workload::Trace small_trace() {
-  return workload::generate_trace(
-      workload::parse_profile("tcp=0.8 flows=2000 payload=300 pps=60000 packets=2000").value());
+workload::WorkloadProfile small_profile() {
+  return workload::parse_profile("tcp=0.8 flows=2000 payload=300 pps=60000 packets=2000").value();
 }
+
+workload::Trace small_trace() { return workload::generate_trace(small_profile()); }
 
 std::vector<MicroResult> run_micros() {
   std::vector<MicroResult> out;
@@ -181,6 +182,23 @@ std::vector<MicroResult> run_micros() {
       volatile auto ok = analyzer.analyze(nat, trace, options).ok();
       (void)ok;
     }));
+  }
+  {
+    // Prediction alone over a mixed-payload summary (32 packet classes),
+    // so the per-class costing is gated on its own: the mapping comes
+    // from one analysis up front, as a warm request would find it.
+    const core::Analyzer analyzer(lnic::netronome_agilio_cx());
+    const auto profile =
+        workload::parse_profile("tcp=0.8 flows=2000 payload=64:1500 pps=60000 packets=2000").value();
+    const auto summary = analyzer.summarize(profile);
+    const auto analysis = analyzer.analyze(nf::build_nat_nf(), *summary).value();
+    const auto graph = passes::DataflowGraph::build(analysis.lowered, summary->hints);
+    const mapping::Mapper mapper(analyzer.profile());
+    std::printf("  (predict_nat_mixed: %zu classes)\n", summary->classes.size());
+    out.push_back(run_micro("predict_nat_mixed", [&] {
+      volatile bool ok = core::predict(analysis.lowered, graph, analysis.mapping, mapper, *summary).ok();
+      (void)ok;
+    }, summary->classes.size()));
   }
   {
     nicsim::NicSim sim;
@@ -393,10 +411,14 @@ struct CacheBenchResult {
   bool identical_results = false;
 };
 
-/// Analyzes a batch of NFs twice against the same trace: once against a
-/// cleared cache (cold) and once warm. The warm pass must be bit-identical
-/// and run zero ILP solves; the speedup is what interactive re-analysis
-/// (sweeps, co-residence studies, CI reruns) actually feels.
+/// Analyzes a batch of NFs twice against the same workload spec, which
+/// each analysis resolves through Analyzer::summarize(profile) the way a
+/// clarad request does: once against a cleared cache (cold: trace
+/// generation, summary, lowering, graph, ILP, prediction) and once warm
+/// (every stage hits; prediction runs). The warm pass must be
+/// bit-identical and run zero ILP solves; the speedup is what
+/// interactive re-analysis (sweeps, co-residence studies, CI reruns)
+/// actually feels.
 CacheBenchResult bench_cached_sweep() {
   CacheBenchResult r;
   const core::Analyzer analyzer(lnic::netronome_agilio_cx());
@@ -404,12 +426,12 @@ CacheBenchResult bench_cached_sweep() {
   nfs.push_back(nf::build_nat_nf());
   nfs.push_back(nf::build_hh_nf());
   nfs.push_back(nf::build_vnf_chain());
-  const auto trace = small_trace();
+  const auto profile = small_profile();
 
   const auto run_pass = [&] {
     std::vector<double> latencies;
     for (const auto& fn : nfs) {
-      auto analysis = analyzer.analyze(fn, trace);
+      auto analysis = analyzer.analyze(fn, *analyzer.summarize(profile));
       latencies.push_back(analysis.ok() ? analysis.value().prediction.mean_latency_cycles : -1.0);
     }
     return latencies;

@@ -128,7 +128,8 @@ Analyzer::Analyzer(lnic::NicProfile profile)
     : profile_(std::move(profile)), profile_hash_(hash_profile(profile_)) {}
 
 std::shared_ptr<const WorkloadSummary> Analyzer::summarize(const workload::WorkloadProfile& workload,
-                                                           const AnalyzeOptions& options) const {
+                                                           const AnalyzeOptions& options,
+                                                           std::optional<workload::Trace>* generated) const {
   auto& cache = analysis_cache();
   const bool use_cache = options.use_cache && cache.enabled();
   const std::size_t buckets = options.predict.payload_buckets;
@@ -137,9 +138,10 @@ std::shared_ptr<const WorkloadSummary> Analyzer::summarize(const workload::Workl
     key = summary_key(workload, buckets, flow_cache_capacity(profile_));
     if (auto hit = cache.find_summary(key)) return hit;
   }
-  auto entry = std::make_shared<const WorkloadSummary>(
-      core::summarize(workload::generate_trace(workload), profile_, buckets));
+  auto trace = workload::generate_trace(workload);
+  auto entry = std::make_shared<const WorkloadSummary>(core::summarize(trace, profile_, buckets));
   if (use_cache) cache.insert_summary(key, entry);
+  if (generated != nullptr) *generated = std::move(trace);
   return entry;
 }
 

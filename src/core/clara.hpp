@@ -114,8 +114,12 @@ class Analyzer {
   /// options.predict.payload_buckets. Looked up in (and added to) the
   /// analysis cache's summary stage when options.use_cache allows, so a
   /// hit generates no trace; otherwise generated and summarized afresh.
+  /// When `generated` is given, a miss moves the trace it generated
+  /// there and a hit leaves it untouched, so a caller that also needs
+  /// the packets (validation) generates them only on a hit.
   [[nodiscard]] std::shared_ptr<const WorkloadSummary> summarize(
-      const workload::WorkloadProfile& workload, const AnalyzeOptions& options = {}) const;
+      const workload::WorkloadProfile& workload, const AnalyzeOptions& options = {},
+      std::optional<workload::Trace>* generated = nullptr) const;
 
   /// Analyzes an unported NF against a summarized workload, which must
   /// come from summarize() on this NIC with the same payload buckets.

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <map>
+#include <iterator>
 #include <unordered_map>
+#include <utility>
 
 #include "cir/builder.hpp"
 #include "cir/interp.hpp"
@@ -91,6 +92,7 @@ WorkloadSummary summarize(const workload::Trace& trace, const lnic::NicProfile& 
   std::uint16_t lo = 0xffff, hi = 0;
   double payload_sum = 0.0;
   std::unordered_map<std::uint32_t, std::uint64_t> flow_packets;
+  flow_packets.reserve(std::min<std::size_t>(trace.packets.size(), trace.profile.flows));
   std::vector<bool> opens_flow(trace.packets.size());
   for (std::size_t i = 0; i < trace.packets.size(); ++i) {
     const auto& p = trace.packets[i];
@@ -127,7 +129,7 @@ WorkloadSummary summarize(const workload::Trace& trace, const lnic::NicProfile& 
 
   // Packet classes: protocol, SYN, flow novelty, payload bucket.
   const double width = hi > lo ? static_cast<double>(hi - lo) / static_cast<double>(payload_buckets) : 1.0;
-  std::map<std::uint32_t, PacketClass> classes;
+  std::unordered_map<std::uint32_t, PacketClass> classes;
   for (std::size_t i = 0; i < trace.packets.size(); ++i) {
     const auto& p = trace.packets[i];
     const bool new_flow = opens_flow[i];
@@ -145,8 +147,12 @@ WorkloadSummary summarize(const workload::Trace& trace, const lnic::NicProfile& 
     ++cls.count;
     cls.payload_sum += p.payload_len;
   }
-  out.classes.reserve(classes.size());
-  for (auto& [key, cls] : classes) out.classes.push_back(std::move(cls));
+  // Ascending class key, as a consumer iterating the summary expects.
+  std::vector<std::pair<std::uint32_t, PacketClass>> sorted(std::make_move_iterator(classes.begin()),
+                                                            std::make_move_iterator(classes.end()));
+  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) { return a.first < b.first; });
+  out.classes.reserve(sorted.size());
+  for (auto& [key, cls] : sorted) out.classes.push_back(std::move(cls));
   return out;
 }
 
@@ -209,29 +215,62 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   // Interference slicing scales available parallelism.
   const double share = std::clamp(options.nic_share, 0.05, 1.0);
 
+  // --- Class-independent prices -------------------------------------------
+  // Everything here depends only on the NIC, the mapping and the summary,
+  // so it is looked up or computed once per call. The class loop below
+  // reads these values back with every floating-point operation's
+  // operands and order unchanged.
+  const auto& pools = mapper.pools();
+  const double ctm = params.scalar(keys::kMemReadCtm);
+  const double emem_hit = params.scalar(keys::kEmemCacheHit);
+  const double emem_read = params.scalar(keys::kMemReadEmem);
+  const double tail_lat = hr_tail * emem_hit + (1.0 - hr_tail) * emem_read;
+
   // Packet-byte access price with the cache-aware tail model: bytes in
   // the CTM head at CTM latency, spilled tail bytes at the estimated
   // tail hit rate.
   auto pkt_access_cycles = [&](double frame) {
-    const double ctm = params.scalar(keys::kMemReadCtm);
-    if (residency <= 0.0) return params.scalar(keys::kEmemCacheHit);
+    if (residency <= 0.0) return emem_hit;
     if (frame <= residency) return ctm;
-    const double tail_lat =
-        hr_tail * params.scalar(keys::kEmemCacheHit) + (1.0 - hr_tail) * params.scalar(keys::kMemReadEmem);
     const double head_frac = residency / frame;
     return head_frac * ctm + (1.0 - head_frac) * tail_lat;
   };
 
-  // Effective state-access latency under the cache model. `worst`
-  // prices every cacheable access as a miss (the WCET bound).
-  auto eff_state_latency = [&](const mapping::UnitPool& pool, NodeId region, bool worst = false) {
-    const double base = mapper.access_cycles(pool, region);
-    const auto* mem = profile.graph.node(region).memory();
-    if (!worst && mem->kind == lnic::MemKind::kEmem && mem->cache_capacity > 0) {
-      return hr_emem * params.scalar(keys::kEmemCacheHit) + (1.0 - hr_emem) * base;
-    }
-    return base;
+  // State-access prices per (pool, state object), at the object's placed
+  // region: `base` prices every cacheable access as a miss (the WCET
+  // bound), `eff` applies the EMEM hit-rate estimate.
+  struct StatePrice {
+    double base = 0.0;
+    double eff = 0.0;
+    lnic::MemKind kind = lnic::MemKind::kEmem;
+    bool cached = false;
   };
+  const std::size_t states = fn.state_objects.size();
+  std::vector<StatePrice> state_prices(pools.size() * states);
+  for (std::size_t p = 0; p < pools.size(); ++p) {
+    for (std::size_t s = 0; s < states; ++s) {
+      const NodeId region = mapping.state_region[s];
+      const auto* mem = profile.graph.node(region).memory();
+      StatePrice& price = state_prices[p * states + s];
+      price.base = mapper.access_cycles(pools[p], region);
+      price.kind = mem->kind;
+      price.cached = mem->kind == lnic::MemKind::kEmem && mem->cache_capacity > 0;
+      price.eff = price.cached ? hr_emem * emem_hit + (1.0 - hr_emem) * price.base : price.base;
+    }
+  }
+  auto state_price = [&](std::size_t pool, std::uint32_t state) -> const StatePrice& {
+    return state_prices[pool * states + state];
+  };
+
+  // Each node's instruction-mix cycles on its assigned pool.
+  std::vector<double> mix_cycles(graph.size());
+  for (const auto& node : graph.nodes()) {
+    mix_cycles[node.id] = passes::mix_compute_cycles(node.mix, pools[mapping.node_pool[node.id]].kind, params);
+  }
+
+  // Worst case: the flow cache misses too.
+  passes::CostHints worst_hints = hints;
+  worst_hints.flow_cache_hit_rate = 0.0;
 
   // --- Breakdown attribution helpers --------------------------------------
   // Each mirrors the corresponding cost term above exactly, splitting it
@@ -241,10 +280,9 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   auto add_pkt_access_bd = [&](obs::BreakdownMeans& bd, double n, double frame) {
     if (n <= 0.0) return;
     if (residency <= 0.0) {
-      bd.add(Component::kEmemCacheHit, n * params.scalar(keys::kEmemCacheHit));
+      bd.add(Component::kEmemCacheHit, n * emem_hit);
       return;
     }
-    const double ctm = params.scalar(keys::kMemReadCtm);
     if (frame <= residency) {
       bd.add(Component::kMemCtm, n * ctm);
       return;
@@ -252,24 +290,21 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
     const double head_frac = residency / frame;
     bd.add(Component::kMemCtm, n * head_frac * ctm);
     const double tail = n * (1.0 - head_frac);
-    bd.add(Component::kEmemCacheHit, tail * hr_tail * params.scalar(keys::kEmemCacheHit));
-    bd.add(Component::kEmemCacheMiss, tail * (1.0 - hr_tail) * params.scalar(keys::kMemReadEmem));
+    bd.add(Component::kEmemCacheHit, tail * hr_tail * emem_hit);
+    bd.add(Component::kEmemCacheMiss, tail * (1.0 - hr_tail) * emem_read);
   };
-  auto add_state_bd = [&](obs::BreakdownMeans& bd, double n, const mapping::UnitPool& pool,
-                          NodeId region) {
+  auto add_state_bd = [&](obs::BreakdownMeans& bd, double n, const StatePrice& price) {
     if (n <= 0.0) return;
-    const double base = mapper.access_cycles(pool, region);
-    const auto* mem = profile.graph.node(region).memory();
-    if (mem->kind == lnic::MemKind::kEmem && mem->cache_capacity > 0) {
-      bd.add(Component::kEmemCacheHit, n * hr_emem * params.scalar(keys::kEmemCacheHit));
-      bd.add(Component::kEmemCacheMiss, n * (1.0 - hr_emem) * base);
+    if (price.cached) {
+      bd.add(Component::kEmemCacheHit, n * hr_emem * emem_hit);
+      bd.add(Component::kEmemCacheMiss, n * (1.0 - hr_emem) * price.base);
       return;
     }
-    switch (mem->kind) {
-      case lnic::MemKind::kLocal: bd.add(Component::kMemLocal, n * base); break;
-      case lnic::MemKind::kCtm: bd.add(Component::kMemCtm, n * base); break;
-      case lnic::MemKind::kImem: bd.add(Component::kMemImem, n * base); break;
-      case lnic::MemKind::kEmem: bd.add(Component::kEmemCacheMiss, n * base); break;
+    switch (price.kind) {
+      case lnic::MemKind::kLocal: bd.add(Component::kMemLocal, n * price.base); break;
+      case lnic::MemKind::kCtm: bd.add(Component::kMemCtm, n * price.base); break;
+      case lnic::MemKind::kImem: bd.add(Component::kMemImem, n * price.base); break;
+      case lnic::MemKind::kEmem: bd.add(Component::kEmemCacheMiss, n * price.base); break;
     }
   };
   auto unit_component = [](lnic::UnitKind kind) {
@@ -284,22 +319,25 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   };
 
   // --- Per-class costing --------------------------------------------------
+  // Only class-dependent terms are computed here: block and vcall counts
+  // from the interpreter, and the class's frame-size packet-access prices.
   const auto& classes = workload.classes;
   const double total_packets = static_cast<double>(workload.packets);
 
   struct ClassCost {
-    double base = 0.0;                       // latency without queueing
-    double worst = 0.0;                      // all cache accesses priced as misses
-    std::map<std::size_t, double> pool_use;  // pool -> service cycles (queueable)
-    obs::BreakdownMeans bd;                  // component attribution of `base`
+    double base = 0.0;              // latency without queueing
+    double worst = 0.0;             // all cache accesses priced as misses
+    std::vector<double> pool_use;   // pool -> service cycles (queueable)
+    obs::BreakdownMeans bd;         // component attribution of `base`
   };
   std::vector<ClassCost> costs(classes.size());
-  std::vector<double> pool_demand(mapper.pools().size(), 0.0);  // cycles/packet avg
+  std::vector<double> pool_demand(pools.size(), 0.0);  // cycles/packet avg
 
   const double hub_service = params.scalar(keys::kHubService);
   const double ingress_base = params.scalar(keys::kIngressDmaBase);
   const double ingress_per_byte = params.scalar(keys::kIngressDmaPerByte);
   const double spill_per_byte = params.scalar(keys::kSpillPerByte);
+  const double flow_cache_hit = params.scalar(keys::kFlowCacheHit);
 
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const PacketClass& cls = classes[c];
@@ -310,7 +348,10 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
     const cir::ExecTrace& et = exec.value();
 
     ClassCost& cost = costs[c];
+    cost.pool_use.assign(pools.size(), 0.0);
     const double frame = cls.frame_len();
+    const double pkt_access = pkt_access_cycles(frame);
+    const double pkt_access_worst = passes::packet_access_cycles(frame, frame - 1.0, params);
     cost.base += hub_service + ingress_base + ingress_per_byte * frame;
     if (residency > 0.0 && frame > residency) cost.base += spill_per_byte * (frame - residency);
     cost.worst = cost.base;
@@ -320,39 +361,38 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
     for (const auto& node : graph.nodes()) {
       const std::uint64_t execs = et.block_counts[node.block];
       if (execs == 0) continue;
-      const auto& pool = mapper.pools()[mapping.node_pool[node.id]];
-      double per_exec = passes::mix_compute_cycles(node.mix, pool.kind, params);
-      per_exec += static_cast<double>(node.mix.packet_loads + node.mix.packet_stores) * pkt_access_cycles(frame);
+      const std::size_t pool_idx = mapping.node_pool[node.id];
+      const double mix = mix_cycles[node.id];
+      const auto packet_ops = static_cast<double>(node.mix.packet_loads + node.mix.packet_stores);
+      double per_exec = mix;
+      per_exec += packet_ops * pkt_access;
       for (const auto& [s, n] : node.mix.state_reads) {
-        per_exec += static_cast<double>(n) * eff_state_latency(pool, mapping.state_region[s]);
+        per_exec += static_cast<double>(n) * state_price(pool_idx, s).eff;
       }
       for (const auto& [s, n] : node.mix.state_writes) {
-        per_exec += static_cast<double>(n) * eff_state_latency(pool, mapping.state_region[s]);
+        per_exec += static_cast<double>(n) * state_price(pool_idx, s).eff;
       }
       const double cycles = static_cast<double>(execs) * per_exec;
       cost.base += cycles;
       const auto n_execs = static_cast<double>(execs);
-      cost.bd.add(Component::kCompute, n_execs * passes::mix_compute_cycles(node.mix, pool.kind, params));
-      add_pkt_access_bd(cost.bd, n_execs * static_cast<double>(node.mix.packet_loads + node.mix.packet_stores),
-                        frame);
+      cost.bd.add(Component::kCompute, n_execs * mix);
+      add_pkt_access_bd(cost.bd, n_execs * packet_ops, frame);
       for (const auto& [s, n] : node.mix.state_reads) {
-        add_state_bd(cost.bd, n_execs * static_cast<double>(n), pool, mapping.state_region[s]);
+        add_state_bd(cost.bd, n_execs * static_cast<double>(n), state_price(pool_idx, s));
       }
       for (const auto& [s, n] : node.mix.state_writes) {
-        add_state_bd(cost.bd, n_execs * static_cast<double>(n), pool, mapping.state_region[s]);
+        add_state_bd(cost.bd, n_execs * static_cast<double>(n), state_price(pool_idx, s));
       }
-      double per_exec_worst = passes::mix_compute_cycles(node.mix, pool.kind, params);
-      per_exec_worst += static_cast<double>(node.mix.packet_loads + node.mix.packet_stores) *
-                        passes::packet_access_cycles(frame, frame - 1.0, params);
+      double per_exec_worst = mix;
+      per_exec_worst += packet_ops * pkt_access_worst;
       for (const auto& [s, n] : node.mix.state_reads) {
-        per_exec_worst += static_cast<double>(n) * eff_state_latency(pool, mapping.state_region[s], true);
+        per_exec_worst += static_cast<double>(n) * state_price(pool_idx, s).base;
       }
       for (const auto& [s, n] : node.mix.state_writes) {
-        per_exec_worst += static_cast<double>(n) * eff_state_latency(pool, mapping.state_region[s], true);
+        per_exec_worst += static_cast<double>(n) * state_price(pool_idx, s).base;
       }
       cost.worst += static_cast<double>(execs) * per_exec_worst;
-      cost.pool_use[mapping.node_pool[node.id]] += static_cast<double>(execs) *
-                                                   passes::mix_compute_cycles(node.mix, pool.kind, params);
+      cost.pool_use[pool_idx] += static_cast<double>(execs) * mix;
     }
 
     // Vcall events with their concrete arguments.
@@ -360,7 +400,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
       const std::uint32_t node_id = graph.node_of(event.block, event.instr);
       if (node_id == ~0u) continue;
       const std::size_t pool_idx = mapping.node_pool[node_id];
-      const auto& pool = mapper.pools()[pool_idx];
+      const auto& pool = pools[pool_idx];
       const cir::StateObject* state = nullptr;
       std::uint32_t state_idx = ~0u;
       if (cir::vcall_takes_state(event.v) && !event.args.empty()) {
@@ -377,7 +417,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
       double service = passes::vcall_compute_cycles(event.v, pool.kind, arg, state, params, hints, use_fc);
       cost.bd.add(event.v == cir::VCall::kEmit ? Component::kEgress : unit_component(pool.kind), service);
       if (event.v == cir::VCall::kPayloadScan) {
-        service += std::ceil(arg / 64.0) * pkt_access_cycles(frame);
+        service += std::ceil(arg / 64.0) * pkt_access;
         add_pkt_access_bd(cost.bd, std::ceil(arg / 64.0), frame);
       }
       if (event.v == cir::VCall::kEmit) {
@@ -385,38 +425,34 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
         cost.bd.add(Component::kEgress, hub_service);
       }
       cost.base += service;
-      // Worst case: the flow cache misses too.
-      passes::CostHints worst_hints = hints;
-      worst_hints.flow_cache_hit_rate = 0.0;
       double worst_service =
           passes::vcall_compute_cycles(event.v, pool.kind, arg, state, params, worst_hints, use_fc);
       // Deepest match-action walk: per-key walk depth varies around the
       // microbenchmarked mean curve; allow ~15% for the worst key.
       if (event.v == cir::VCall::kLpmLookup) worst_service *= 1.15;
-      if (event.v == cir::VCall::kPayloadScan) {
-        worst_service += std::ceil(arg / 64.0) * passes::packet_access_cycles(frame, frame - 1.0, params);
-      }
+      if (event.v == cir::VCall::kPayloadScan) worst_service += std::ceil(arg / 64.0) * pkt_access_worst;
       if (event.v == cir::VCall::kEmit) worst_service += hub_service;
       cost.worst += worst_service;
 
       if (state_idx != ~0u) {
         const double accesses = passes::vcall_state_accesses(event.v, pool.kind, state);
-        cost.base += accesses * eff_state_latency(pool, mapping.state_region[state_idx]);
-        cost.worst += accesses * eff_state_latency(pool, mapping.state_region[state_idx], true);
-        add_state_bd(cost.bd, accesses, pool, mapping.state_region[state_idx]);
+        const StatePrice& price = state_price(pool_idx, state_idx);
+        cost.base += accesses * price.eff;
+        cost.worst += accesses * price.base;
+        add_state_bd(cost.bd, accesses, price);
       }
 
       // Queueable share: LPM DRAM walks overlap across threads, so only
       // the SRAM front-end occupies the engine.
       double queueable = service;
       if (event.v == cir::VCall::kLpmLookup && pool.kind == lnic::UnitKind::kLpmEngine) {
-        queueable = params.scalar(keys::kFlowCacheHit);
+        queueable = flow_cache_hit;
       }
       cost.pool_use[pool_idx] += queueable;
     }
 
     const double fraction = static_cast<double>(cls.count) / total_packets;
-    for (const auto& [p, use] : cost.pool_use) pool_demand[p] += fraction * use;
+    for (std::size_t p = 0; p < pools.size(); ++p) pool_demand[p] += fraction * cost.pool_use[p];
   }
 
   // --- Queueing (Θ) and throughput ----------------------------------------
@@ -428,11 +464,11 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   pred.emem_cache_hit_rate = hr_emem;
   pred.flow_cache_hit_rate = hints.flow_cache_hit_rate;
 
-  std::vector<double> pool_wait(mapper.pools().size(), 0.0);
+  std::vector<double> pool_wait(pools.size(), 0.0);
   double best_throughput = 1e18;
-  for (std::size_t p = 0; p < mapper.pools().size(); ++p) {
+  for (std::size_t p = 0; p < pools.size(); ++p) {
     if (pool_demand[p] <= 0.0) continue;
-    const double servers = std::max(1.0, mapper.pools()[p].parallelism * share);
+    const double servers = std::max(1.0, pools[p].parallelism * share);
     const double rho = lambda_cycles * pool_demand[p] / servers;
     double wait = 0.0;
     if (options.model_queueing) {
@@ -443,11 +479,11 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
       }
     }
     pool_wait[p] = wait;
-    pred.loads.push_back({mapper.pools()[p].name, rho, wait});
+    pred.loads.push_back({pools[p].name, rho, wait});
     const double cap_pps = servers * clock / pool_demand[p];
     if (cap_pps < best_throughput) {
       best_throughput = cap_pps;
-      pred.bottleneck = mapper.pools()[p].name;
+      pred.bottleneck = pools[p].name;
     }
   }
   // The ingress hub serves every packet once; it caps throughput for
@@ -466,8 +502,8 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
     double latency = costs[c].base;
     double worst = costs[c].worst;
     obs::BreakdownMeans class_bd = costs[c].bd;
-    for (const auto& [p, use] : costs[c].pool_use) {
-      if (use > 0.0) {
+    for (std::size_t p = 0; p < pools.size(); ++p) {
+      if (costs[c].pool_use[p] > 0.0) {
         latency += pool_wait[p];
         class_bd.add(obs::Component::kQueueWait, pool_wait[p]);
         worst += 3.0 * pool_wait[p];  // queue tail allowance

@@ -1,6 +1,7 @@
 #include "core/request.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/json.hpp"
@@ -24,6 +25,22 @@ Status check_keys(const Json::Object& object, const std::vector<std::string>& kn
     return make_error(ErrorCode::kParse, std::move(message));
   }
   return {};
+}
+
+/// An optional count field of `object`: absent keeps `fallback`;
+/// present, it must be an integral JSON number in [lo, hi], because a
+/// cast of a negative, fractional or huge double to std::size_t is
+/// undefined or silently wrong.
+Result<std::size_t> count_at(const Json& object, const char* key, std::size_t fallback, double lo,
+                             double hi, const char* where) {
+  const Json* member = object.get(key);
+  if (member == nullptr) return fallback;
+  const double value = member->as_double();
+  if (!member->is_number() || !(value >= lo && value <= hi) || value != std::floor(value)) {
+    return make_error(ErrorCode::kParse,
+                      strf("\"%s.%s\" must be an integer in [%.0f, %.0f]", where, key, lo, hi));
+  }
+  return static_cast<std::size_t>(value);
 }
 
 Status check_size(std::string_view text, const char* what) {
@@ -192,8 +209,11 @@ Result<Request> Request::from_json(std::string_view text) {
     request.options.map.pps = map->number_at("pps", request.options.map.pps);
     request.options.map.ctm_state_fraction =
         map->number_at("ctm_state_fraction", request.options.map.ctm_state_fraction);
-    request.options.map.max_ilp_nodes = static_cast<std::size_t>(
-        map->number_at("max_ilp_nodes", static_cast<double>(request.options.map.max_ilp_nodes)));
+    // Up to 2^53, where every integer is still a distinct double.
+    auto max_ilp_nodes =
+        count_at(*map, "max_ilp_nodes", request.options.map.max_ilp_nodes, 0.0, 9007199254740992.0, "map");
+    if (!max_ilp_nodes) return max_ilp_nodes.error();
+    request.options.map.max_ilp_nodes = max_ilp_nodes.value();
     request.options.map.time_budget_ms =
         map->number_at("time_budget_ms", request.options.map.time_budget_ms);
   }
@@ -208,8 +228,11 @@ Result<Request> Request::from_json(std::string_view text) {
     if (auto status = check_keys(predict->as_object(), kPredictKeys, "predict"); !status) {
       return status.error();
     }
-    request.options.predict.payload_buckets = static_cast<std::size_t>(predict->number_at(
-        "payload_buckets", static_cast<double>(request.options.predict.payload_buckets)));
+    // A class key holds the bucket in its top 16 bits.
+    auto buckets = count_at(*predict, "payload_buckets", request.options.predict.payload_buckets, 1.0,
+                            65536.0, "predict");
+    if (!buckets) return buckets.error();
+    request.options.predict.payload_buckets = buckets.value();
     request.options.predict.model_emem_cache =
         predict->bool_at("model_emem_cache", request.options.predict.model_emem_cache);
     request.options.predict.model_queueing =

@@ -38,8 +38,30 @@ NodeId Graph::add_compute(std::string name, ComputeUnit unit) { return add_node(
 NodeId Graph::add_memory(std::string name, MemoryRegion region) { return add_node(std::move(name), region); }
 NodeId Graph::add_switch(std::string name, SwitchHub hub) { return add_node(std::move(name), hub); }
 
+namespace {
+
+using AccessIndex = std::vector<std::pair<std::uint64_t, double>>;
+
+/// Orientation-free key of a node pair in Graph::access_index_.
+std::uint64_t pair_key(NodeId a, NodeId b) {
+  const auto [lo, hi] = std::minmax(a, b);
+  return static_cast<std::uint64_t>(lo) << 32 | hi;
+}
+
+/// The first index entry whose key is not below `key`.
+AccessIndex::const_iterator seek(const AccessIndex& index, std::uint64_t key) {
+  return std::lower_bound(index.begin(), index.end(), key,
+                          [](const auto& entry, std::uint64_t k) { return entry.first < k; });
+}
+
+}  // namespace
+
 void Graph::add_edge(NodeId from, NodeId to, EdgeKind kind, double weight) {
   edges_.push_back(Edge{from, to, kind, weight});
+  if (kind != EdgeKind::kMemAccess) return;
+  const std::uint64_t key = pair_key(from, to);
+  const auto it = seek(access_index_, key);
+  if (it == access_index_.end() || it->first != key) access_index_.insert(it, {key, weight});
 }
 
 std::vector<NodeId> Graph::compute_units() const {
@@ -79,11 +101,10 @@ std::optional<NodeId> Graph::find_by_name(std::string_view name) const {
 }
 
 std::optional<double> Graph::access_weight(NodeId unit, NodeId region) const {
-  for (const auto& e : edges_) {
-    if (e.kind != EdgeKind::kMemAccess) continue;
-    if ((e.from == unit && e.to == region) || (e.from == region && e.to == unit)) return e.weight;
-  }
-  return std::nullopt;
+  const std::uint64_t key = pair_key(unit, region);
+  const auto it = seek(access_index_, key);
+  if (it == access_index_.end() || it->first != key) return std::nullopt;
+  return it->second;
 }
 
 Result<int> Graph::mark_offline(std::string_view name) {

@@ -12,6 +12,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -147,7 +148,9 @@ class Graph {
   [[nodiscard]] std::optional<NodeId> find_by_name(std::string_view name) const;
 
   /// NUMA weight of the access edge unit->region, or nullopt when the
-  /// unit cannot reach that region at all.
+  /// unit cannot reach that region at all. The first kMemAccess edge
+  /// added between the two nodes wins, in either orientation; answered
+  /// from an index add_edge() keeps, not by scanning edges().
   [[nodiscard]] std::optional<double> access_weight(NodeId unit, NodeId region) const;
 
   /// Marks every compute unit / memory region whose name equals `name`
@@ -178,6 +181,10 @@ class Graph {
 
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
+  /// First kMemAccess weight per unordered node pair, sorted by the
+  /// pair's key (smaller id in the high half). A flat vector, so copying
+  /// a profile stays one allocation per member.
+  std::vector<std::pair<std::uint64_t, double>> access_index_;
 };
 
 }  // namespace clara::lnic

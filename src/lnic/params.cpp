@@ -33,30 +33,30 @@ double PiecewiseLinear::eval(double x) const {
 void ParameterStore::set_scalar(const std::string& key, double value) { scalars_[key] = value; }
 void ParameterStore::set_curve(const std::string& key, PiecewiseLinear curve) { curves_[key] = std::move(curve); }
 
-double ParameterStore::scalar(const std::string& key) const {
+double ParameterStore::scalar(std::string_view key) const {
   const auto it = scalars_.find(key);
   assert(it != scalars_.end() && "missing scalar parameter");
   return it != scalars_.end() ? it->second : 0.0;
 }
 
-std::optional<double> ParameterStore::try_scalar(const std::string& key) const {
+std::optional<double> ParameterStore::try_scalar(std::string_view key) const {
   const auto it = scalars_.find(key);
   if (it == scalars_.end()) return std::nullopt;
   return it->second;
 }
 
-const PiecewiseLinear* ParameterStore::try_curve(const std::string& key) const {
+const PiecewiseLinear* ParameterStore::try_curve(std::string_view key) const {
   const auto it = curves_.find(key);
   return it == curves_.end() ? nullptr : &it->second;
 }
 
-double ParameterStore::eval(const std::string& key, double x) const {
+double ParameterStore::eval(std::string_view key, double x) const {
   if (const auto* curve = try_curve(key)) return curve->eval(x);
   return scalar(key);
 }
 
-bool ParameterStore::has(const std::string& key) const {
-  return scalars_.count(key) > 0 || curves_.count(key) > 0;
+bool ParameterStore::has(std::string_view key) const {
+  return scalars_.contains(key) || curves_.contains(key);
 }
 
 std::vector<std::string> ParameterStore::keys() const {

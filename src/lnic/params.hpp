@@ -14,9 +14,11 @@
 //             used where cost is a function of data size or table size.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -48,18 +50,21 @@ class ParameterStore {
   void set_scalar(const std::string& key, double value);
   void set_curve(const std::string& key, PiecewiseLinear curve);
 
+  // Lookups take any string-like key (the keys:: constants included)
+  // without building a std::string: the maps compare transparently.
+
   /// Hard lookup; asserts in debug builds and returns 0 in release when
   /// absent — profiles are expected to be complete, tests enforce it.
-  [[nodiscard]] double scalar(const std::string& key) const;
-  [[nodiscard]] std::optional<double> try_scalar(const std::string& key) const;
+  [[nodiscard]] double scalar(std::string_view key) const;
+  [[nodiscard]] std::optional<double> try_scalar(std::string_view key) const;
 
-  [[nodiscard]] const PiecewiseLinear* try_curve(const std::string& key) const;
+  [[nodiscard]] const PiecewiseLinear* try_curve(std::string_view key) const;
 
   /// Evaluates `key` at `x`: a curve if one is registered, otherwise the
   /// scalar value (constant in x). Asserts when the key is entirely absent.
-  [[nodiscard]] double eval(const std::string& key, double x) const;
+  [[nodiscard]] double eval(std::string_view key, double x) const;
 
-  [[nodiscard]] bool has(const std::string& key) const;
+  [[nodiscard]] bool has(std::string_view key) const;
   [[nodiscard]] std::vector<std::string> keys() const;
 
   /// Text serialization (one `key = value` per line; curves as point
@@ -69,8 +74,8 @@ class ParameterStore {
   static Result<ParameterStore> parse(const std::string& text);
 
  private:
-  std::map<std::string, double> scalars_;
-  std::map<std::string, PiecewiseLinear> curves_;
+  std::map<std::string, double, std::less<>> scalars_;
+  std::map<std::string, PiecewiseLinear, std::less<>> curves_;
 };
 
 /// Well-known parameter keys. Profiles must define all of these; the

@@ -75,8 +75,12 @@ Result<Workload> resolve_workload(const Request& request, const core::Analyzer& 
   const std::string spec = request.workload.empty() ? kDefaultWorkload : request.workload;
   auto profile = workload::parse_profile(spec);
   if (!profile) return profile.error();
-  out.summary = analyzer.summarize(profile.value(), request.options);
-  if (request.kind == RequestKind::kValidate) out.trace = workload::generate_trace(profile.value());
+  // Validate replays the packets too: take the trace a summary miss
+  // generated, and generate one only on a hit.
+  std::optional<workload::Trace>* generated =
+      request.kind == RequestKind::kValidate ? &out.trace : nullptr;
+  out.summary = analyzer.summarize(profile.value(), request.options, generated);
+  if (generated != nullptr && !out.trace) out.trace = workload::generate_trace(profile.value());
   return out;
 }
 

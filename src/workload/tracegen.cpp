@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 
 namespace clara::workload {
 
@@ -28,6 +29,8 @@ double Trace::tcp_fraction() const {
 }
 
 Trace generate_trace(const WorkloadProfile& profile) {
+  static auto& generated = obs::metrics().counter("workload/traces_generated");
+  generated.inc();
   Trace trace;
   trace.profile = profile;
   trace.packets.reserve(profile.packets);

@@ -1,6 +1,10 @@
 // Tests for the LNIC graph model, parameter store, and NIC profiles.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <string_view>
+
 #include "lnic/lnic.hpp"
 #include "lnic/params.hpp"
 #include "lnic/profiles.hpp"
@@ -39,6 +43,58 @@ TEST(LnicGraph, AccessWeight) {
   EXPECT_DOUBLE_EQ(g.access_weight(0, 1).value(), 1.0);
   const auto far = g.add_memory("far", MemoryRegion{MemKind::kEmem, 1_GiB, -1, 0});
   EXPECT_FALSE(g.access_weight(0, far).has_value());
+}
+
+/// The reference answer access_weight() indexes: the first kMemAccess
+/// edge joining the two nodes, in either orientation.
+std::optional<double> scan_access_weight(const Graph& g, NodeId a, NodeId b) {
+  for (const auto& e : g.edges()) {
+    if (e.kind != EdgeKind::kMemAccess) continue;
+    if ((e.from == a && e.to == b) || (e.from == b && e.to == a)) return e.weight;
+  }
+  return std::nullopt;
+}
+
+/// access_weight() against the edge scan for every ordered node pair.
+void expect_index_matches_scan(const Graph& g, const std::string& what) {
+  for (NodeId a = 0; a < g.size(); ++a) {
+    for (NodeId b = 0; b < g.size(); ++b) {
+      EXPECT_EQ(g.access_weight(a, b), scan_access_weight(g, a, b)) << what << ": " << a << " -> " << b;
+    }
+  }
+}
+
+TEST(LnicGraph, AccessWeightFirstEdgeWinsInEitherOrientation) {
+  Graph g;
+  const auto npu = g.add_compute("npu", ComputeUnit{UnitKind::kNpuCore, 0, 8, 1});
+  const auto other = g.add_compute("other", ComputeUnit{UnitKind::kNpuCore, 0, 8, 1});
+  const auto dup = g.add_memory("dup", MemoryRegion{MemKind::kCtm, 256_KiB, 0, 0});
+  const auto rev = g.add_memory("rev", MemoryRegion{MemKind::kImem, 4_MiB, -1, 0});
+  const auto mixed = g.add_memory("mixed", MemoryRegion{MemKind::kEmem, 1_GiB, -1, 0});
+  g.add_edge(npu, dup, EdgeKind::kMemAccess, 2.0);
+  g.add_edge(npu, dup, EdgeKind::kMemAccess, 3.0);   // duplicate: the first wins
+  g.add_edge(dup, npu, EdgeKind::kMemAccess, 4.0);   // ... in either orientation
+  g.add_edge(rev, npu, EdgeKind::kMemAccess, 1.5);   // stored memory -> compute
+  g.add_edge(npu, mixed, EdgeKind::kHierarchy, 9.0);  // not an access edge
+  g.add_edge(npu, mixed, EdgeKind::kMemAccess, 1.25);
+  g.add_edge(npu, other, EdgeKind::kPipeline, 7.0);   // never an access weight
+
+  EXPECT_EQ(g.access_weight(npu, dup), 2.0);
+  EXPECT_EQ(g.access_weight(dup, npu), 2.0);
+  EXPECT_EQ(g.access_weight(npu, rev), 1.5);
+  EXPECT_EQ(g.access_weight(rev, npu), 1.5);
+  EXPECT_EQ(g.access_weight(npu, mixed), 1.25);
+  EXPECT_FALSE(g.access_weight(npu, other).has_value());
+  EXPECT_FALSE(g.access_weight(other, dup).has_value());
+  expect_index_matches_scan(g, "hand-built");
+
+  // A copy answers from its own copy of the index.
+  const Graph copy = g;
+  g.add_edge(other, dup, EdgeKind::kMemAccess, 5.0);
+  EXPECT_EQ(g.access_weight(other, dup), 5.0);
+  EXPECT_FALSE(copy.access_weight(other, dup).has_value());
+  expect_index_matches_scan(copy, "copy");
+  expect_index_matches_scan(g, "grown");
 }
 
 TEST(LnicGraph, ValidatesCleanGraph) {
@@ -137,6 +193,36 @@ TEST(ParameterStoreTest, ScalarsAndCurves) {
   EXPECT_NE(p.try_curve("c"), nullptr);
 }
 
+TEST(ParameterStoreTest, LookupsAcceptAnyStringKey) {
+  ParameterStore p;
+  p.set_scalar(keys::kInstrFpEmulation, 40.0);  // longer than a small-string buffer
+  p.set_curve(keys::kCsumAccel, PiecewiseLinear({{0.0, 60.0}, {1000.0, 300.0}}));
+  const char* scalar_key = keys::kInstrFpEmulation;
+  const char* curve_key = keys::kCsumAccel;
+  // A view into a longer buffer: lookups must not rely on a terminator.
+  const std::string padded = std::string(scalar_key) + ".suffix";
+  const std::string_view scalar_view(padded.data(), std::string_view(scalar_key).size());
+  const std::string scalar_string(scalar_key);
+
+  const PiecewiseLinear* curve = p.try_curve(curve_key);
+  ASSERT_NE(curve, nullptr);
+  EXPECT_EQ(p.try_curve(std::string_view(curve_key)), curve);
+  EXPECT_EQ(p.try_curve(std::string(curve_key)), curve);
+  EXPECT_EQ(p.eval(std::string(curve_key), 500.0), p.eval(curve_key, 500.0));
+
+  EXPECT_EQ(p.scalar(scalar_key), 40.0);
+  EXPECT_EQ(p.scalar(scalar_view), 40.0);
+  EXPECT_EQ(p.scalar(scalar_string), 40.0);
+  EXPECT_EQ(p.try_scalar(scalar_view), 40.0);
+  EXPECT_EQ(p.eval(scalar_view, 7.0), 40.0);
+  for (const std::string_view key : {std::string_view(scalar_key), scalar_view, std::string_view(curve_key)}) {
+    EXPECT_TRUE(p.has(key)) << key;
+  }
+  EXPECT_TRUE(p.has(scalar_string));
+  EXPECT_FALSE(p.has(std::string_view(padded)));
+  EXPECT_FALSE(p.try_scalar(std::string_view(scalar_key, 3)).has_value());
+}
+
 TEST(ParameterStoreTest, SerializeRoundTrip) {
   ParameterStore p;
   p.set_scalar("x.y", 2.25);
@@ -186,6 +272,14 @@ TEST_P(ProfileTest, HasComputeAndMemory) {
   EXPECT_FALSE(profile.graph.compute_units().empty()) << profile.name;
   EXPECT_FALSE(profile.graph.memory_regions().empty()) << profile.name;
   EXPECT_FALSE(profile.graph.switch_hubs().empty()) << profile.name;
+}
+
+TEST_P(ProfileTest, AccessWeightIndexMatchesEdgeScan) {
+  const auto profiles = all_profiles();
+  const auto& profile = profiles[static_cast<std::size_t>(GetParam())];
+  expect_index_matches_scan(profile.graph, profile.name);
+  const Graph copy = profile.graph;
+  expect_index_matches_scan(copy, profile.name + " copy");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllProfiles, ProfileTest, ::testing::Values(0, 1, 2));

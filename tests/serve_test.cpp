@@ -292,6 +292,36 @@ TEST(ServeWireTest, NestedUnknownFieldAndKindTyposRejected) {
       << kind.error().message;
 }
 
+TEST(ServeWireTest, CountFieldsRejectNonIntegralAndOutOfRangeValues) {
+  auto line = [](const std::string& section, const std::string& field, const std::string& value) {
+    return R"({"proto":"clara-serve/1","id":"x","kind":"analyze",")" + section + R"(":{")" + field +
+           R"(":)" + value + "}}";
+  };
+  // Buckets live in 16 bits of a class key, so 65537 would alias; a
+  // negative, zero, fractional or non-numeric count has no meaning.
+  for (const std::string value : {"-1", "0", "65537", "2.5", "1e300", "\"8\"", "true"}) {
+    auto parsed = Request::from_json(line("predict", "payload_buckets", value));
+    ASSERT_FALSE(parsed.ok()) << "payload_buckets=" << value;
+    EXPECT_EQ(parsed.error().code, ErrorCode::kParse) << "payload_buckets=" << value;
+    EXPECT_NE(parsed.error().message.find("predict.payload_buckets"), std::string::npos)
+        << parsed.error().message;
+  }
+  for (const std::string value : {"-1", "0.5", "1e300", "\"5\""}) {
+    auto parsed = Request::from_json(line("map", "max_ilp_nodes", value));
+    ASSERT_FALSE(parsed.ok()) << "max_ilp_nodes=" << value;
+    EXPECT_EQ(parsed.error().code, ErrorCode::kParse) << "max_ilp_nodes=" << value;
+    EXPECT_NE(parsed.error().message.find("map.max_ilp_nodes"), std::string::npos) << parsed.error().message;
+  }
+  for (const auto& [value, expected] : {std::pair{"1", 1u}, std::pair{"65536", 65536u}, std::pair{"3e1", 30u}}) {
+    auto parsed = Request::from_json(line("predict", "payload_buckets", value));
+    ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+    EXPECT_EQ(parsed.value().options.predict.payload_buckets, expected);
+  }
+  auto zero_nodes = Request::from_json(line("map", "max_ilp_nodes", "0"));
+  ASSERT_TRUE(zero_nodes.ok()) << zero_nodes.error().message;
+  EXPECT_EQ(zero_nodes.value().options.map.max_ilp_nodes, 0u);
+}
+
 TEST(ServeWireTest, ForeignProtocolRejected) {
   auto parsed = Request::from_json(R"({"proto":"clara-serve/2","id":"x","kind":"analyze"})");
   ASSERT_FALSE(parsed.ok());
@@ -385,6 +415,29 @@ TEST(ServeServiceTest, WarmCacheAnswersWithoutTraceGeneration) {
     EXPECT_EQ(hits.value() - hits_before, summaries) << what;
     EXPECT_EQ(misses.value(), misses_before) << what << " generated a trace";
     EXPECT_EQ(warm.to_json(), cold.to_json()) << what;
+  }
+}
+
+TEST(ServeServiceTest, ValidateGeneratesItsTraceOnce) {
+  CacheGuard cache;
+  Service service(ServiceOptions{0});
+  auto& traces = obs::metrics().counter("workload/traces_generated");
+  const Request validate = every_kind()[3];
+  Request uncached = validate;
+  uncached.options.use_cache = false;
+
+  // Cold: the summary miss generates the trace, and the simulator replays
+  // that same trace. Warm: the summary hits, so the packets are generated
+  // once for the simulator. Cache off: the one trace serves both.
+  std::string reference;
+  for (const auto& [what, request] : {std::pair{"cold", validate}, std::pair{"warm", validate},
+                                      std::pair{"cache off", uncached}}) {
+    const std::uint64_t before = traces.value();
+    const Response response = service.handle(request);
+    ASSERT_TRUE(response.ok) << what << ": " << response.error;
+    EXPECT_EQ(traces.value() - before, 1u) << what;
+    if (reference.empty()) reference = response.to_json();
+    EXPECT_EQ(response.to_json(), reference) << what;
   }
 }
 
@@ -786,6 +839,17 @@ TEST(ServeWireFuzzTest, MutatedWireCorpusNeverCrashes) {
     r.fault_plan = "fail-unit csum\n";
     corpus.push_back(r.to_json());
   }
+  {
+    Request r = small_analyze();
+    r.id = "fuzz-counts";
+    r.options.predict.payload_buckets = 65536;
+    r.options.map.max_ilp_nodes = 0;
+    corpus.push_back(r.to_json());
+  }
+  // Out-of-range counts, so mutations land next to a rejected value.
+  corpus.push_back(
+      R"({"proto":"clara-serve/1","id":"fuzz-bad-counts","kind":"analyze",)"
+      R"("map":{"max_ilp_nodes":-1},"predict":{"payload_buckets":65537}})");
   {
     Response response = core::error_response(small_analyze(), ErrorCode::kOverloaded, "busy");
     response.retry_after_ms = 5.0;
