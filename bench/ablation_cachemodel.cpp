@@ -29,11 +29,8 @@ int main() {
     const auto a = analyze_or_die(analyzer, nat, trace, with);
     const auto b = analyze_or_die(analyzer, nat, trace, without);
 
-    nicsim::NicSim sim;
-    auto& table =
-        sim.create_table("flow_table", 131072, 64, level_of(analyzer.profile(), a.mapping.state_region[0]));
-    nf::NatProgram ported(table, true);
-    const auto stats = sim.run(ported, trace);
+    const auto levels = nf::mapped_levels(analyzer.profile(), a.mapping.state_region);
+    const auto stats = nf::simulate("nat", nat, levels, trace).value();
 
     TextTable out({"predictor", "predicted (cyc)", "actual (cyc)", "error"});
     out.add_row({"cache model ON", fmt(a.prediction.mean_latency_cycles), fmt(stats.mean_latency()),
@@ -53,9 +50,7 @@ int main() {
     const auto a = analyze_or_die(analyzer, dpi, trace, with);
     const auto b = analyze_or_die(analyzer, dpi, trace, without);
 
-    nicsim::NicSim sim;
-    nf::DpiProgram ported;
-    const auto stats = sim.run(ported, trace);
+    const auto stats = nf::simulate("dpi", trace).value();
 
     TextTable out({"predictor", "predicted (cyc)", "actual (cyc)", "error"});
     out.add_row({"pattern matching ON", fmt(a.prediction.mean_latency_cycles), fmt(stats.mean_latency()),

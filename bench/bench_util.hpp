@@ -13,6 +13,7 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/clara.hpp"
+#include "nf/corpus.hpp"
 #include "nf/nf_cir.hpp"
 #include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
@@ -27,16 +28,6 @@ inline workload::Trace make_trace(const std::string& spec) {
     std::exit(1);
   }
   return workload::generate_trace(profile.value());
-}
-
-inline nicsim::MemLevel level_of(const lnic::NicProfile& profile, NodeId region) {
-  switch (profile.graph.node(region).memory()->kind) {
-    case lnic::MemKind::kLocal: return nicsim::MemLevel::kLocal;
-    case lnic::MemKind::kCtm: return nicsim::MemLevel::kCtm;
-    case lnic::MemKind::kImem: return nicsim::MemLevel::kImem;
-    case lnic::MemKind::kEmem: return nicsim::MemLevel::kEmem;
-  }
-  return nicsim::MemLevel::kEmem;
 }
 
 inline core::Analysis analyze_or_die(const core::Analyzer& analyzer, const cir::Function& fn,

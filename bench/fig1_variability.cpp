@@ -18,19 +18,16 @@ struct Variant {
 void run_nat(std::vector<Variant>& out) {
   const auto trace = make_trace("tcp=0.8 flows=10000 payload=800 pps=60000 packets=20000");
   for (const bool accel : {true, false}) {
-    nicsim::NicSim sim;
-    auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-    nf::NatProgram program(table, accel);
-    out.push_back({"NAT", accel ? "csum-accel" : "csum-software", sim.run(program, trace).mean_latency()});
+    const auto stats = nf::simulate("nat", trace, {.csum_accel = accel}).value();
+    out.push_back({"NAT", accel ? "csum-accel" : "csum-software", stats.mean_latency()});
   }
 }
 
 void run_dpi(std::vector<Variant>& out) {
   for (const int payload : {200, 700, 1400}) {
     const auto trace = make_trace(strf("payload=%d pps=60000 packets=20000", payload));
-    nicsim::NicSim sim;
-    nf::DpiProgram program;
-    out.push_back({"DPI", strf("%dB-packets", payload), sim.run(program, trace).mean_latency()});
+    const auto stats = nf::simulate("dpi", trace).value();
+    out.push_back({"DPI", strf("%dB-packets", payload), stats.mean_latency()});
   }
 }
 
@@ -48,27 +45,25 @@ void run_fw(std::vector<Variant>& out) {
       {nicsim::MemLevel::kEmem, "zipf=1.1 flows=2000", "emem/skewed"},
       {nicsim::MemLevel::kEmem, "zipf=0.0 flows=200000", "emem/uniform"},
   };
+  const auto fw = nf::build_fw_nf({.conn_entries = 262144});  // 16 MiB worth of slots
   for (const auto& variant : kVariants) {
     const auto trace =
         make_trace(strf("tcp=1.0 %s payload=300 pps=60000 packets=30000", variant.dist));
-    nicsim::NicSim sim;
-    auto& conn = sim.create_table("conn", 262144, 64, variant.level);  // 16 MiB worth of slots
-    auto& rules = sim.create_table("rules", 1024, 32, nicsim::MemLevel::kCtm);
-    nf::FwProgram program(conn, rules);
-    out.push_back({"FW", variant.label, sim.run(program, trace).mean_latency()});
+    const nicsim::MemLevel levels[] = {variant.level, nicsim::MemLevel::kCtm};
+    out.push_back({"FW", variant.label, nf::simulate("firewall", fw, levels, trace).value().mean_latency()});
   }
 }
 
 void run_lpm(std::vector<Variant>& out) {
   // Rule-count x flow-cache variants.
   const auto trace = make_trace("flows=3000 zipf=1.2 payload=300 pps=60000 packets=20000");
+  const nf::NfEntry& lpm = *nf::find_nf("lpm");
   for (const std::uint64_t rules : {1000ull, 2000ull}) {
     for (const bool fc : {true, false}) {
-      nicsim::NicSim sim;
-      auto& lpm = sim.create_lpm("routes", rules, 4096);
-      nf::LpmProgram program(lpm, fc);
+      const auto routes = nf::build_lpm_nf({.rules = rules});
+      const auto stats = nf::simulate(lpm.name, routes, lpm.placement, trace, {.flow_cache = fc}).value();
       out.push_back({"LPM", strf("%llu-rules/%s", (unsigned long long)rules, fc ? "flow-cache" : "no-cache"),
-                     sim.run(program, trace).mean_latency()});
+                     stats.mean_latency()});
     }
   }
 }
@@ -77,13 +72,13 @@ void run_hh(std::vector<Variant>& out) {
   // Varying packet rates (the paper's HH variants). With 224 hardware
   // threads the device only shows rate sensitivity near its limits, so
   // the sweep approaches the ingress-hub service bound.
+  const auto hh = nf::build_hh_nf({.counters = 1 << 20});
+  const nicsim::MemLevel emem[] = {nicsim::MemLevel::kEmem};
   for (const double pps : {60e3, 16e6, 19.5e6}) {
     const auto trace =
         make_trace(strf("flows=200000 zipf=0.3 payload=300 pps=%.0f packets=40000 arrivals=poisson", pps));
-    nicsim::NicSim sim;
-    auto& counters = sim.create_table("counters", 1 << 20, 32, nicsim::MemLevel::kEmem);
-    nf::HhProgram program(counters);
-    out.push_back({"HH", strf("%.0fkpps", pps / 1000.0), sim.run(program, trace).mean_latency()});
+    const auto stats = nf::simulate("heavy-hitter", hh, emem, trace).value();
+    out.push_back({"HH", strf("%.0fkpps", pps / 1000.0), stats.mean_latency()});
   }
 }
 

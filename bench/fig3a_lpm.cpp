@@ -25,10 +25,8 @@ int main() {
     const auto nf_fn = nf::build_lpm_nf({.rules = entries, .use_flow_cache = false});
     const auto analysis = analyze_or_die(analyzer, nf_fn, trace);
 
-    nicsim::NicSim sim;
-    auto& lpm = sim.create_lpm("routes", entries, 0);
-    nf::LpmProgram ported(lpm, false);
-    const auto stats = sim.run(ported, trace);
+    const auto levels = nf::mapped_levels(analyzer.profile(), analysis.mapping.state_region);
+    const auto stats = nf::simulate("lpm", nf_fn, levels, trace, {.flow_cache = false}).value();
 
     const double predicted = analysis.prediction.mean_latency_cycles;
     const double actual = stats.mean_latency();

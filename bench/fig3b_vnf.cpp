@@ -22,13 +22,8 @@ int main() {
     const auto trace = make_trace(strf("tcp=0.8 flows=4000 payload=%d pps=60000 packets=20000", payload));
     const auto analysis = analyze_or_die(analyzer, vnf, trace);
 
-    nicsim::NicSim sim;
-    const auto& profile = analyzer.profile();
-    auto& meters = sim.create_table("meters", 4096, 32, level_of(profile, analysis.mapping.state_region[0]));
-    auto& stats_table =
-        sim.create_table("flow_stats", 16384, 32, level_of(profile, analysis.mapping.state_region[1]));
-    nf::VnfProgram ported(meters, stats_table);
-    const auto stats = sim.run(ported, trace);
+    const auto levels = nf::mapped_levels(analyzer.profile(), analysis.mapping.state_region);
+    const auto stats = nf::simulate("vnf-chain", vnf, levels, trace).value();
 
     const double predicted = analysis.prediction.mean_latency_cycles;
     const double actual = stats.mean_latency();

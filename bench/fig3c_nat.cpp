@@ -22,11 +22,8 @@ int main() {
     const auto trace = make_trace(strf("tcp=0.8 flows=10000 payload=%d pps=60000 packets=20000", payload));
     const auto analysis = analyze_or_die(analyzer, nat, trace);
 
-    nicsim::NicSim sim;
-    auto& table_hw =
-        sim.create_table("flow_table", 131072, 64, level_of(analyzer.profile(), analysis.mapping.state_region[0]));
-    nf::NatProgram ported(table_hw, /*use_csum_accel=*/true);
-    const auto stats = sim.run(ported, trace);
+    const auto levels = nf::mapped_levels(analyzer.profile(), analysis.mapping.state_region);
+    const auto stats = nf::simulate("nat", nat, levels, trace).value();
 
     const double predicted = analysis.prediction.mean_latency_cycles;
     const double actual = stats.mean_latency();

@@ -57,20 +57,13 @@ int main() {
   }
 
   // Simulator: solo runs, then a true co-resident run.
-  nicsim::NicSim solo_sim_nat;
-  auto& t1 = solo_sim_nat.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram nat_prog_solo(t1, true);
-  const auto sim_solo_nat = solo_sim_nat.run(nat_prog_solo, trace);
-
-  nicsim::NicSim solo_sim_dpi;
-  nf::DpiProgram dpi_prog_solo;
-  const auto sim_solo_dpi = solo_sim_dpi.run(dpi_prog_solo, trace);
+  const auto sim_solo_nat = nf::simulate("nat", trace).value();
+  const auto sim_solo_dpi = nf::simulate("dpi", trace).value();
 
   nicsim::NicSim co_sim;
-  auto& t2 = co_sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram nat_prog(t2, true);
+  const auto nat_port = nf::port("nat", nat, co_sim, nf::find_nf("nat")->placement).value();
   nf::DpiProgram dpi_prog;
-  MuxProgram mux(nat_prog, dpi_prog);
+  MuxProgram mux(*nat_port.program, dpi_prog);
   const auto sim_co = co_sim.run(mux, trace);
 
   // Split the co-resident run's per-packet latencies back out per NF.

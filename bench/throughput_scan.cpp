@@ -7,8 +7,7 @@
 // (offered load far above capacity) and compares the achieved rate
 // against the prediction.
 #include <chrono>
-#include <functional>
-#include <memory>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
@@ -26,26 +25,17 @@ int main() {
   core::analysis_cache().clear();  // defined cold start
   core::Analyzer analyzer(lnic::netronome_agilio_cx());
 
+  // Each NF floods its hand port at the corpus hand placement.
   struct Case {
     const char* name;
+    const char* nf;
     cir::Function fn;
-    std::function<std::unique_ptr<nicsim::NicProgram>(nicsim::NicSim&)> make;
   };
   std::vector<Case> cases;
-  cases.push_back({"rewrite", nf::build_rewrite_nf(), [](nicsim::NicSim&) {
-                     return std::make_unique<nf::RewriteProgram>();
-                   }});
-  cases.push_back({"dpi-1400B", nf::build_dpi_nf(), [](nicsim::NicSim&) {
-                     return std::make_unique<nf::DpiProgram>();
-                   }});
-  cases.push_back({"nat", nf::build_nat_nf(), [](nicsim::NicSim& sim) {
-                     auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-                     return std::make_unique<nf::NatProgram>(table, true);
-                   }});
-  cases.push_back({"heavy-hitter", nf::build_hh_nf(), [](nicsim::NicSim& sim) {
-                     auto& counters = sim.create_table("counters", 16384, 32, nicsim::MemLevel::kImem);
-                     return std::make_unique<nf::HhProgram>(counters);
-                   }});
+  for (const auto& [name, nf_name] : {std::pair{"rewrite", "rewrite"}, std::pair{"dpi-1400B", "dpi"},
+                                      std::pair{"nat", "nat"}, std::pair{"heavy-hitter", "heavy-hitter"}}) {
+    cases.push_back({name, nf_name, nf::find_nf(nf_name)->build()});
+  }
 
   // Each case is an independent shard: the analyze+flood pair runs
   // concurrently across cases via the sweep driver, with results written
@@ -70,9 +60,7 @@ int main() {
     const auto analysis = analyze_or_die(analyzer, c.fn, predict_trace, options);
 
     const auto flood = make_trace(strf("payload=%d pps=40000000 packets=40000 flows=5000", payload));
-    nicsim::NicSim sim;
-    auto program = c.make(sim);
-    const auto stats = sim.run(*program, flood);
+    const auto stats = nf::simulate(c.nf, flood).value();
 
     rows[point.index] = {fmt(analysis.prediction.throughput_pps), analysis.prediction.bottleneck,
                          fmt(stats.achieved_pps),

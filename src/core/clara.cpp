@@ -26,8 +26,7 @@ Error dump_on_failure(Error error) {
 /// What analyze() and repair() share before they map: the lowered NF,
 /// its dataflow graph, and the options the mapper runs under.
 struct Prefix {
-  Analysis analysis;  // the lowering results filled in
-  std::shared_ptr<const GraphEntry> graph;
+  Analysis analysis;            // the lowering results and graph filled in
   std::uint64_t graph_key = 0;  // 0 when the cache is bypassed
   mapping::MapOptions map;      // options.map, at the workload's offered rate
 };
@@ -90,17 +89,19 @@ Result<Prefix> lower_and_build_graph(const cir::Function& nf, const WorkloadSumm
   // hash (offline/derate state included) so a faulted profile never
   // aliases the healthy profile's entry.
   const passes::CostHints& hints = workload.hints;
+  std::shared_ptr<const GraphEntry> graph;
   if (use_cache) {
     prefix.graph_key = graph_key(lowered->lowered_hash, hash_hints(hints), profile_hash);
-    prefix.graph = cache.find_graph(prefix.graph_key);
+    graph = cache.find_graph(prefix.graph_key);
   }
-  if (!prefix.graph) {
+  if (!graph) {
     auto entry = std::make_shared<GraphEntry>();
     entry->lowered = lowered;  // keep-alive: the graph points into this fn
     entry->graph = passes::DataflowGraph::build(entry->lowered->fn, hints);
     if (use_cache) cache.insert_graph(prefix.graph_key, entry);
-    prefix.graph = std::move(entry);
+    graph = std::move(entry);
   }
+  prefix.analysis.graph = std::shared_ptr<const passes::DataflowGraph>(graph, &graph->graph);
 
   prefix.map = options.map;
   if (prefix.map.pps == mapping::MapOptions{}.pps && workload.profile.pps > 0.0) {
@@ -153,7 +154,7 @@ Result<Analysis> Analyzer::analyze(const cir::Function& nf, const WorkloadSummar
   auto prefix = lower_and_build_graph(nf, workload, profile_hash_, options, use_cache);
   if (!prefix) return prefix.error();
   Prefix& p = prefix.value();
-  const passes::DataflowGraph& graph = p.graph->graph;
+  const passes::DataflowGraph& graph = *p.analysis.graph;
   const passes::CostHints& hints = workload.hints;
 
   // Stage 3: the mapping solve — the expensive stage the cache exists
@@ -198,7 +199,7 @@ Result<Analysis> Analyzer::repair(const cir::Function& nf, const WorkloadSummary
   auto prefix = lower_and_build_graph(nf, workload, profile_hash_, options, use_cache);
   if (!prefix) return prefix.error();
   Prefix& p = prefix.value();
-  const passes::DataflowGraph& graph = p.graph->graph;
+  const passes::DataflowGraph& graph = *p.analysis.graph;
 
   // Incremental repair instead of a cold solve. The reduced model still
   // warm-starts from the model family's recorded basis when one exists.

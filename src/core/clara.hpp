@@ -84,6 +84,9 @@ struct AnalyzeOptions {
 struct Analysis {
   /// The NF after substitution and pattern collapse (what was mapped).
   cir::Function lowered;
+  /// The dataflow graph the mapping was solved and priced against,
+  /// shared with the analysis cache entry that owns it.
+  std::shared_ptr<const passes::DataflowGraph> graph;
   passes::SubstitutionReport substitution;
   passes::PatternReport patterns;
   passes::OptimizeReport optimizations;

@@ -53,7 +53,7 @@ constexpr const char* to_string(RequestKind kind) {
 }
 
 /// One analysis request. The NF comes either from the built-in corpus
-/// (`nf`, a serve::nf_registry name) or inline as CIR text (`nf_cir`);
+/// (`nf`, an nf::corpus name) or inline as CIR text (`nf_cir`);
 /// the workload either from a profile spec (`workload`) or a .cltr file
 /// path readable by the server (`trace_file`).
 struct Request {

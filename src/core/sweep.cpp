@@ -3,10 +3,8 @@
 #include <chrono>
 #include <thread>
 
-#include "cir/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/strings.hpp"
-#include "core/cache.hpp"
 #include "core/predict.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pool.hpp"
@@ -128,32 +126,7 @@ std::vector<LoadSweepPoint> predict_load_sweep(const Analyzer& analyzer, const A
                                                const std::vector<double>& loads_pps,
                                                const AnalyzeOptions& options, std::size_t jobs,
                                                SweepFailureSummary* failures) {
-  // The graph the mapping was priced against: rebuilt from the lowered
-  // function with the base workload's hints (mirrors analyze()). The
-  // graph cache is keyed on the lowered function's content, so when
-  // analyze() just ran this lookup is warm and the rebuild is skipped.
-  const passes::CostHints& hints = base.hints;
-  auto& cache = analysis_cache();
-  const bool use_cache = options.use_cache && cache.enabled();
-  std::uint64_t gkey = 0;
-  std::uint64_t fn_hash = 0;
-  std::shared_ptr<const GraphEntry> graph_entry;
-  if (use_cache) {
-    fn_hash = cir::hash_function(analysis.lowered);
-    gkey = graph_key(fn_hash, hash_hints(hints), analyzer.profile_hash());
-    graph_entry = cache.find_graph(gkey);
-  }
-  if (!graph_entry) {
-    auto entry = std::make_shared<GraphEntry>();
-    auto lowered = std::make_shared<LoweredEntry>();
-    lowered->fn = analysis.lowered;
-    lowered->lowered_hash = fn_hash;
-    entry->lowered = std::move(lowered);
-    entry->graph = passes::DataflowGraph::build(entry->lowered->fn, hints);
-    if (use_cache) cache.insert_graph(gkey, entry);
-    graph_entry = std::move(entry);
-  }
-  const passes::DataflowGraph& graph = graph_entry->graph;
+  const passes::DataflowGraph& graph = *analysis.graph;
   const mapping::Mapper mapper(analyzer.profile());
 
   std::vector<LoadSweepPoint> out(loads_pps.size());

@@ -104,8 +104,9 @@ Accumulator merge_stats(const std::vector<SweepResult>& results);
 /// analysis cache's summary stage (Analyzer::summarize). The mapping is
 /// NOT recomputed — the sweep answers "how does the predicted
 /// latency/throughput of *this* mapping move with load", the what-if
-/// question Clara exists for (paper §3.5). `base` is the workload the
-/// analysis was made against.
+/// question Clara exists for (paper §3.5), priced against Analysis::graph
+/// (so `analysis` comes from Analyzer::analyze or repair). `base` is the
+/// workload the analysis was made against.
 struct LoadSweepPoint {
   double pps = 0.0;
   std::uint64_t seed = 0;

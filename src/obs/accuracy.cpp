@@ -8,103 +8,14 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "core/sweep.hpp"
+#include "nf/corpus.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "obs/metrics.hpp"
 
 namespace clara::obs {
 
 namespace {
-
-/// Maps a mapped state region to the simulator's memory hierarchy; falls
-/// back to EMEM when the mapping has fewer regions than the ported
-/// program declares (degraded mappings after faults).
-nicsim::MemLevel placement_level(const core::Analyzer& analyzer, const mapping::Mapping& mapping,
-                                 std::size_t state_index) {
-  if (state_index >= mapping.state_region.size()) return nicsim::MemLevel::kEmem;
-  switch (analyzer.profile().graph.node(mapping.state_region[state_index]).memory()->kind) {
-    case lnic::MemKind::kLocal: return nicsim::MemLevel::kLocal;
-    case lnic::MemKind::kCtm: return nicsim::MemLevel::kCtm;
-    case lnic::MemKind::kImem: return nicsim::MemLevel::kImem;
-    case lnic::MemKind::kEmem: return nicsim::MemLevel::kEmem;
-  }
-  return nicsim::MemLevel::kEmem;
-}
-
-/// Builds the unported CIR for a scenario. Must stay in sync with
-/// make_program below — the pair is the predictor/simulator
-/// correspondence the ledger validates.
-Result<cir::Function, Error> make_function(const ValidationScenario& s) {
-  if (s.nf == "lpm") {
-    return nf::build_lpm_nf({.rules = s.lpm_rules, .use_flow_cache = s.lpm_flow_cache});
-  }
-  if (s.nf == "nat") return nf::build_nat_nf();
-  if (s.nf == "firewall") return nf::build_fw_nf();
-  if (s.nf == "dpi") return nf::build_dpi_nf();
-  if (s.nf == "heavy-hitter") return nf::build_hh_nf();
-  if (s.nf == "meter") return nf::build_meter_nf();
-  if (s.nf == "flow-stats") return nf::build_flowstats_nf();
-  if (s.nf == "rewrite") return nf::build_rewrite_nf();
-  if (s.nf == "vnf-chain") return nf::build_vnf_chain();
-  if (s.nf == "crypto-gw") return nf::build_crypto_gw_nf();
-  return make_error(strf("no validation recipe for NF '%s'", s.nf.c_str()));
-}
-
-/// Instantiates the hand-ported program with table placements aligned to
-/// the analysis mapping (state-object order matches the CIR builders).
-Result<std::unique_ptr<nicsim::NicProgram>, Error> make_program(
-    const core::Analyzer& analyzer, const ValidationScenario& s, const core::Analysis& analysis,
-    nicsim::NicSim& sim) {
-  const auto level = [&](std::size_t i) { return placement_level(analyzer, analysis.mapping, i); };
-  std::unique_ptr<nicsim::NicProgram> program;
-  if (s.nf == "lpm") {
-    // The ported baseline runs lookups on the match-action engine; the
-    // predictor only books cycles there when the ILP chose that binding.
-    // If the mapping kept the walk in software the pair is incomparable
-    // (there is no software-walk port), so fail loudly instead of
-    // silently attributing the mismatch as model error.
-    if (analysis.prediction.breakdown.cycles[static_cast<std::size_t>(Component::kLpmEngine)] <=
-        0.0) {
-      return make_error(
-          strf("mapping for '%s' keeps the LPM walk off the engine; no software port to "
-               "validate against",
-               s.name().c_str()));
-    }
-    auto& lpm = sim.create_lpm("routes", s.lpm_rules, s.lpm_flow_cache ? 4096 : 0);
-    program = std::make_unique<nf::LpmProgram>(lpm, s.lpm_flow_cache);
-  } else if (s.nf == "nat") {
-    auto& table = sim.create_table("flow_table", 131072, 64, level(0));
-    program = std::make_unique<nf::NatProgram>(table, true);
-  } else if (s.nf == "firewall") {
-    auto& conn = sim.create_table("conn_table", 16384, 64, level(0));
-    auto& rules = sim.create_table("rules", 1024, 32, level(1));
-    program = std::make_unique<nf::FwProgram>(conn, rules);
-  } else if (s.nf == "dpi") {
-    program = std::make_unique<nf::DpiProgram>();
-  } else if (s.nf == "heavy-hitter") {
-    auto& counters = sim.create_table("counters", 16384, 32, level(0));
-    program = std::make_unique<nf::HhProgram>(counters);
-  } else if (s.nf == "meter") {
-    auto& buckets = sim.create_table("buckets", 4096, 32, level(0));
-    program = std::make_unique<nf::MeterProgram>(buckets);
-  } else if (s.nf == "flow-stats") {
-    auto& stats = sim.create_table("flow_stats", 16384, 32, level(0));
-    program = std::make_unique<nf::FlowStatsProgram>(stats);
-  } else if (s.nf == "rewrite") {
-    program = std::make_unique<nf::RewriteProgram>();
-  } else if (s.nf == "vnf-chain") {
-    auto& meters = sim.create_table("meters", 4096, 32, level(0));
-    auto& stats = sim.create_table("flow_stats", 16384, 32, level(1));
-    program = std::make_unique<nf::VnfProgram>(meters, stats);
-  } else if (s.nf == "crypto-gw") {
-    auto& sa = sim.create_table("sa_table", 4096, 64, level(0));
-    program = std::make_unique<nf::CryptoGwProgram>(sa, true);
-  } else {
-    return make_error(strf("no ported implementation for NF '%s'", s.nf.c_str()));
-  }
-  return program;
-}
 
 /// Exact p95 over a small sample set (closest-rank; the per-NF scenario
 /// counts are single digits, so interpolation would overstate precision).
@@ -123,14 +34,41 @@ std::string json_number(double v) {
 
 }  // namespace
 
+Result<cir::Function, Error> scenario_function(const ValidationScenario& scenario) {
+  if (scenario.nf == "lpm") {
+    return nf::build_lpm_nf({.rules = scenario.lpm_rules, .use_flow_cache = scenario.lpm_flow_cache});
+  }
+  const nf::NfEntry* entry = nf::find_nf(scenario.nf);
+  if (entry == nullptr) return make_error(strf("no validation recipe for NF '%s'", scenario.nf.c_str()));
+  return entry->build();
+}
+
 Result<ScenarioResult, Error> validate_prediction(const core::Analyzer& analyzer,
                                                   const ValidationScenario& scenario,
                                                   const core::Analysis& analysis,
                                                   const workload::Trace& trace) {
   nicsim::NicSim sim;
-  auto program = make_program(analyzer, scenario, analysis, sim);
-  if (!program) return program.error();
-  const auto stats = sim.run(*program.value(), trace);
+  auto ported = nf::port(scenario.nf, analysis.lowered, sim,
+                         nf::mapped_levels(analyzer.profile(), analysis.mapping.state_region),
+                         {.flow_cache = scenario.lpm_flow_cache});
+  if (!ported) return ported.error();
+  // A port with an LPM table runs its lookups on the match-action engine;
+  // the predictor only books cycles there when the ILP chose that
+  // binding. If the mapping kept the walk in software the pair is
+  // incomparable (there is no software-walk port), so fail loudly instead
+  // of silently attributing the mismatch as model error.
+  const auto& tables = ported.value().tables;
+  const bool on_engine = std::any_of(tables.begin(), tables.end(), [](const nf::Table& table) {
+    return std::holds_alternative<const nicsim::LpmTable*>(table);
+  });
+  if (on_engine &&
+      analysis.prediction.breakdown.cycles[static_cast<std::size_t>(Component::kLpmEngine)] <= 0.0) {
+    return make_error(ErrorCode::kParse,
+                      strf("mapping for '%s' keeps the LPM walk off the engine; no software port to "
+                           "validate against",
+                           scenario.name().c_str()));
+  }
+  const auto stats = sim.run(*ported.value().program, trace);
   if (stats.packets == 0 || stats.mean_latency() <= 0.0) {
     return make_error(strf("simulator delivered no packets for '%s'", scenario.nf.c_str()));
   }
@@ -177,7 +115,7 @@ std::vector<ValidationScenario> AccuracyLedger::default_matrix() {
   std::vector<ValidationScenario> matrix;
   // §4 headline NFs over their figure sweep variables. LPM always ports
   // through the match-action engine with the flow cache (the plan the
-  // mapper selects — see make_program's engine guard); the sweep varies
+  // mapper selects — see validate_prediction's guard); the sweep varies
   // rule-table size plus one skewed-flow point that stresses the cache.
   for (const std::uint64_t rules : {5'000ull, 15'000ull, 30'000ull}) {
     matrix.push_back({"lpm", strf("rules=%llu", (unsigned long long)rules),
@@ -244,7 +182,7 @@ AccuracyReport AccuracyLedger::run(const std::vector<ValidationScenario>& matrix
     if (options_.max_packets > 0) wl.packets = std::min(wl.packets, options_.max_packets);
     const auto trace = workload::generate_trace(wl);
 
-    auto fn = make_function(scenario);
+    auto fn = scenario_function(scenario);
     if (!fn) {
       out.ok = false;
       out.error = slot.error = fn.error().message;

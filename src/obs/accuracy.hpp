@@ -30,15 +30,16 @@
 
 namespace clara::obs {
 
-/// One cell of the validation matrix: a registry NF, the knob setting
+/// One cell of the validation matrix: a corpus NF, the knob setting
 /// being swept ("rules=5000", "payload=800"), and its workload spec.
 struct ValidationScenario {
-  std::string nf;        // ported-NF registry name ("lpm", "nat", ...)
+  std::string nf;        // corpus name of a ported NF ("lpm", "nat", ...)
   std::string variant;   // human label for the swept knob
   std::string workload;  // workload spec; the ledger overrides the seed
-  /// LPM-only knobs (the Figure 3(a) sweep variable).
+  /// LPM-only knobs (the Figure 3(a) sweep variable); the defaults are
+  /// the corpus "lpm" entry's.
   std::uint64_t lpm_rules = 10'000;
-  bool lpm_flow_cache = false;
+  bool lpm_flow_cache = true;
 
   [[nodiscard]] std::string name() const { return nf + "/" + variant; }
 };
@@ -142,11 +143,15 @@ class AccuracyLedger {
   AccuracyOptions options_;
 };
 
-/// Ground truth for one already-analyzed registry NF: sets up the ported
-/// simulator program with table placements aligned to the analysis
-/// mapping, replays the trace, and returns the scenario result with
-/// per-component attribution. Errors on NFs without a hand-port
-/// (`clara analyze --validate` on --nf-file inputs).
+/// The unported CIR a scenario analyzes: the corpus build, with the LPM
+/// knobs applied to "lpm".
+Result<cir::Function, Error> scenario_function(const ValidationScenario& scenario);
+
+/// Ground truth for one already-analyzed corpus NF: replays the trace
+/// through the NF's hand port, its tables where the analysis mapped them,
+/// and returns the scenario result with per-component attribution. kParse
+/// when nf::port refuses, or when the port runs LPM lookups on the engine
+/// but the mapping kept the walk in software.
 Result<ScenarioResult, Error> validate_prediction(const core::Analyzer& analyzer,
                                                   const ValidationScenario& scenario,
                                                   const core::Analysis& analysis,

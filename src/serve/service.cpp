@@ -13,11 +13,11 @@
 #include "core/partial.hpp"
 #include "core/sweep.hpp"
 #include "fault/fault.hpp"
+#include "nf/corpus.hpp"
 #include "obs/accuracy.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/metrics.hpp"
 #include "passes/symexec.hpp"
-#include "serve/registry.hpp"
 #include "workload/trace_io.hpp"
 
 namespace clara::serve {
@@ -43,10 +43,12 @@ Result<cir::Function> resolve_nf(const Request& request) {
     }
     return std::move(mod.value().functions.front());
   }
-  const NfEntry* entry = find_nf(request.nf);
+  const nf::NfEntry* entry = nf::find_nf(request.nf);
   if (entry == nullptr) {
     std::string message = strf("unknown NF \"%s\"", request.nf.c_str());
-    const std::string suggestion = closest_match(request.nf, nf_names());
+    std::vector<std::string> names;
+    for (const auto& known : nf::corpus()) names.emplace_back(known.name);
+    const std::string suggestion = closest_match(request.nf, names);
     if (!suggestion.empty()) message += strf(" (did you mean \"%s\"?)", suggestion.c_str());
     return make_error(ErrorCode::kParse, std::move(message));
   }
@@ -120,7 +122,7 @@ void fill_analysis(Response& response, const Request& request, const core::Analy
     response.breakdown_text = obs::render_breakdown(analysis.prediction.breakdown);
   }
   if (request.energy || request.partial) {
-    const auto graph = passes::DataflowGraph::build(analysis.lowered, workload.hints);
+    const passes::DataflowGraph& graph = *analysis.graph;
     const mapping::Mapper mapper(analyzer.profile());
     if (request.energy) {
       const auto energy =
@@ -249,16 +251,6 @@ Response handle_validate(const Request& request, const core::Analyzer& analyzer,
   scenario.nf = request.nf.empty() ? fn.name : request.nf;
   scenario.variant = "serve";
   scenario.workload = workload.profile.serialize();
-  // The corpus lpm variants carry their knobs in the name; mirror them
-  // so the ported simulator program matches what resolve_nf built.
-  if (scenario.nf == "lpm") {
-    scenario.lpm_rules = 10'000;
-    scenario.lpm_flow_cache = true;
-  } else if (scenario.nf == "lpm-nocache") {
-    scenario.nf = "lpm";
-    scenario.lpm_rules = 10'000;
-    scenario.lpm_flow_cache = false;
-  }
   auto validated = obs::validate_prediction(analyzer, scenario, analysis.value(), trace);
   if (!validated) {
     return core::error_response(request, validated.error().code, validated.error().message);

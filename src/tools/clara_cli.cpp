@@ -50,13 +50,12 @@
 #include "fault/fault.hpp"
 #include "frontend/p4lite.hpp"
 #include "microbench/microbench.hpp"
-#include "nf/nf_ported.hpp"
+#include "nf/corpus.hpp"
 #include "nicsim/sim.hpp"
 #include "passes/api_subst.hpp"
 #include "passes/patterns.hpp"
 #include "serve/client.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/registry.hpp"
 #include "serve/service.hpp"
 #include "workload/analysis.hpp"
 #include "workload/trace_io.hpp"
@@ -184,12 +183,12 @@ bool install_fault_plan(const Args& args) {
   return true;
 }
 
-// --- Local NF loading (print / simulate / adversarial) -----------------------
+// --- Local NF loading (print / adversarial) -----------------------------------
 //
 // The analysis commands no longer load NFs in-process — they build a
 // core::Request and let the Service resolve the NF (the corpus itself
-// lives in serve::nf_registry, shared with the daemon). load_nf remains
-// for the commands that genuinely need a local cir::Function.
+// lives in nf::corpus, shared with the daemon). load_nf remains for the
+// commands that genuinely need a local cir::Function.
 
 std::optional<cir::Function> load_nf(const Args& args) {
   if (args.has("nf-p4")) {
@@ -231,7 +230,7 @@ std::optional<cir::Function> load_nf(const Args& args) {
     return mod.value().functions.front();
   }
   const std::string name = args.get("nf");
-  if (const serve::NfEntry* entry = serve::find_nf(name)) return entry->build();
+  if (const nf::NfEntry* entry = nf::find_nf(name)) return entry->build();
   std::fprintf(stderr, "unknown NF '%s' (try: clara list-nfs)\n", name.c_str());
   return std::nullopt;
 }
@@ -376,7 +375,7 @@ std::optional<core::Request> build_analyze_request(const Args& args) {
 
 int cmd_list_nfs() {
   TextTable table({"name", "description"});
-  for (const auto& entry : serve::nf_registry()) table.add_row({entry.name, entry.description});
+  for (const auto& entry : nf::corpus()) table.add_row({entry.name, entry.description});
   std::printf("%s", table.render().c_str());
   return 0;
 }
@@ -553,39 +552,13 @@ int cmd_simulate(const Args& args) {
   auto trace = load_trace(args);
   if (!trace) return 1;
   const std::string name = args.get("nf");
-
-  nicsim::NicSim sim;
-  std::unique_ptr<nicsim::NicProgram> program;
-  if (name == "nat") {
-    auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-    program = std::make_unique<nf::NatProgram>(table, !args.has("csum-sw"));
-  } else if (name == "lpm") {
-    auto& lpm = sim.create_lpm("routes", 10000, 4096);
-    program = std::make_unique<nf::LpmProgram>(lpm, !args.has("no-flow-cache"));
-  } else if (name == "firewall") {
-    auto& conn = sim.create_table("conn_table", 16384, 64, nicsim::MemLevel::kImem);
-    auto& rules = sim.create_table("rules", 1024, 32, nicsim::MemLevel::kCtm);
-    program = std::make_unique<nf::FwProgram>(conn, rules);
-  } else if (name == "dpi") {
-    program = std::make_unique<nf::DpiProgram>();
-  } else if (name == "heavy-hitter") {
-    auto& counters = sim.create_table("counters", 16384, 32, nicsim::MemLevel::kImem);
-    program = std::make_unique<nf::HhProgram>(counters);
-  } else if (name == "vnf-chain") {
-    auto& meters = sim.create_table("meters", 4096, 32, nicsim::MemLevel::kCtm);
-    auto& stats = sim.create_table("flow_stats", 16384, 32, nicsim::MemLevel::kImem);
-    program = std::make_unique<nf::VnfProgram>(meters, stats);
-  } else if (name == "crypto-gw") {
-    auto& sa = sim.create_table("sa_table", 4096, 64, nicsim::MemLevel::kCtm);
-    program = std::make_unique<nf::CryptoGwProgram>(sa, true);
-  } else if (name == "rewrite") {
-    program = std::make_unique<nf::RewriteProgram>();
-  } else {
-    std::fprintf(stderr, "no ported implementation for '%s'\n", name.c_str());
+  const auto simulated =
+      nf::simulate(name, *trace, {.csum_accel = !args.has("csum-sw"), .flow_cache = !args.has("no-flow-cache")});
+  if (!simulated) {
+    std::fprintf(stderr, "%s\n", simulated.error().message.c_str());
     return 1;
   }
-
-  const auto stats = sim.run(*program, *trace);
+  const nicsim::RunStats& stats = simulated.value();
   std::printf("simulated '%s': %llu packets, %llu drops\n", name.c_str(),
               (unsigned long long)stats.packets, (unsigned long long)stats.drops);
   std::printf("latency  : mean %.0f  p50 %.0f  p99 %.0f cycles\n", stats.mean_latency(),
@@ -748,11 +721,7 @@ int cmd_bench(const Args& args) {
       profile.pps = point.load_pps;
       profile.seed = point.seed;
       const auto trace = workload::generate_trace(profile);
-      nicsim::NicSim sim;
-      auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-      nf::NatProgram program(table, true);
-      const auto stats = sim.run(program, trace);
-      result.value = stats.mean_latency();
+      result.value = nf::simulate("nat", trace).value().mean_latency();
     };
     std::vector<double> loads;
     for (std::size_t i = 0; i < 8; ++i) loads.push_back(20'000.0 + 20'000.0 * static_cast<double>(i));

@@ -6,6 +6,7 @@
 #include "cir/interp.hpp"
 #include "cir/printer.hpp"
 #include "cir/verify.hpp"
+#include "nf/corpus.hpp"
 #include "nf/nf_cir.hpp"
 
 namespace clara::cir {
@@ -51,16 +52,6 @@ TEST(Builder, ProducesVerifiableFunction) {
   EXPECT_TRUE(verify(fn).ok());
   EXPECT_EQ(fn.blocks.size(), 1u);
   EXPECT_EQ(fn.num_regs, 1u);
-}
-
-TEST(Builder, AllNfBuildersVerify) {
-  for (const auto& fn :
-       {nf::build_lpm_nf(), nf::build_nat_nf(), nf::build_fw_nf(), nf::build_dpi_nf(), nf::build_hh_nf(),
-        nf::build_meter_nf(), nf::build_flowstats_nf(), nf::build_rewrite_nf(), nf::build_vnf_chain(),
-        nf::build_csum_loop_nf(), nf::build_rate_estimator_nf()}) {
-    const auto status = verify(fn);
-    EXPECT_TRUE(status.ok()) << fn.name << ": " << (status.ok() ? "" : status.error().message);
-  }
 }
 
 TEST(Builder, FindBlockAndState) {
@@ -251,29 +242,12 @@ TEST(VCalls, FrameworkMapping) {
 
 // --- Printer / parser round trip ------------------------------------------
 
-class RoundTripTest : public ::testing::TestWithParam<int> {
- protected:
-  static Function nf_by_index(int i) {
-    switch (i) {
-      case 0: return nf::build_lpm_nf();
-      case 1: return nf::build_nat_nf();
-      case 2: return nf::build_fw_nf();
-      case 3: return nf::build_dpi_nf();
-      case 4: return nf::build_hh_nf();
-      case 5: return nf::build_meter_nf();
-      case 6: return nf::build_flowstats_nf();
-      case 7: return nf::build_rewrite_nf();
-      case 8: return nf::build_vnf_chain();
-      case 9: return nf::build_csum_loop_nf();
-      default: return nf::build_rate_estimator_nf();
-    }
-  }
-};
+class RoundTripTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(RoundTripTest, PrintParsePrintIsStable) {
   Module mod;
   mod.name = "roundtrip";
-  mod.functions.push_back(nf_by_index(GetParam()));
+  mod.functions.push_back(nf::corpus()[GetParam()].build());
   const auto text1 = print_module(mod);
   const auto parsed = parse_module(text1);
   ASSERT_TRUE(parsed.ok()) << parsed.error().message << "\n" << text1;
@@ -282,7 +256,7 @@ TEST_P(RoundTripTest, PrintParsePrintIsStable) {
   EXPECT_EQ(text1, text2);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllNfs, RoundTripTest, ::testing::Range(0, 11));
+INSTANTIATE_TEST_SUITE_P(AllNfs, RoundTripTest, ::testing::Range<std::size_t>(0, nf::corpus().size()));
 
 TEST(Parser, RejectsMissingModuleHeader) {
   EXPECT_FALSE(parse_module("func f {\n block e:\n ret\n}\n").ok());

@@ -7,8 +7,8 @@
 #include "cir/builder.hpp"
 #include "common/strings.hpp"
 #include "core/clara.hpp"
+#include "nf/corpus.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "workload/tracegen.hpp"
 
@@ -19,14 +19,12 @@ workload::Trace make_trace(const std::string& spec) {
   return workload::generate_trace(workload::parse_profile(spec).value());
 }
 
-nicsim::MemLevel level_of(const lnic::NicProfile& profile, NodeId region) {
-  switch (profile.graph.node(region).memory()->kind) {
-    case lnic::MemKind::kLocal: return nicsim::MemLevel::kLocal;
-    case lnic::MemKind::kCtm: return nicsim::MemLevel::kCtm;
-    case lnic::MemKind::kImem: return nicsim::MemLevel::kImem;
-    case lnic::MemKind::kEmem: return nicsim::MemLevel::kEmem;
-  }
-  return nicsim::MemLevel::kEmem;
+/// Replays `trace` through corpus NF `nf`'s hand port of the analyzed
+/// function, its tables where the analysis mapped them.
+nicsim::RunStats simulate_mapped(const char* nf, const Analyzer& analyzer, const Analysis& analysis,
+                                 const workload::Trace& trace, const nf::PortTuning& tuning = {}) {
+  const auto levels = nf::mapped_levels(analyzer.profile(), analysis.mapping.state_region);
+  return nf::simulate(nf, analysis.lowered, levels, trace, tuning).value();
 }
 
 double relative_error(double predicted, double actual) {
@@ -39,11 +37,7 @@ TEST(Analyzer, NatAccuracy) {
   const auto analysis = clara_tool.analyze(nf::build_nat_nf(), trace);
   ASSERT_TRUE(analysis.ok()) << analysis.error().message;
 
-  nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64,
-                                 level_of(clara_tool.profile(), analysis.value().mapping.state_region[0]));
-  nf::NatProgram ported(table, true);
-  const auto stats = sim.run(ported, trace);
+  const auto stats = simulate_mapped("nat", clara_tool, analysis.value(), trace);
 
   // Paper §4 reports 7% for NAT; hold ourselves to 15%.
   EXPECT_LT(relative_error(analysis.value().prediction.mean_latency_cycles, stats.mean_latency()), 0.15);
@@ -57,10 +51,7 @@ TEST(Analyzer, LpmAccuracyAcrossTableSizes) {
         clara_tool.analyze(nf::build_lpm_nf({.rules = rules, .use_flow_cache = false}), trace);
     ASSERT_TRUE(analysis.ok()) << analysis.error().message;
 
-    nicsim::NicSim sim;
-    auto& lpm = sim.create_lpm("routes", rules, 0);
-    nf::LpmProgram ported(lpm, false);
-    const auto stats = sim.run(ported, trace);
+    const auto stats = simulate_mapped("lpm", clara_tool, analysis.value(), trace, {.flow_cache = false});
     // Paper reports 12% for LPM.
     EXPECT_LT(relative_error(analysis.value().prediction.mean_latency_cycles, stats.mean_latency()), 0.20)
         << rules << " rules: predicted " << analysis.value().prediction.mean_latency_cycles << " actual "
@@ -75,13 +66,7 @@ TEST(Analyzer, VnfAccuracyAcrossPayloads) {
     const auto analysis = clara_tool.analyze(nf::build_vnf_chain(), trace);
     ASSERT_TRUE(analysis.ok()) << analysis.error().message;
 
-    nicsim::NicSim sim;
-    const auto& profile = clara_tool.profile();
-    const auto& mapping = analysis.value().mapping;
-    auto& meters = sim.create_table("meters", 4096, 32, level_of(profile, mapping.state_region[0]));
-    auto& stats_table = sim.create_table("flow_stats", 16384, 32, level_of(profile, mapping.state_region[1]));
-    nf::VnfProgram ported(meters, stats_table);
-    const auto stats = sim.run(ported, trace);
+    const auto stats = simulate_mapped("vnf-chain", clara_tool, analysis.value(), trace);
     // Paper reports 3% for the VNF chain; scan-dominated, so generous 20%.
     EXPECT_LT(relative_error(analysis.value().prediction.mean_latency_cycles, stats.mean_latency()), 0.20)
         << payload << "B: predicted " << analysis.value().prediction.mean_latency_cycles << " actual "
@@ -301,10 +286,8 @@ TEST(Analyzer, EmptyTraceRejected) {
 TEST(Analyzer, AllNfsAnalyzeOnNetronome) {
   Analyzer clara_tool(lnic::netronome_agilio_cx());
   const auto trace = make_trace("payload=300 pps=60000 packets=3000");
-  for (const auto& fn :
-       {nf::build_lpm_nf(), nf::build_nat_nf(), nf::build_fw_nf(), nf::build_dpi_nf(), nf::build_hh_nf(),
-        nf::build_meter_nf(), nf::build_flowstats_nf(), nf::build_rewrite_nf(), nf::build_vnf_chain(),
-        nf::build_csum_loop_nf(), nf::build_rate_estimator_nf()}) {
+  for (const auto& entry : nf::corpus()) {
+    const auto fn = entry.build();
     const auto analysis = clara_tool.analyze(fn, trace);
     EXPECT_TRUE(analysis.ok()) << fn.name << ": " << (analysis.ok() ? "" : analysis.error().message);
     if (analysis.ok()) {

@@ -6,8 +6,8 @@
 #include "core/clara.hpp"
 #include "core/energy.hpp"
 #include "core/partial.hpp"
+#include "nf/corpus.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "passes/api_subst.hpp"
 #include "passes/dataflow.hpp"
@@ -92,10 +92,7 @@ TEST(Energy, DpiCostsMoreThanRewrite) {
 }
 
 TEST(Energy, SimulatorMeasuresEnergy) {
-  nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram program(table, true);
-  const auto stats = sim.run(program, make_trace("payload=300 pps=60000 packets=5000"));
+  const auto stats = nf::simulate("nat", make_trace("payload=300 pps=60000 packets=5000")).value();
   EXPECT_GT(stats.energy_nj_per_packet, 0.0);
   EXPECT_GT(stats.energy_watts, 15.0);
   EXPECT_LT(stats.energy_watts, 60.0);
@@ -107,10 +104,7 @@ TEST(Energy, PredictionTracksSimulatorWithinFactor) {
   Pipeline p(nf::build_nat_nf(), trace);
   const auto predicted = core::predict_energy(p.fn, p.graph, p.mapping, p.mapper, p.workload);
 
-  nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram program(table, true);
-  const auto stats = sim.run(program, trace);
+  const auto stats = nf::simulate("nat", trace).value();
 
   EXPECT_GT(predicted.nj_per_packet, stats.energy_nj_per_packet / 2.0);
   EXPECT_LT(predicted.nj_per_packet, stats.energy_nj_per_packet * 2.0);

@@ -31,8 +31,8 @@
 #include "frontend/p4lite.hpp"
 #include "lnic/profiles.hpp"
 #include "mapping/mapping.hpp"
+#include "nf/corpus.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "common/json.hpp"
 #include "nicsim/sim.hpp"
 #include "obs/metrics.hpp"
@@ -198,12 +198,7 @@ TEST(FaultPlanTest, FiringSiteDumpsFlightRecorder) {
 
 // --- simulator injection sites -----------------------------------------------
 
-nicsim::RunStats run_nat_sim(const workload::Trace& trace) {
-  nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram program(table, true);
-  return sim.run(program, trace);
-}
+nicsim::RunStats run_nat_sim(const workload::Trace& trace) { return nf::simulate("nat", trace).value(); }
 
 TEST(NicSimFaultTest, DropInjectionIsDeterministic) {
   const auto trace = test_trace();

@@ -3,6 +3,8 @@
 // profiles.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "cir/builder.hpp"
 #include "mapping/mapping.hpp"
 #include "nf/nf_cir.hpp"
@@ -22,14 +24,14 @@ cir::Function lowered(cir::Function fn, bool collapse = true) {
 }
 
 struct Prepared {
-  cir::Function fn;
+  std::unique_ptr<const cir::Function> fn;  // on the heap: the graph points into it
   DataflowGraph graph;
 };
 
 Prepared prepare(cir::Function raw, const CostHints& hints) {
-  Prepared* p = new Prepared{lowered(std::move(raw)), DataflowGraph{}};
-  p->graph = DataflowGraph::build(p->fn, hints);
-  return *p;  // intentionally leaked per-test; keeps fn alive for graph
+  auto fn = std::make_unique<const cir::Function>(lowered(std::move(raw)));
+  auto graph = DataflowGraph::build(*fn, hints);
+  return {std::move(fn), std::move(graph)};
 }
 
 TEST(Pools, NetronomePools) {
@@ -207,7 +209,7 @@ TEST(Mapper, IlpNeverWorseThanGreedy) {
     const auto greedy = mapper.map_greedy(prep.graph, hints);
     ASSERT_TRUE(ilp.ok()) << ilp.error().message;
     ASSERT_TRUE(greedy.ok()) << greedy.error().message;
-    EXPECT_LE(ilp.value().objective, greedy.value().objective + 1e-6) << prep.fn.name;
+    EXPECT_LE(ilp.value().objective, greedy.value().objective + 1e-6) << prep.fn->name;
   }
 }
 
@@ -272,7 +274,7 @@ TEST(Mapper, ReportMentionsBindings) {
   const auto prep = prepare(nf::build_nat_nf(), hints);
   const auto result = mapper.map(prep.graph, hints);
   ASSERT_TRUE(result.ok());
-  const auto report = describe_mapping(result.value(), prep.graph, mapper, prep.fn);
+  const auto report = describe_mapping(result.value(), prep.graph, mapper, *prep.fn);
   EXPECT_NE(report.find("flow_table"), std::string::npos);
   EXPECT_NE(report.find("checksum"), std::string::npos);
   EXPECT_NE(report.find("emem"), std::string::npos);

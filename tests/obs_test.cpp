@@ -15,8 +15,8 @@
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "core/clara.hpp"
+#include "nf/corpus.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/metrics.hpp"
@@ -290,10 +290,7 @@ TEST_F(TracerTest, PipelinePhasesAppearInTrace) {
   const auto analysis = analyzer.analyze(nf::build_nat_nf(), trace);
   ASSERT_TRUE(analysis.ok()) << analysis.error().message;
 
-  nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram ported(table, true);
-  (void)sim.run(ported, trace);
+  (void)nf::simulate("nat", trace);
 
   const std::string json = tracer().to_chrome_json();
   EXPECT_TRUE(balanced_json(json));
@@ -330,10 +327,7 @@ TEST_F(TracerTest, ThreadsGetDistinctIds) {
 
 TEST(Breakdown, SimulatedComponentsSumToLatency) {
   const auto trace = make_trace("tcp=0.8 flows=2000 payload=300 pps=60000 packets=10000");
-  nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram ported(table, true);
-  const auto stats = sim.run(ported, trace);
+  const auto stats = nf::simulate("nat", trace).value();
 
   ASSERT_GT(stats.packets, 0u);
   EXPECT_EQ(stats.breakdown.packets(), stats.packets);

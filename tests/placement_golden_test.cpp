@@ -26,11 +26,11 @@
 #include "common/strings.hpp"
 #include "lnic/profiles.hpp"
 #include "mapping/mapping.hpp"
+#include "nf/corpus.hpp"
 #include "passes/api_subst.hpp"
 #include "passes/dataflow.hpp"
 #include "passes/optimize.hpp"
 #include "passes/patterns.hpp"
-#include "serve/registry.hpp"
 
 #ifndef CLARA_PLACEMENT_GOLDEN
 #define CLARA_PLACEMENT_GOLDEN "tests/data/placement_golden.txt"
@@ -43,7 +43,7 @@ using namespace clara;
 /// A corpus NF lowered like the Analyzer lowers it. Not movable: the
 /// graph points into `fn`.
 struct LoweredNf {
-  explicit LoweredNf(const serve::NfEntry& entry) : fn(entry.build()) {
+  explicit LoweredNf(const nf::NfEntry& entry) : fn(entry.build()) {
     passes::substitute_framework_apis(fn);
     passes::collapse_packet_loops(fn);
     passes::optimize(fn);
@@ -129,7 +129,7 @@ TEST(PlacementGoldenTest, ColdMapOnEveryNic) {
   const std::vector<lnic::NicProfile> nics = {lnic::netronome_agilio_cx(), lnic::soc_arm_nic(),
                                               lnic::pipeline_asic_nic()};
   std::size_t cases = 0;
-  for (const auto& entry : serve::nf_registry()) {
+  for (const auto& entry : nf::corpus()) {
     const LoweredNf nf(entry);
     for (const auto& nic : nics) {
       const mapping::Mapper mapper(nic);
@@ -153,7 +153,7 @@ TEST(PlacementGoldenTest, RepairOnNetronome) {
   const auto healthy_profile = lnic::netronome_agilio_cx();
   const mapping::Mapper healthy(healthy_profile);
   std::size_t cases = 0;
-  for (const auto& entry : serve::nf_registry()) {
+  for (const auto& entry : nf::corpus()) {
     const LoweredNf nf(entry);
     const auto previous = healthy.map(nf.graph, nf.hints);
     ASSERT_TRUE(previous.ok()) << entry.name << ": " << previous.error().message;

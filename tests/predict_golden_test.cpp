@@ -24,8 +24,8 @@
 #include "common/strings.hpp"
 #include "core/clara.hpp"
 #include "lnic/profiles.hpp"
+#include "nf/corpus.hpp"
 #include "obs/breakdown.hpp"
-#include "serve/registry.hpp"
 #include "workload/tracegen.hpp"
 
 #ifndef CLARA_PREDICT_GOLDEN
@@ -100,7 +100,7 @@ TEST(PredictGoldenTest, EveryNfOnEveryNicAndWorkload) {
           core::summarize(workload::generate_trace(profile.value()), nic, options.predict.payload_buckets);
       std::string tag = spec;
       for (char& c : tag) c = c == ' ' ? ',' : c;
-      for (const auto& entry : serve::nf_registry()) {
+      for (const auto& entry : nf::corpus()) {
         const std::string key = strf("%s %s %s", entry.name, nic.name.c_str(), tag.c_str());
         const std::string actual = key + " " + outcome(analyzer.analyze(entry.build(), summary, options));
         const auto it = golden().find(key);

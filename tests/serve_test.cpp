@@ -31,17 +31,18 @@
 #include <thread>
 #include <vector>
 
+#include "cir/printer.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "core/cache.hpp"
 #include "core/request.hpp"
 #include "fault/fault.hpp"
+#include "nf/nf_cir.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/registry.hpp"
 #include "serve/service.hpp"
 #include "workload/trace_io.hpp"
 #include "workload/tracegen.hpp"
@@ -329,22 +330,6 @@ TEST(ServeWireTest, ForeignProtocolRejected) {
   EXPECT_NE(parsed.error().message.find("clara-serve/1"), std::string::npos);
 }
 
-// --- registry ----------------------------------------------------------------
-
-TEST(ServeRegistryTest, CorpusIsCompleteAndBuildable) {
-  const auto& registry = nf_registry();
-  ASSERT_GE(registry.size(), 13u);
-  std::set<std::string> names;
-  for (const auto& entry : registry) {
-    names.insert(entry.name);
-    const auto fn = entry.build();
-    EXPECT_FALSE(fn.name.empty()) << entry.name;
-  }
-  EXPECT_EQ(names.size(), registry.size()) << "duplicate NF names";
-  EXPECT_NE(find_nf("lpm"), nullptr);
-  EXPECT_EQ(find_nf("no-such-nf"), nullptr);
-}
-
 // --- service -----------------------------------------------------------------
 
 TEST(ServeServiceTest, AnalyzeIsByteIdenticalAcrossJobsLevels) {
@@ -551,6 +536,30 @@ TEST(ServeServiceTest, UnknownNfAndNicGetTypedErrors) {
   response = service.handle(nic);
   ASSERT_FALSE(response.ok);
   EXPECT_EQ(response.error_code, ErrorCode::kParse);
+}
+
+TEST(ServeServiceTest, ValidateWithoutAComparablePortIsAParseError) {
+  Service service(ServiceOptions{0});
+  // No hand port; a port on the match-action engine while the mapping
+  // keeps the LPM walk in software; and inline CIR named like a ported
+  // NF whose state that port cannot serve (an empty table, an extra one).
+  cir::Function empty = nf::build_meter_nf();
+  empty.state_objects[0].entries = 0;
+  cir::Function extra = nf::build_meter_nf();
+  extra.state_objects.push_back(extra.state_objects[0]);
+  std::vector<std::pair<Request, std::string>> cases = {{small_analyze("csum-loop"), "'csum-loop'"},
+                                                        {small_analyze("lpm-nocache"), "'lpm-nocache"}};
+  for (const auto& fn : {empty, extra}) {
+    cases.emplace_back(small_analyze(""), "'meter'");
+    cases.back().first.nf_cir = cir::print_module(cir::Module{fn.name, {fn}});
+  }
+  for (auto& [request, names] : cases) {
+    request.kind = RequestKind::kValidate;
+    const Response response = service.handle(request);
+    ASSERT_FALSE(response.ok) << names;
+    EXPECT_EQ(response.error_code, ErrorCode::kParse) << response.error;
+    EXPECT_NE(response.error.find(names), std::string::npos) << response.error;
+  }
 }
 
 TEST(ServeServiceTest, RepairAppliesUnitFaultsPerRequest) {

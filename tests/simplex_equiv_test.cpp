@@ -21,8 +21,7 @@
 #include "ilp/solver.hpp"
 #include "lnic/profiles.hpp"
 #include "mapping/mapping.hpp"
-#include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
+#include "nf/corpus.hpp"
 #include "nicsim/sim.hpp"
 #include "obs/accuracy.hpp"
 #include "passes/api_subst.hpp"
@@ -156,50 +155,15 @@ TEST(SimplexEquiv, ExampleMappingsBitIdenticalAcrossEngines) {
 
 // --- SoA vs scalar simulator -------------------------------------------------
 
-/// Instantiates the hand-ported program for a ledger scenario with fixed
-/// placements (EMEM primary, IMEM secondary) — placement doesn't matter
-/// for SoA-vs-scalar identity, only that both sims are configured the
-/// same way.
-std::unique_ptr<nicsim::NicProgram> make_scenario_program(const obs::ValidationScenario& s,
-                                                          nicsim::NicSim& sim) {
-  using nicsim::MemLevel;
-  if (s.nf == "lpm") {
-    auto& lpm = sim.create_lpm("routes", s.lpm_rules, s.lpm_flow_cache ? 4096 : 0);
-    return std::make_unique<nf::LpmProgram>(lpm, s.lpm_flow_cache);
-  }
-  if (s.nf == "nat") {
-    auto& table = sim.create_table("flow_table", 131072, 64, MemLevel::kEmem);
-    return std::make_unique<nf::NatProgram>(table, true);
-  }
-  if (s.nf == "firewall") {
-    auto& conn = sim.create_table("conn_table", 16384, 64, MemLevel::kEmem);
-    auto& rules = sim.create_table("rules", 1024, 32, MemLevel::kImem);
-    return std::make_unique<nf::FwProgram>(conn, rules);
-  }
-  if (s.nf == "dpi") return std::make_unique<nf::DpiProgram>();
-  if (s.nf == "heavy-hitter") {
-    auto& counters = sim.create_table("counters", 16384, 32, MemLevel::kEmem);
-    return std::make_unique<nf::HhProgram>(counters);
-  }
-  if (s.nf == "meter") {
-    auto& buckets = sim.create_table("buckets", 4096, 32, MemLevel::kEmem);
-    return std::make_unique<nf::MeterProgram>(buckets);
-  }
-  if (s.nf == "flow-stats") {
-    auto& stats = sim.create_table("flow_stats", 16384, 32, MemLevel::kEmem);
-    return std::make_unique<nf::FlowStatsProgram>(stats);
-  }
-  if (s.nf == "rewrite") return std::make_unique<nf::RewriteProgram>();
-  if (s.nf == "vnf-chain") {
-    auto& meters = sim.create_table("meters", 4096, 32, MemLevel::kEmem);
-    auto& stats = sim.create_table("flow_stats", 16384, 32, MemLevel::kImem);
-    return std::make_unique<nf::VnfProgram>(meters, stats);
-  }
-  if (s.nf == "crypto-gw") {
-    auto& sa = sim.create_table("sa_table", 4096, 64, MemLevel::kEmem);
-    return std::make_unique<nf::CryptoGwProgram>(sa, true);
-  }
-  return nullptr;
+/// The corpus hand port for a ledger scenario with fixed placements
+/// (EMEM primary, IMEM secondary) — placement doesn't matter for
+/// SoA-vs-scalar identity, only that both sims are configured the same
+/// way.
+Result<nf::Port> make_scenario_port(const obs::ValidationScenario& s, nicsim::NicSim& sim) {
+  auto fn = obs::scenario_function(s);
+  if (!fn) return fn.error();
+  constexpr nicsim::MemLevel kLevels[] = {nicsim::MemLevel::kEmem, nicsim::MemLevel::kImem};
+  return nf::port(s.nf, fn.value(), sim, kLevels, {.flow_cache = s.lpm_flow_cache});
 }
 
 void expect_identical_accumulators(const Accumulator& a, const Accumulator& b,
@@ -222,13 +186,13 @@ TEST(SoaEquiv, BatchedRunMatchesScalarOnLedgerScenarios) {
 
     nicsim::NicSim soa_sim;
     nicsim::NicSim scalar_sim;
-    auto soa_program = make_scenario_program(scenario, soa_sim);
-    auto scalar_program = make_scenario_program(scenario, scalar_sim);
-    ASSERT_NE(soa_program, nullptr) << scenario.name();
-    ASSERT_NE(scalar_program, nullptr) << scenario.name();
+    auto soa_port = make_scenario_port(scenario, soa_sim);
+    auto scalar_port = make_scenario_port(scenario, scalar_sim);
+    ASSERT_TRUE(soa_port.ok()) << scenario.name() << ": " << soa_port.error().message;
+    ASSERT_TRUE(scalar_port.ok()) << scenario.name() << ": " << scalar_port.error().message;
 
-    const auto batched = soa_sim.run(*soa_program, trace);
-    const auto scalar = scalar_sim.run_scalar(*scalar_program, trace);
+    const auto batched = soa_sim.run(*soa_port.value().program, trace);
+    const auto scalar = scalar_sim.run_scalar(*scalar_port.value().program, trace);
     const std::string label = scenario.name();
 
     EXPECT_EQ(batched.packets, scalar.packets) << label;
@@ -262,16 +226,17 @@ TEST(SoaEquiv, BatchedRunMatchesScalarAcrossRepeatedRunsOnOneSim) {
   ASSERT_TRUE(profile.ok());
   const auto trace = workload::generate_trace(profile.value());
 
+  const obs::ValidationScenario nat{"nat", "repeat", ""};
   nicsim::NicSim soa_sim;
   nicsim::NicSim scalar_sim;
-  auto& soa_table = soa_sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  auto& scalar_table = scalar_sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-  nf::NatProgram soa_program(soa_table, true);
-  nf::NatProgram scalar_program(scalar_table, true);
+  auto soa_port = make_scenario_port(nat, soa_sim);
+  auto scalar_port = make_scenario_port(nat, scalar_sim);
+  ASSERT_TRUE(soa_port.ok()) << soa_port.error().message;
+  ASSERT_TRUE(scalar_port.ok()) << scalar_port.error().message;
 
   for (int round = 0; round < 3; ++round) {
-    const auto batched = soa_sim.run(soa_program, trace);
-    const auto scalar = scalar_sim.run_scalar(scalar_program, trace);
+    const auto batched = soa_sim.run(*soa_port.value().program, trace);
+    const auto scalar = scalar_sim.run_scalar(*scalar_port.value().program, trace);
     const std::string label = "round " + std::to_string(round);
     EXPECT_EQ(batched.packets, scalar.packets) << label;
     EXPECT_EQ(batched.drops, scalar.drops) << label;

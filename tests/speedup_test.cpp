@@ -15,7 +15,7 @@
 #include "core/sweep.hpp"
 #include "ilp/instances.hpp"
 #include "ilp/solver.hpp"
-#include "nf/nf_ported.hpp"
+#include "nf/corpus.hpp"
 #include "nicsim/sim.hpp"
 #include "workload/tracegen.hpp"
 
@@ -101,10 +101,7 @@ TEST(Speedup, SweepReplayParallelBeatsSerial) {
     profile.pps = point.load_pps;
     profile.seed = point.seed;
     const auto trace = workload::generate_trace(profile);
-    nicsim::NicSim sim;
-    auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
-    nf::NatProgram program(table, true);
-    const auto stats = sim.run(program, trace);
+    const auto stats = nf::simulate("nat", trace).value();
     result.value = stats.mean_latency();
     result.stats.add(stats.mean_latency());
   };

@@ -5,8 +5,8 @@
 
 #include "common/strings.hpp"
 #include "core/clara.hpp"
+#include "nf/corpus.hpp"
 #include "nf/nf_cir.hpp"
-#include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
 #include "workload/tracegen.hpp"
 
@@ -17,16 +17,6 @@ workload::Trace make_trace(const std::string& spec) {
   return workload::generate_trace(workload::parse_profile(spec).value());
 }
 
-nicsim::MemLevel level_of(const lnic::NicProfile& profile, NodeId region) {
-  switch (profile.graph.node(region).memory()->kind) {
-    case lnic::MemKind::kLocal: return nicsim::MemLevel::kLocal;
-    case lnic::MemKind::kCtm: return nicsim::MemLevel::kCtm;
-    case lnic::MemKind::kImem: return nicsim::MemLevel::kImem;
-    case lnic::MemKind::kEmem: return nicsim::MemLevel::kEmem;
-  }
-  return nicsim::MemLevel::kEmem;
-}
-
 TEST(Validation, WorstCaseBoundsNatTail) {
   const auto trace = make_trace("tcp=0.8 flows=50000 zipf=0.2 payload=300:1400 pps=60000 packets=30000");
   core::Analyzer analyzer(lnic::netronome_agilio_cx());
@@ -35,11 +25,8 @@ TEST(Validation, WorstCaseBoundsNatTail) {
   const auto& pred = analysis.value().prediction;
   EXPECT_GT(pred.worst_case_cycles, pred.mean_latency_cycles);
 
-  nicsim::NicSim sim;
-  auto& table = sim.create_table("flow_table", 131072, 64,
-                                 level_of(analyzer.profile(), analysis.value().mapping.state_region[0]));
-  nf::NatProgram ported(table, true);
-  const auto stats = sim.run(ported, trace);
+  const auto levels = nf::mapped_levels(analyzer.profile(), analysis.value().mapping.state_region);
+  const auto stats = nf::simulate("nat", analysis.value().lowered, levels, trace).value();
   // The WCET-style bound must dominate the simulator's p99.
   EXPECT_GE(pred.worst_case_cycles, stats.p99_latency())
       << "worst-case " << pred.worst_case_cycles << " vs sim p99 " << stats.p99_latency();
@@ -54,10 +41,7 @@ TEST(Validation, WorstCaseBoundsLpmTail) {
       analyzer.analyze(nf::build_lpm_nf({.rules = 10000, .use_flow_cache = true}), trace);
   ASSERT_TRUE(analysis.ok());
 
-  nicsim::NicSim sim;
-  auto& lpm = sim.create_lpm("routes", 10000, 4096);
-  nf::LpmProgram ported(lpm, true);
-  const auto stats = sim.run(ported, trace);
+  const auto stats = nf::simulate("lpm", trace).value();
   // Worst case = flow-cache miss + deepest walk; must cover sim p99.
   EXPECT_GE(analysis.value().prediction.worst_case_cycles, stats.p99_latency());
 }
@@ -73,9 +57,7 @@ TEST(Validation, ThroughputPredictionMatchesSaturation) {
   const auto analysis = analyzer.analyze(nf::build_dpi_nf(), trace, options);
   ASSERT_TRUE(analysis.ok()) << analysis.error().message;
 
-  nicsim::NicSim sim;
-  nf::DpiProgram ported;
-  const auto stats = sim.run(ported, trace);
+  const auto stats = nf::simulate("dpi", trace).value();
   ASSERT_GT(stats.drops, 0u);  // genuinely saturated
   const double predicted = analysis.value().prediction.throughput_pps;
   EXPECT_GT(predicted, stats.achieved_pps / 2.0)
@@ -92,46 +74,14 @@ TEST_P(CorpusAccuracy, MeanLatencyWithin25Percent) {
   const auto trace = make_trace("tcp=0.8 flows=5000 payload=400 pps=60000 packets=15000");
   core::Analyzer analyzer(lnic::netronome_agilio_cx());
 
-  cir::Function fn;
-  std::unique_ptr<nicsim::NicProgram> program;
-  nicsim::NicSim sim;
-  switch (GetParam()) {
-    case 0: {
-      fn = nf::build_hh_nf();
-      auto& counters = sim.create_table("counters", 16384, 32, nicsim::MemLevel::kImem);
-      program = std::make_unique<nf::HhProgram>(counters);
-      break;
-    }
-    case 1: {
-      fn = nf::build_meter_nf();
-      auto& buckets = sim.create_table("buckets", 4096, 32, nicsim::MemLevel::kCtm);
-      program = std::make_unique<nf::MeterProgram>(buckets);
-      break;
-    }
-    case 2: {
-      fn = nf::build_flowstats_nf();
-      auto& stats_table = sim.create_table("stats", 16384, 32, nicsim::MemLevel::kImem);
-      program = std::make_unique<nf::FlowStatsProgram>(stats_table);
-      break;
-    }
-    case 3: {
-      fn = nf::build_rewrite_nf();
-      program = std::make_unique<nf::RewriteProgram>();
-      break;
-    }
-    default: {
-      fn = nf::build_dpi_nf();
-      program = std::make_unique<nf::DpiProgram>();
-      break;
-    }
-  }
+  // The hand placements (meter -> CTM, the rest -> IMEM) are where the
+  // ILP puts these NFs' small states on this profile.
+  const char* const kNfs[] = {"heavy-hitter", "meter", "flow-stats", "rewrite", "dpi"};
+  const auto fn = nf::find_nf(kNfs[GetParam()])->build();
 
   auto analysis = analyzer.analyze(fn, trace);
   ASSERT_TRUE(analysis.ok()) << fn.name << ": " << analysis.error().message;
-  // Align the simulator's table placements with Clara's mapping where
-  // the dedicated construction above guessed differently is unnecessary:
-  // these NFs' states are small enough that both sides use fast memory.
-  const auto stats = sim.run(*program, trace);
+  const auto stats = nf::simulate(kNfs[GetParam()], trace).value();
   const double err = std::abs(analysis.value().prediction.mean_latency_cycles - stats.mean_latency()) /
                      stats.mean_latency();
   EXPECT_LT(err, 0.25) << fn.name << ": predicted " << analysis.value().prediction.mean_latency_cycles
@@ -149,9 +99,7 @@ TEST_P(PayloadSweepAccuracy, DpiTracksPayload) {
   const auto analysis = analyzer.analyze(nf::build_dpi_nf(), trace);
   ASSERT_TRUE(analysis.ok());
 
-  nicsim::NicSim sim;
-  nf::DpiProgram ported;
-  const auto stats = sim.run(ported, trace);
+  const auto stats = nf::simulate("dpi", trace).value();
   const double err = std::abs(analysis.value().prediction.mean_latency_cycles - stats.mean_latency()) /
                      stats.mean_latency();
   EXPECT_LT(err, 0.15) << payload << "B";
