@@ -36,6 +36,7 @@
 #include "nicsim/sim.hpp"
 #include "passes/api_subst.hpp"
 #include "serve/loadgen.hpp"
+#include "serve/service.hpp"
 #include "workload/tracegen.hpp"
 
 namespace {
@@ -199,6 +200,26 @@ std::vector<MicroResult> run_micros() {
       volatile bool ok = core::predict(analysis.lowered, graph, analysis.mapping, mapper, *summary).ok();
       (void)ok;
     }, summary->classes.size()));
+  }
+  {
+    // The wire codec's share of a warm clarad request: each request of
+    // the `clara bench serve` mix and its warm response, both serialized
+    // and parsed back.
+    serve::Service service(serve::ServiceOptions{0});
+    const auto mix = serve::build_mix();
+    for (const auto& request : mix) (void)service.handle(request);
+    std::vector<core::Response> responses;
+    for (const auto& request : mix) responses.push_back(service.handle(request));
+    auto r = run_micro("wire_codec", [&] {
+      for (std::size_t k = 0; k < mix.size(); ++k) {
+        volatile bool ok = core::Request::from_json(mix[k].to_json()).ok() &&
+                           core::Response::from_json(responses[k].to_json()).ok();
+        (void)ok;
+      }
+    }, mix.size());
+    r.ns_per_iter /= static_cast<double>(mix.size());
+    std::printf("  %-28s %12.1f ns/request (%zu requests/iter)\n", "", r.ns_per_iter, mix.size());
+    out.push_back(r);
   }
   {
     nicsim::NicSim sim;

@@ -1,8 +1,11 @@
 #include "core/request.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <concepts>
+#include <cstring>
+#include <type_traits>
 
 #include "common/json.hpp"
 #include "common/strings.hpp"
@@ -11,482 +14,376 @@ namespace clara::core {
 
 namespace {
 
-/// Strict-object helper: every key must be known, and a near-miss gets
-/// a did-you-mean suggestion (the same closest_match the CLI uses for
-/// option typos).
-Status check_keys(const Json::Object& object, const std::vector<std::string>& known,
-                  const char* where) {
-  for (const auto& [key, value] : object) {
-    (void)value;
-    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
-    std::string message = strf("unknown field \"%s\" in %s", key.c_str(), where);
-    const std::string suggestion = closest_match(key, known);
-    if (!suggestion.empty()) message += strf(" (did you mean \"%s\"?)", suggestion.c_str());
-    return make_error(ErrorCode::kParse, std::move(message));
-  }
-  return {};
+// --- field lists -------------------------------------------------------------
+//
+// Each wire message is one list: `v(key, member, codec...)` names each
+// field once, in wire order. The member's type picks the codec (string,
+// bool, number, enum by its to_string name, nested object, array); a
+// tag picks the rest. Writer emits the lists and Reader parses them.
+
+/// A count: an integral JSON number in [lo, hi].
+struct Count {
+  double lo, hi;
+};
+/// Up to 2^53, where every integer is still a distinct double.
+constexpr Count kCount{0.0, 9007199254740992.0};
+/// A u64 as a string of decimal digits (a double loses it above 2^53).
+struct Decimal {};
+/// One PipelineStages flag, as a bool.
+struct Bit {
+  std::uint32_t flag;
+};
+/// A field every line must carry.
+struct Required {};
+
+/// `M` or `const M`: Writer visits const messages, Reader mutable ones.
+template <class T, class M>
+concept Is = std::same_as<std::remove_const_t<T>, M>;
+template <class T>
+concept Enum = std::is_enum_v<T>;
+template <class T>
+concept Struct = std::is_class_v<T>;
+
+void fields(auto& v, Is<PipelineStages> auto& stages) {
+  v("patterns", stages.mask, Bit{PipelineStages::kPatterns});
+  v("optimize", stages.mask, Bit{PipelineStages::kOptimize});
+  v("ilp", stages.mask, Bit{PipelineStages::kIlp});
 }
 
-/// An optional count field of `object`: absent keeps `fallback`;
-/// present, it must be an integral JSON number in [lo, hi], because a
-/// cast of a negative, fractional or huge double to std::size_t is
-/// undefined or silently wrong.
-Result<std::size_t> count_at(const Json& object, const char* key, std::size_t fallback, double lo,
-                             double hi, const char* where) {
-  const Json* member = object.get(key);
-  if (member == nullptr) return fallback;
-  const double value = member->as_double();
-  if (!member->is_number() || !(value >= lo && value <= hi) || value != std::floor(value)) {
-    return make_error(ErrorCode::kParse,
-                      strf("\"%s.%s\" must be an integer in [%.0f, %.0f]", where, key, lo, hi));
-  }
-  return static_cast<std::size_t>(value);
+/// warm_basis and ilp_algorithm are process-local and never serialize.
+void fields(auto& v, Is<mapping::MapOptions> auto& map) {
+  v("pps", map.pps);
+  v("ctm_state_fraction", map.ctm_state_fraction);
+  v("max_ilp_nodes", map.max_ilp_nodes, kCount);
+  v("time_budget_ms", map.time_budget_ms);
 }
 
-Status check_size(std::string_view text, const char* what) {
+void fields(auto& v, Is<PredictOptions> auto& predict) {
+  // A class key holds the bucket in its top 16 bits.
+  v("payload_buckets", predict.payload_buckets, Count{1.0, 65536.0});
+  v("model_emem_cache", predict.model_emem_cache);
+  v("model_queueing", predict.model_queueing);
+  v("nic_share", predict.nic_share);
+  v("foreign_cache_pressure_bytes", predict.foreign_cache_pressure_bytes);
+}
+
+void fields(auto& v, Is<Request> auto& r) {
+  v("proto", kServeProtocol);
+  v("id", r.id);
+  v("kind", r.kind, Required{});
+  v("nf", r.nf);
+  v("nf_cir", r.nf_cir);
+  v("nic", r.nic);
+  v("workload", r.workload);
+  v("trace_file", r.trace_file);
+  v("stages", r.options.stages);
+  v("fail_on_unknown_calls", r.options.fail_on_unknown_calls);
+  v("use_cache", r.options.use_cache);
+  v("map", r.options.map);
+  v("predict", r.options.predict);
+  v("sweep_pps", r.sweep_pps);
+  v("fault_plan", r.fault_plan);
+  v("energy", r.energy);
+  v("breakdown", r.breakdown);
+  v("partial", r.partial);
+  v("paths", r.paths);
+}
+
+void fields(auto& v, Is<ClassSummary> auto& c) {
+  v("name", c.name);
+  v("fraction", c.fraction);
+  v("latency_cycles", c.latency_cycles);
+}
+
+void fields(auto& v, Is<SweepPointSummary> auto& p) {
+  v("pps", p.pps);
+  v("seed", p.seed, Decimal{});
+  v("ok", p.ok);
+  v("error", p.error);
+  v("mean_latency_us", p.mean_latency_us);
+  v("worst_case_cycles", p.worst_case_cycles);
+  v("bottleneck", p.bottleneck);
+}
+
+void fields(auto& v, Is<Response> auto& r) {
+  v("proto", kServeProtocol);
+  v("id", r.id);
+  v("kind", r.kind, Required{});
+  v("ok", r.ok);
+  v("error_code", r.error_code);
+  v("error", r.error);
+  v("retry_after_ms", r.retry_after_ms);
+  v("nf_name", r.nf_name);
+  v("nic", r.nic);
+  v("workload", r.workload);
+  v("substituted", r.substituted, kCount);
+  v("patterns", r.patterns, kCount);
+  v("greedy_mapper", r.greedy_mapper);
+  v("degraded", r.degraded);
+  v("repaired", r.repaired);
+  v("repair_displaced", r.repair_displaced, kCount);
+  v("repair_pinned", r.repair_pinned, kCount);
+  v("mean_latency_cycles", r.mean_latency_cycles);
+  v("mean_latency_us", r.mean_latency_us);
+  v("worst_case_cycles", r.worst_case_cycles);
+  v("throughput_pps", r.throughput_pps);
+  v("bottleneck", r.bottleneck);
+  v("emem_cache_hit_rate", r.emem_cache_hit_rate);
+  v("flow_cache_hit_rate", r.flow_cache_hit_rate);
+  v("classes", r.classes);
+  v("report", r.report);
+  v("breakdown_text", r.breakdown_text);
+  v("partial_text", r.partial_text);
+  v("paths_text", r.paths_text);
+  v("energy_nj_per_packet", r.energy_nj_per_packet);
+  v("energy_watts", r.energy_watts);
+  v("energy_nj_per_packet_total", r.energy_nj_per_packet_total);
+  v("sweep", r.sweep);
+  v("predicted_cycles", r.predicted_cycles);
+  v("simulated_cycles", r.simulated_cycles);
+  v("rel_err", r.rel_err);
+  v("validation_text", r.validation_text);
+}
+
+// --- emission ----------------------------------------------------------------
+
+/// Emits every field of a list, always, in list order, with json_number's
+/// round-trip formatting, so serialize→parse→serialize is byte-identical.
+class Writer {
+ public:
+  static std::string line(const Struct auto& message) {
+    Writer writer;
+    writer.out_.reserve(1024);
+    writer.encode(message);
+    return std::move(writer.out_);
+  }
+
+  void operator()(const char* key, const auto& member, auto... codec) {
+    out_ += first_ ? "\"" : ",\"";
+    first_ = false;
+    out_ += key;
+    out_ += "\":";
+    encode(member, codec...);
+  }
+
+ private:
+  void encode(const char* constant) { out_ += json_quote(constant); }
+  void encode(const std::string& text) { out_ += json_quote(text); }
+  void encode(bool flag) { out_ += flag ? "true" : "false"; }
+  void encode(double number) { out_ += json_number(number); }
+  void encode(std::uint32_t mask, Bit bit) { encode((mask & bit.flag) != 0); }
+  void encode(std::uint64_t count, Count) { out_ += std::to_string(count); }
+  void encode(std::uint64_t number, Decimal) { out_ += '"' + std::to_string(number) + '"'; }
+  void encode(Enum auto value, Required = {}) { out_ += json_quote(to_string(value)); }
+  template <class T>
+  void encode(const std::vector<T>& items) {
+    out_ += '[';
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i != 0) out_ += ',';
+      encode(items[i]);
+    }
+    out_ += ']';
+  }
+  void encode(const Struct auto& message) {
+    out_ += '{';
+    first_ = true;
+    fields(*this, message);
+    out_ += '}';
+    first_ = false;
+  }
+
+  std::string out_;
+  bool first_ = true;
+};
+
+// --- parsing -----------------------------------------------------------------
+
+std::string did_you_mean(std::string message, const std::string& word,
+                         const std::vector<std::string>& candidates) {
+  const std::string suggestion = closest_match(word, candidates);
+  if (!suggestion.empty()) message += strf(" (did you mean \"%s\"?)", suggestion.c_str());
+  return message;
+}
+
+/// Parses one JSON value by its list, checking in a fixed order so a line
+/// with several faults always gets the same error: the proto, unknown keys,
+/// the kind, then the other fields in list order. A wrong JSON type or an
+/// out-of-range count is kParse naming the field's dotted path
+/// (`map.time_budget_ms`); an absent field keeps the struct's default.
+class Reader {
+ public:
+  /// `key` names the value: the message at the top, else its field.
+  Reader(const Json& json, const char* key, const Reader* parent = nullptr, int index = -1)
+      : json_(json), key_(key), parent_(parent), index_(index) {}
+
+  Status read(Struct auto& message) {
+    if (!json_.is_object()) fail(strf("\"%s\" must be an object", where().c_str()));
+    for (const Pass pass : {kProtocol, kRequired, kOptional}) {
+      if (!status_) break;
+      pass_ = pass;
+      row_ = 0;
+      fields(*this, message);
+      if (pass == kProtocol) reject_unknown(message);
+    }
+    return status_;
+  }
+
+  void operator()(const char* key, const char* constant) {
+    const Json* json = take(key, kProtocol);
+    if (pass_ != kProtocol || !status_) return;
+    const std::string value = json != nullptr ? json->as_string() : "";  // "" unless a string
+    if (value == constant) return;
+    fail(strf("%s %s \"%s\" unsupported (this server speaks %s)", where().c_str(), key,
+              value.c_str(), constant));
+  }
+  void operator()(const char* key, auto& member, Required) {
+    if (const Json* json = take(key, kRequired)) decode(key, *json, member);
+  }
+  void operator()(const char* key, auto& member, auto... codec) {
+    if (const Json* json = take(key, kOptional)) decode(key, *json, member, codec...);
+  }
+
+ private:
+  enum Pass { kProtocol, kRequired, kOptional };
+
+  /// Row `key`'s value when this pass decodes it, else nullptr. The first
+  /// pass looks every row up once and counts the keys it knows.
+  const Json* take(const char* key, Pass pass) {
+    const std::size_t row = row_++;
+    if (pass_ == kProtocol && found_.emplace_back(json_.get(key)) != nullptr) ++present_;
+    if (pass != pass_ || !status_) return nullptr;
+    if (found_[row] == nullptr && pass == kRequired) fail(strf("missing %s", path(key).c_str()));
+    return found_[row];
+  }
+
+  void reject_unknown(Struct auto& message) {
+    if (!status_ || present_ == json_.as_object().size()) return;
+    std::vector<std::string> names;
+    auto collect = [&names](const char* key, const auto&...) { names.emplace_back(key); };
+    fields(collect, message);
+    for (const auto& member : json_.as_object()) {
+      const std::string& key = member.first;
+      if (std::find(names.begin(), names.end(), key) != names.end()) continue;
+      return fail(did_you_mean(strf("unknown field \"%s\" in %s", key.c_str(), where().c_str()),
+                               key, names));
+    }
+  }
+
+  void decode(const char* key, const Json& json, std::string& text) {
+    if (!json.is_string()) return mistyped(key, "a string");
+    text = json.as_string();
+  }
+  void decode(const char* key, const Json& json, bool& flag) {
+    if (!json.is_bool()) return mistyped(key, "true or false");
+    flag = json.as_bool();
+  }
+  void decode(const char* key, const Json& json, double& number) {
+    if (!json.is_number()) return mistyped(key, "a number");
+    number = json.as_double();
+  }
+  void decode(const char* key, const Json& json, std::uint32_t& mask, Bit bit) {
+    if (!json.is_bool()) return mistyped(key, "true or false");
+    mask = json.as_bool() ? mask | bit.flag : mask & ~bit.flag;
+  }
+  template <std::unsigned_integral N>
+  void decode(const char* key, const Json& json, N& count, Count range) {
+    const double value = json.as_double();
+    if (!json.is_number() || !(value >= range.lo && value <= range.hi) ||
+        value != std::floor(value)) {
+      return mistyped(key, strf("an integer in [%.0f, %.0f]", range.lo, range.hi).c_str());
+    }
+    count = static_cast<N>(value);
+  }
+  void decode(const char* key, const Json& json, std::unsigned_integral auto& number, Decimal) {
+    const std::string& text = json.as_string();
+    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), number);
+    if (!json.is_string() || error != std::errc() || end != text.data() + text.size()) {
+      mistyped(key, "a string of decimal digits");
+    }
+  }
+  template <Enum E>
+  void decode(const char* key, const Json& json, E& value) {
+    if (!json.is_string()) return mistyped(key, "a string");
+    // to_string spells every enumerator and answers "?" past the last.
+    std::vector<std::string> names;
+    for (int i = 0; std::strcmp(to_string(static_cast<E>(i)), "?") != 0; ++i) {
+      if (json.as_string() == to_string(static_cast<E>(i))) {
+        value = static_cast<E>(i);
+        return;
+      }
+      names.emplace_back(to_string(static_cast<E>(i)));
+    }
+    fail(did_you_mean(strf("unknown %s \"%s\"", path(key).c_str(), json.as_string().c_str()),
+                      json.as_string(), names));
+  }
+  template <class T>
+  void decode(const char* key, const Json& json, std::vector<T>& items) {
+    if (!json.is_array()) return mistyped(key, "an array");
+    items.clear();
+    const Json::Array& array = json.as_array();
+    for (int i = 0; i < static_cast<int>(array.size()) && status_; ++i) {
+      if constexpr (std::is_class_v<T>) {
+        status_ = Reader(array[i], key, this, i).read(items.emplace_back());
+      } else {
+        decode(key, array[i], items.emplace_back());
+      }
+    }
+  }
+  void decode(const char* key, const Json& json, Struct auto& message) {
+    status_ = Reader(json, key, this).read(message);
+  }
+
+  /// The path of this value (`map`, `classes[0]`) or of its field `key`.
+  [[nodiscard]] std::string where() const {
+    if (parent_ == nullptr) return key_;
+    return parent_->path(key_) + (index_ < 0 ? "" : strf("[%d]", index_));
+  }
+  [[nodiscard]] std::string path(const char* key) const {
+    return parent_ == nullptr ? key : where() + '.' + key;
+  }
+  void mistyped(const char* key, const char* expected) {
+    fail(strf("\"%s\" must be %s", path(key).c_str(), expected));
+  }
+  void fail(std::string message) {
+    if (status_) status_ = make_error(ErrorCode::kParse, std::move(message));
+  }
+
+  const Json& json_;
+  const char* key_;
+  const Reader* parent_;
+  int index_;
+  Pass pass_ = kProtocol;
+  std::size_t row_ = 0;
+  std::size_t present_ = 0;
+  std::vector<const Json*> found_;
+  Status status_;
+};
+
+template <class M>
+Result<M> read_line(std::string_view text, const char* what) {
   if (text.size() > kMaxWireBytes) {
     return make_error(ErrorCode::kParse, strf("%s line too large (%zu bytes, limit %zu)", what,
                                               text.size(), kMaxWireBytes));
   }
-  return {};
+  auto parsed = Json::parse(text);
+  if (!parsed) return parsed.error();
+  M message;
+  if (auto status = Reader(parsed.value(), what).read(message); !status) return status.error();
+  return message;
 }
-
-Status check_proto(const Json& root, const char* what) {
-  if (!root.is_object()) {
-    return make_error(ErrorCode::kParse, strf("%s must be a JSON object", what));
-  }
-  const std::string proto = root.string_at("proto");
-  if (proto != kServeProtocol) {
-    return make_error(ErrorCode::kParse,
-                      strf("%s proto \"%s\" unsupported (this server speaks %s)", what,
-                           proto.c_str(), kServeProtocol));
-  }
-  return {};
-}
-
-Result<RequestKind> parse_kind(const Json& root) {
-  static const std::vector<std::string> kKinds = {"analyze", "sweep", "repair", "validate",
-                                                  "hello"};
-  const Json* kind = root.get("kind");
-  if (kind == nullptr || !kind->is_string()) {
-    return make_error(ErrorCode::kParse, "missing request kind (analyze|sweep|repair|validate)");
-  }
-  const std::string& name = kind->as_string();
-  if (name == "analyze") return RequestKind::kAnalyze;
-  if (name == "sweep") return RequestKind::kSweep;
-  if (name == "repair") return RequestKind::kRepair;
-  if (name == "validate") return RequestKind::kValidate;
-  if (name == "hello") return RequestKind::kHello;
-  std::string message = strf("unknown request kind \"%s\"", name.c_str());
-  const std::string suggestion = closest_match(name, kKinds);
-  if (!suggestion.empty()) message += strf(" (did you mean \"%s\"?)", suggestion.c_str());
-  return make_error(ErrorCode::kParse, std::move(message));
-}
-
-ErrorCode parse_error_code(const std::string& name) {
-  for (const ErrorCode code :
-       {ErrorCode::kUnspecified, ErrorCode::kParse, ErrorCode::kVerify, ErrorCode::kUnknownCall,
-        ErrorCode::kInfeasible, ErrorCode::kDeadline, ErrorCode::kInternal,
-        ErrorCode::kOverloaded}) {
-    if (name == to_string(code)) return code;
-  }
-  return ErrorCode::kUnspecified;
-}
-
-std::uint64_t parse_u64_string(const std::string& text) {
-  return std::strtoull(text.c_str(), nullptr, 10);
-}
-
-const char* bool_word(bool v) { return v ? "true" : "false"; }
 
 }  // namespace
 
-// --- Request -----------------------------------------------------------------
-
-std::string Request::to_json() const {
-  std::string out;
-  out.reserve(512);
-  out += "{\"proto\":";
-  out += json_quote(kServeProtocol);
-  out += ",\"id\":";
-  out += json_quote(id);
-  out += ",\"kind\":";
-  out += json_quote(to_string(kind));
-  out += ",\"nf\":";
-  out += json_quote(nf);
-  out += ",\"nf_cir\":";
-  out += json_quote(nf_cir);
-  out += ",\"nic\":";
-  out += json_quote(nic);
-  out += ",\"workload\":";
-  out += json_quote(workload);
-  out += ",\"trace_file\":";
-  out += json_quote(trace_file);
-  out += strf(",\"stages\":{\"patterns\":%s,\"optimize\":%s,\"ilp\":%s}",
-              bool_word(options.stages.patterns()), bool_word(options.stages.optimize()),
-              bool_word(options.stages.ilp()));
-  out += strf(",\"fail_on_unknown_calls\":%s", bool_word(options.fail_on_unknown_calls));
-  out += strf(",\"use_cache\":%s", bool_word(options.use_cache));
-  out += ",\"map\":{\"pps\":";
-  out += json_number(options.map.pps);
-  out += ",\"ctm_state_fraction\":";
-  out += json_number(options.map.ctm_state_fraction);
-  out += strf(",\"max_ilp_nodes\":%llu", (unsigned long long)options.map.max_ilp_nodes);
-  out += ",\"time_budget_ms\":";
-  out += json_number(options.map.time_budget_ms);
-  out += strf("},\"predict\":{\"payload_buckets\":%llu",
-              (unsigned long long)options.predict.payload_buckets);
-  out += strf(",\"model_emem_cache\":%s", bool_word(options.predict.model_emem_cache));
-  out += strf(",\"model_queueing\":%s", bool_word(options.predict.model_queueing));
-  out += ",\"nic_share\":";
-  out += json_number(options.predict.nic_share);
-  out += ",\"foreign_cache_pressure_bytes\":";
-  out += json_number(options.predict.foreign_cache_pressure_bytes);
-  out += "},\"sweep_pps\":[";
-  for (std::size_t i = 0; i < sweep_pps.size(); ++i) {
-    if (i != 0) out += ',';
-    out += json_number(sweep_pps[i]);
-  }
-  out += "],\"fault_plan\":";
-  out += json_quote(fault_plan);
-  out += strf(",\"energy\":%s", bool_word(energy));
-  out += strf(",\"breakdown\":%s", bool_word(breakdown));
-  out += strf(",\"partial\":%s", bool_word(partial));
-  out += strf(",\"paths\":%s}", bool_word(paths));
-  return out;
-}
+std::string Request::to_json() const { return Writer::line(*this); }
 
 Result<Request> Request::from_json(std::string_view text) {
-  if (auto status = check_size(text, "request"); !status) return status.error();
-  auto parsed = Json::parse(text);
-  if (!parsed) return parsed.error();
-  const Json& root = parsed.value();
-  if (auto status = check_proto(root, "request"); !status) return status.error();
-
-  static const std::vector<std::string> kTopKeys = {
-      "proto",     "id",       "kind",      "nf",         "nf_cir",
-      "nic",       "workload", "trace_file", "stages",    "fail_on_unknown_calls",
-      "use_cache", "map",      "predict",   "sweep_pps",  "fault_plan",
-      "energy",    "breakdown", "partial",  "paths"};
-  if (auto status = check_keys(root.as_object(), kTopKeys, "request"); !status) {
-    return status.error();
-  }
-
-  Request request;
-  request.id = root.string_at("id");
-  auto kind = parse_kind(root);
-  if (!kind) return kind.error();
-  request.kind = kind.value();
-  request.nf = root.string_at("nf");
-  request.nf_cir = root.string_at("nf_cir");
-  request.nic = root.string_at("nic", request.nic);
-  request.workload = root.string_at("workload");
-  request.trace_file = root.string_at("trace_file");
-
-  if (const Json* stages = root.get("stages"); stages != nullptr) {
-    if (!stages->is_object()) {
-      return make_error(ErrorCode::kParse, "\"stages\" must be an object");
-    }
-    static const std::vector<std::string> kStageKeys = {"patterns", "optimize", "ilp"};
-    if (auto status = check_keys(stages->as_object(), kStageKeys, "stages"); !status) {
-      return status.error();
-    }
-    request.options.stages.set(PipelineStages::kPatterns, stages->bool_at("patterns", true));
-    request.options.stages.set(PipelineStages::kOptimize, stages->bool_at("optimize", true));
-    request.options.stages.set(PipelineStages::kIlp, stages->bool_at("ilp", true));
-  }
-  request.options.fail_on_unknown_calls =
-      root.bool_at("fail_on_unknown_calls", request.options.fail_on_unknown_calls);
-  request.options.use_cache = root.bool_at("use_cache", request.options.use_cache);
-
-  if (const Json* map = root.get("map"); map != nullptr) {
-    if (!map->is_object()) return make_error(ErrorCode::kParse, "\"map\" must be an object");
-    static const std::vector<std::string> kMapKeys = {"pps", "ctm_state_fraction",
-                                                      "max_ilp_nodes", "time_budget_ms"};
-    if (auto status = check_keys(map->as_object(), kMapKeys, "map"); !status) {
-      return status.error();
-    }
-    request.options.map.pps = map->number_at("pps", request.options.map.pps);
-    request.options.map.ctm_state_fraction =
-        map->number_at("ctm_state_fraction", request.options.map.ctm_state_fraction);
-    // Up to 2^53, where every integer is still a distinct double.
-    auto max_ilp_nodes =
-        count_at(*map, "max_ilp_nodes", request.options.map.max_ilp_nodes, 0.0, 9007199254740992.0, "map");
-    if (!max_ilp_nodes) return max_ilp_nodes.error();
-    request.options.map.max_ilp_nodes = max_ilp_nodes.value();
-    request.options.map.time_budget_ms =
-        map->number_at("time_budget_ms", request.options.map.time_budget_ms);
-  }
-
-  if (const Json* predict = root.get("predict"); predict != nullptr) {
-    if (!predict->is_object()) {
-      return make_error(ErrorCode::kParse, "\"predict\" must be an object");
-    }
-    static const std::vector<std::string> kPredictKeys = {
-        "payload_buckets", "model_emem_cache", "model_queueing", "nic_share",
-        "foreign_cache_pressure_bytes"};
-    if (auto status = check_keys(predict->as_object(), kPredictKeys, "predict"); !status) {
-      return status.error();
-    }
-    // A class key holds the bucket in its top 16 bits.
-    auto buckets = count_at(*predict, "payload_buckets", request.options.predict.payload_buckets, 1.0,
-                            65536.0, "predict");
-    if (!buckets) return buckets.error();
-    request.options.predict.payload_buckets = buckets.value();
-    request.options.predict.model_emem_cache =
-        predict->bool_at("model_emem_cache", request.options.predict.model_emem_cache);
-    request.options.predict.model_queueing =
-        predict->bool_at("model_queueing", request.options.predict.model_queueing);
-    request.options.predict.nic_share =
-        predict->number_at("nic_share", request.options.predict.nic_share);
-    request.options.predict.foreign_cache_pressure_bytes = predict->number_at(
-        "foreign_cache_pressure_bytes", request.options.predict.foreign_cache_pressure_bytes);
-  }
-
-  if (const Json* loads = root.get("sweep_pps"); loads != nullptr) {
-    if (!loads->is_array()) {
-      return make_error(ErrorCode::kParse, "\"sweep_pps\" must be an array of numbers");
-    }
-    for (const Json& point : loads->as_array()) {
-      if (!point.is_number()) {
-        return make_error(ErrorCode::kParse, "\"sweep_pps\" must be an array of numbers");
-      }
-      request.sweep_pps.push_back(point.as_double());
-    }
-  }
-  request.fault_plan = root.string_at("fault_plan");
-  request.energy = root.bool_at("energy", false);
-  request.breakdown = root.bool_at("breakdown", false);
-  request.partial = root.bool_at("partial", false);
-  request.paths = root.bool_at("paths", false);
-  return request;
+  return read_line<Request>(text, "request");
 }
 
-// --- Response ----------------------------------------------------------------
-
-std::string Response::to_json() const {
-  std::string out;
-  out.reserve(1024);
-  out += "{\"proto\":";
-  out += json_quote(kServeProtocol);
-  out += ",\"id\":";
-  out += json_quote(id);
-  out += ",\"kind\":";
-  out += json_quote(to_string(kind));
-  out += strf(",\"ok\":%s", bool_word(ok));
-  out += ",\"error_code\":";
-  out += json_quote(to_string(error_code));
-  out += ",\"error\":";
-  out += json_quote(error);
-  out += ",\"retry_after_ms\":";
-  out += json_number(retry_after_ms);
-  out += ",\"nf_name\":";
-  out += json_quote(nf_name);
-  out += ",\"nic\":";
-  out += json_quote(nic);
-  out += ",\"workload\":";
-  out += json_quote(workload);
-  out += strf(",\"substituted\":%llu", (unsigned long long)substituted);
-  out += strf(",\"patterns\":%llu", (unsigned long long)patterns);
-  out += strf(",\"greedy_mapper\":%s", bool_word(greedy_mapper));
-  out += strf(",\"degraded\":%s", bool_word(degraded));
-  out += strf(",\"repaired\":%s", bool_word(repaired));
-  out += strf(",\"repair_displaced\":%llu", (unsigned long long)repair_displaced);
-  out += strf(",\"repair_pinned\":%llu", (unsigned long long)repair_pinned);
-  out += ",\"mean_latency_cycles\":";
-  out += json_number(mean_latency_cycles);
-  out += ",\"mean_latency_us\":";
-  out += json_number(mean_latency_us);
-  out += ",\"worst_case_cycles\":";
-  out += json_number(worst_case_cycles);
-  out += ",\"throughput_pps\":";
-  out += json_number(throughput_pps);
-  out += ",\"bottleneck\":";
-  out += json_quote(bottleneck);
-  out += ",\"emem_cache_hit_rate\":";
-  out += json_number(emem_cache_hit_rate);
-  out += ",\"flow_cache_hit_rate\":";
-  out += json_number(flow_cache_hit_rate);
-  out += ",\"classes\":[";
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    if (i != 0) out += ',';
-    out += "{\"name\":";
-    out += json_quote(classes[i].name);
-    out += ",\"fraction\":";
-    out += json_number(classes[i].fraction);
-    out += ",\"latency_cycles\":";
-    out += json_number(classes[i].latency_cycles);
-    out += '}';
-  }
-  out += "],\"report\":";
-  out += json_quote(report);
-  out += ",\"breakdown_text\":";
-  out += json_quote(breakdown_text);
-  out += ",\"partial_text\":";
-  out += json_quote(partial_text);
-  out += ",\"paths_text\":";
-  out += json_quote(paths_text);
-  out += ",\"energy_nj_per_packet\":";
-  out += json_number(energy_nj_per_packet);
-  out += ",\"energy_watts\":";
-  out += json_number(energy_watts);
-  out += ",\"energy_nj_per_packet_total\":";
-  out += json_number(energy_nj_per_packet_total);
-  out += ",\"sweep\":[";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPointSummary& point = sweep[i];
-    if (i != 0) out += ',';
-    out += "{\"pps\":";
-    out += json_number(point.pps);
-    out += strf(",\"seed\":\"%llu\"", (unsigned long long)point.seed);
-    out += strf(",\"ok\":%s", bool_word(point.ok));
-    out += ",\"error\":";
-    out += json_quote(point.error);
-    out += ",\"mean_latency_us\":";
-    out += json_number(point.mean_latency_us);
-    out += ",\"worst_case_cycles\":";
-    out += json_number(point.worst_case_cycles);
-    out += ",\"bottleneck\":";
-    out += json_quote(point.bottleneck);
-    out += '}';
-  }
-  out += "],\"predicted_cycles\":";
-  out += json_number(predicted_cycles);
-  out += ",\"simulated_cycles\":";
-  out += json_number(simulated_cycles);
-  out += ",\"rel_err\":";
-  out += json_number(rel_err);
-  out += ",\"validation_text\":";
-  out += json_quote(validation_text);
-  out += '}';
-  return out;
-}
+std::string Response::to_json() const { return Writer::line(*this); }
 
 Result<Response> Response::from_json(std::string_view text) {
-  if (auto status = check_size(text, "response"); !status) return status.error();
-  auto parsed = Json::parse(text);
-  if (!parsed) return parsed.error();
-  const Json& root = parsed.value();
-  if (auto status = check_proto(root, "response"); !status) return status.error();
-
-  static const std::vector<std::string> kTopKeys = {"proto",
-                                                    "id",
-                                                    "kind",
-                                                    "ok",
-                                                    "error_code",
-                                                    "error",
-                                                    "retry_after_ms",
-                                                    "nf_name",
-                                                    "nic",
-                                                    "workload",
-                                                    "substituted",
-                                                    "patterns",
-                                                    "greedy_mapper",
-                                                    "degraded",
-                                                    "repaired",
-                                                    "repair_displaced",
-                                                    "repair_pinned",
-                                                    "mean_latency_cycles",
-                                                    "mean_latency_us",
-                                                    "worst_case_cycles",
-                                                    "throughput_pps",
-                                                    "bottleneck",
-                                                    "emem_cache_hit_rate",
-                                                    "flow_cache_hit_rate",
-                                                    "classes",
-                                                    "report",
-                                                    "breakdown_text",
-                                                    "partial_text",
-                                                    "paths_text",
-                                                    "energy_nj_per_packet",
-                                                    "energy_watts",
-                                                    "energy_nj_per_packet_total",
-                                                    "sweep",
-                                                    "predicted_cycles",
-                                                    "simulated_cycles",
-                                                    "rel_err",
-                                                    "validation_text"};
-  if (auto status = check_keys(root.as_object(), kTopKeys, "response"); !status) {
-    return status.error();
-  }
-
-  Response response;
-  response.id = root.string_at("id");
-  auto kind = parse_kind(root);
-  if (!kind) return kind.error();
-  response.kind = kind.value();
-  response.ok = root.bool_at("ok", false);
-  response.error_code = parse_error_code(root.string_at("error_code"));
-  response.error = root.string_at("error");
-  response.retry_after_ms = root.number_at("retry_after_ms");
-  response.nf_name = root.string_at("nf_name");
-  response.nic = root.string_at("nic");
-  response.workload = root.string_at("workload");
-  response.substituted = static_cast<std::uint64_t>(root.number_at("substituted"));
-  response.patterns = static_cast<std::uint64_t>(root.number_at("patterns"));
-  response.greedy_mapper = root.bool_at("greedy_mapper", false);
-  response.degraded = root.bool_at("degraded", false);
-  response.repaired = root.bool_at("repaired", false);
-  response.repair_displaced = static_cast<std::uint64_t>(root.number_at("repair_displaced"));
-  response.repair_pinned = static_cast<std::uint64_t>(root.number_at("repair_pinned"));
-  response.mean_latency_cycles = root.number_at("mean_latency_cycles");
-  response.mean_latency_us = root.number_at("mean_latency_us");
-  response.worst_case_cycles = root.number_at("worst_case_cycles");
-  response.throughput_pps = root.number_at("throughput_pps");
-  response.bottleneck = root.string_at("bottleneck");
-  response.emem_cache_hit_rate = root.number_at("emem_cache_hit_rate");
-  response.flow_cache_hit_rate = root.number_at("flow_cache_hit_rate");
-
-  if (const Json* classes = root.get("classes"); classes != nullptr && classes->is_array()) {
-    static const std::vector<std::string> kClassKeys = {"name", "fraction", "latency_cycles"};
-    for (const Json& row : classes->as_array()) {
-      if (!row.is_object()) {
-        return make_error(ErrorCode::kParse, "\"classes\" rows must be objects");
-      }
-      if (auto status = check_keys(row.as_object(), kClassKeys, "classes"); !status) {
-        return status.error();
-      }
-      ClassSummary cls;
-      cls.name = row.string_at("name");
-      cls.fraction = row.number_at("fraction");
-      cls.latency_cycles = row.number_at("latency_cycles");
-      response.classes.push_back(std::move(cls));
-    }
-  }
-  response.report = root.string_at("report");
-  response.breakdown_text = root.string_at("breakdown_text");
-  response.partial_text = root.string_at("partial_text");
-  response.paths_text = root.string_at("paths_text");
-  response.energy_nj_per_packet = root.number_at("energy_nj_per_packet");
-  response.energy_watts = root.number_at("energy_watts");
-  response.energy_nj_per_packet_total = root.number_at("energy_nj_per_packet_total");
-
-  if (const Json* sweep = root.get("sweep"); sweep != nullptr && sweep->is_array()) {
-    static const std::vector<std::string> kSweepKeys = {
-        "pps", "seed", "ok", "error", "mean_latency_us", "worst_case_cycles", "bottleneck"};
-    for (const Json& row : sweep->as_array()) {
-      if (!row.is_object()) {
-        return make_error(ErrorCode::kParse, "\"sweep\" rows must be objects");
-      }
-      if (auto status = check_keys(row.as_object(), kSweepKeys, "sweep"); !status) {
-        return status.error();
-      }
-      SweepPointSummary point;
-      point.pps = row.number_at("pps");
-      point.seed = parse_u64_string(row.string_at("seed", "0"));
-      point.ok = row.bool_at("ok", false);
-      point.error = row.string_at("error");
-      point.mean_latency_us = row.number_at("mean_latency_us");
-      point.worst_case_cycles = row.number_at("worst_case_cycles");
-      point.bottleneck = row.string_at("bottleneck");
-      response.sweep.push_back(std::move(point));
-    }
-  }
-  response.predicted_cycles = root.number_at("predicted_cycles");
-  response.simulated_cycles = root.number_at("simulated_cycles");
-  response.rel_err = root.number_at("rel_err");
-  response.validation_text = root.string_at("validation_text");
-  return response;
+  return read_line<Response>(text, "response");
 }
 
 Response error_response(const Request& request, ErrorCode code, std::string message) {

@@ -85,7 +85,8 @@ struct Request {
   /// One JSON line (no trailing newline), fixed field order.
   [[nodiscard]] std::string to_json() const;
   /// Strict parse: unknown fields are a kParse error with a
-  /// did-you-mean suggestion; a missing/foreign proto is rejected.
+  /// did-you-mean suggestion, a wrong-typed or out-of-range value one
+  /// naming its dotted path; a missing/foreign proto is rejected.
   static Result<Request> from_json(std::string_view text);
 };
 

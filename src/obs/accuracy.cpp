@@ -47,6 +47,14 @@ Result<ScenarioResult, Error> validate_prediction(const core::Analyzer& analyzer
                                                   const ValidationScenario& scenario,
                                                   const core::Analysis& analysis,
                                                   const workload::Trace& trace) {
+  // nicsim models one device: netronome_config() mirrors this profile's
+  // databook. Any other NIC would be compared with Netronome cycles.
+  if (const std::string& nic = analyzer.profile().name; nic != "netronome-agilio-cx") {
+    return make_error(ErrorCode::kParse,
+                      strf("no simulator models NIC '%s'; validate runs only on "
+                           "netronome-agilio-cx",
+                           nic.c_str()));
+  }
   nicsim::NicSim sim;
   auto ported = nf::port(scenario.nf, analysis.lowered, sim,
                          nf::mapped_levels(analyzer.profile(), analysis.mapping.state_region),

@@ -150,8 +150,9 @@ Result<cir::Function, Error> scenario_function(const ValidationScenario& scenari
 /// Ground truth for one already-analyzed corpus NF: replays the trace
 /// through the NF's hand port, its tables where the analysis mapped them,
 /// and returns the scenario result with per-component attribution. kParse
-/// when nf::port refuses, or when the port runs LPM lookups on the engine
-/// but the mapping kept the walk in software.
+/// when the analyzer's NIC is not netronome-agilio-cx (the one device
+/// nicsim models), when nf::port refuses, or when the port runs LPM
+/// lookups on the engine but the mapping kept the walk in software.
 Result<ScenarioResult, Error> validate_prediction(const core::Analyzer& analyzer,
                                                   const ValidationScenario& scenario,
                                                   const core::Analysis& analysis,

@@ -21,14 +21,6 @@
 
 namespace clara::serve {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// The deterministic request mix: small workloads (2k packets), four
-/// distinct analyses plus one sweep, one repair, and one validate, so
-/// the daemon exercises every endpoint under load while staying fast
-/// enough to hammer by the thousand once the cache is warm.
 std::vector<core::Request> build_mix() {
   std::vector<core::Request> mix;
   const char* kWorkload = "tcp=0.8 flows=2000 payload=300 pps=60000 packets=2000 seed=42";
@@ -64,6 +56,10 @@ std::vector<core::Request> build_mix() {
   }
   return mix;
 }
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
 
 double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;

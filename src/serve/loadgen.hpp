@@ -13,8 +13,10 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/result.hpp"
+#include "core/request.hpp"
 
 namespace clara::serve {
 
@@ -69,6 +71,12 @@ struct LoadGenReport {
 
   [[nodiscard]] std::string render() const;
 };
+
+/// The deterministic request mix: small workloads (2k packets), four
+/// distinct analyses plus one sweep, one repair, and one validate, so
+/// the daemon exercises every endpoint under load while staying fast
+/// enough to hammer by the thousand once the cache is warm.
+std::vector<core::Request> build_mix();
 
 /// Runs the generator. Errors only on setup failure (cannot spawn or
 /// reach the daemon); per-request failures land in the report.

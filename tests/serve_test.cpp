@@ -1,6 +1,7 @@
 // Serve subsystem tests (ctest label `serve`): Request/Response JSON
 // round-trips are byte-identical, unknown fields are rejected with a
-// typed kParse error and a did-you-mean suggestion, the Service answers
+// typed kParse error and a did-you-mean suggestion, so is a field of the
+// wrong type, docs/api.md lists every wire key, the Service answers
 // identical requests with byte-identical payloads at every jobs level,
 // a warm daemon answers repeated analyses without re-solving the ILP,
 // a warm one answers spec workloads from the summary stage without
@@ -26,12 +27,15 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cir/printer.hpp"
+#include "common/json.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -158,6 +162,73 @@ class RawClient {
 };
 
 // --- wire format -------------------------------------------------------------
+
+/// A response with one class row and one sweep row, so every wire key,
+/// the rows' included, is emitted.
+Response one_row_response() {
+  Response response;
+  response.classes.emplace_back();
+  response.sweep.emplace_back();
+  return response;
+}
+
+/// Every object key under `json`, as its dotted path (`map.pps`,
+/// `classes[0].name`) with its JSON kind.
+void wire_keys(const Json& json, const std::string& prefix,
+               std::vector<std::pair<std::string, Json::Kind>>& out) {
+  if (json.is_array()) {
+    for (std::size_t i = 0; i < json.as_array().size(); ++i) {
+      wire_keys(json.as_array()[i], strf("%s[%zu]", prefix.c_str(), i), out);
+    }
+  }
+  for (const auto& [key, value] : json.as_object()) {
+    const std::string path = prefix.empty() ? key : prefix + "." + key;
+    out.emplace_back(path, value.kind());
+    wire_keys(value, path, out);
+  }
+}
+
+std::vector<std::pair<std::string, Json::Kind>> wire_keys(const std::string& line) {
+  std::vector<std::pair<std::string, Json::Kind>> out;
+  wire_keys(Json::parse(line).value(), "", out);
+  return out;
+}
+
+/// `json` written back out with the value at dotted path `target`
+/// replaced by the raw JSON text `raw`.
+std::string splice(const Json& json, const std::string& path, const std::string& target,
+                   const std::string& raw) {
+  if (path == target) return raw;
+  std::string out;
+  if (json.is_object()) {
+    for (const auto& [key, value] : json.as_object()) {
+      out += out.empty() ? "{" : ",";
+      const std::string child = path.empty() ? key : path + "." + key;
+      out += json_quote(key) + ":" + splice(value, child, target, raw);
+    }
+    return out.empty() ? "{}" : out + "}";
+  }
+  if (json.is_array()) {
+    for (std::size_t i = 0; i < json.as_array().size(); ++i) {
+      out += i == 0 ? "[" : ",";
+      out += splice(json.as_array()[i], strf("%s[%zu]", path.c_str(), i), target, raw);
+    }
+    return out.empty() ? "[]" : out + "]";
+  }
+  if (json.is_string()) return json_quote(json.as_string());
+  if (json.is_number()) return json_number(json.as_double());
+  if (json.is_bool()) return json.as_bool() ? "true" : "false";
+  return "null";
+}
+
+template <class M>
+void expect_parse_error(const std::string& line, const std::string& path) {
+  auto parsed = M::from_json(line);
+  ASSERT_FALSE(parsed.ok()) << line;
+  EXPECT_EQ(parsed.error().code, ErrorCode::kParse) << line;
+  EXPECT_NE(parsed.error().message.find(path), std::string::npos)
+      << path << ": " << parsed.error().message;
+}
 
 TEST(ServeWireTest, RequestRoundTripIsByteIdenticalForEveryKind) {
   std::vector<Request> requests;
@@ -321,6 +392,62 @@ TEST(ServeWireTest, CountFieldsRejectNonIntegralAndOutOfRangeValues) {
   auto zero_nodes = Request::from_json(line("map", "max_ilp_nodes", "0"));
   ASSERT_TRUE(zero_nodes.ok()) << zero_nodes.error().message;
   EXPECT_EQ(zero_nodes.value().options.map.max_ilp_nodes, 0u);
+
+  // Every field's type is checked: each key of a default request and of
+  // a response with one row of each kind, nested keys included, given
+  // every JSON type but its own, is kParse naming its dotted path.
+  const auto each_wrong_type = [](const std::string& emitted, auto expect) {
+    const Json root = Json::parse(emitted).value();
+    for (const auto& [path, kind] : wire_keys(emitted)) {
+      for (const std::string wrong : {"null", "true", "1", "\"x\"", "[]", "{}"}) {
+        if (Json::parse(wrong).value().kind() != kind) expect(splice(root, "", path, wrong), path);
+      }
+    }
+  };
+  each_wrong_type(Request().to_json(), expect_parse_error<Request>);
+  each_wrong_type(one_row_response().to_json(), expect_parse_error<Response>);
+
+  // Response counts, enum names and u64 strings are range-checked too.
+  const auto response = [](const std::string& fields) {
+    return R"({"proto":"clara-serve/1","kind":"analyze",)" + fields + "}";
+  };
+  for (const char* count : {"substituted", "patterns", "repair_displaced", "repair_pinned"}) {
+    for (const char* value : {"-1", "1e300", "2.5"}) {
+      expect_parse_error<Response>(response(strf(R"("%s":%s)", count, value)), count);
+    }
+  }
+  expect_parse_error<Response>(response(R"("error_code":"bogus")"), "error_code");
+  expect_parse_error<Response>(response(R"("classes":{})"), "classes");
+  for (const char* seed : {"12abc", "", "-1", " 12", "18446744073709551616"}) {
+    expect_parse_error<Response>(response(strf(R"("sweep":[{"seed":"%s"}])", seed)),
+                                 "sweep[0].seed");
+  }
+  auto seed = Response::from_json(response(R"("sweep":[{"seed":"18446744073709551615"}])"));
+  ASSERT_TRUE(seed.ok()) << seed.error().message;
+  EXPECT_EQ(seed.value().sweep[0].seed, 0xFFFF'FFFF'FFFF'FFFFull);
+}
+
+TEST(ServeWireTest, ApiDocListsEveryWireField) {
+  std::ifstream file(CLARA_API_DOC);
+  ASSERT_TRUE(file) << CLARA_API_DOC;
+  const std::string doc{std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>()};
+  const auto section = [&](const std::string& heading) {
+    const auto begin = doc.find(heading);
+    if (begin == std::string::npos) return std::string();
+    return doc.substr(begin, doc.find("\n### ", begin + 1) - begin);
+  };
+  const std::pair<std::string, std::string> schemas[] = {
+      {"### Request schema", Request().to_json()},
+      {"### Response schema", one_row_response().to_json()}};
+  for (const auto& [heading, emitted] : schemas) {
+    const std::string text = section(heading);
+    ASSERT_FALSE(text.empty()) << heading;
+    for (auto [path, kind] : wire_keys(emitted)) {
+      if (const auto row = path.find("[0]"); row != std::string::npos) path.replace(row, 3, "[]");
+      EXPECT_NE(text.find("`" + path + "`"), std::string::npos)
+          << heading << " omits `" << path << "`";
+    }
+  }
 }
 
 TEST(ServeWireTest, ForeignProtocolRejected) {
@@ -552,6 +679,11 @@ TEST(ServeServiceTest, ValidateWithoutAComparablePortIsAParseError) {
   for (const auto& fn : {empty, extra}) {
     cases.emplace_back(small_analyze(""), "'meter'");
     cases.back().first.nf_cir = cir::print_module(cir::Module{fn.name, {fn}});
+  }
+  // A ported NF on a NIC the simulator does not model.
+  for (const char* nic : {"soc-arm", "pipeline-asic"}) {
+    cases.emplace_back(small_analyze("nat"), strf("NIC '%s'", nic));
+    cases.back().first.nic = nic;
   }
   for (auto& [request, names] : cases) {
     request.kind = RequestKind::kValidate;
