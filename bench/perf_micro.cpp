@@ -122,27 +122,18 @@ std::vector<MicroResult> run_micros() {
     // Cost of one simplex pivot. The assignment LP runs a long
     // deterministic pivot trajectory (phase 1 with many artificials,
     // then phase 2), so ns/solve divided by the pivot count is exact
-    // and setup cost amortizes away — this is the number the revised
+    // and setup cost amortizes away — this is the number the simplex
     // engine is directly accountable for, gated tighter than the 10%
-    // default (docs/performance.md). The dense reference engine is
-    // measured on the identical trajectory; solver_pivot_ns staying
-    // below solver_pivot_ns_dense is the acceptance bar for the
-    // tableau replacement.
+    // default (docs/performance.md).
     const auto model = ilp::make_assignment(16);
-    const auto measure_engine = [&](const char* name, ilp::LpAlgorithm algorithm) {
-      ilp::LpOptions lp_options;
-      lp_options.algorithm = algorithm;
-      const auto pivots = std::max<std::size_t>(1, ilp::solve_lp(model, lp_options).pivots);
-      auto r = run_micro(name, [&] {
-        volatile auto s = ilp::solve_lp(model, lp_options).status;
-        (void)s;
-      }, pivots);
-      r.ns_per_iter /= static_cast<double>(pivots);
-      std::printf("  %-28s %12.1f ns/pivot (%zu pivots/solve)\n", "", r.ns_per_iter, pivots);
-      return r;
-    };
-    out.push_back(measure_engine("solver_pivot_ns", ilp::LpAlgorithm::kRevised));
-    out.push_back(measure_engine("solver_pivot_ns_dense", ilp::LpAlgorithm::kDense));
+    const auto pivots = std::max<std::size_t>(1, ilp::solve_lp(model).pivots);
+    auto r = run_micro("solver_pivot_ns", [&] {
+      volatile auto s = ilp::solve_lp(model).status;
+      (void)s;
+    }, pivots);
+    r.ns_per_iter /= static_cast<double>(pivots);
+    std::printf("  %-28s %12.1f ns/pivot (%zu pivots/solve)\n", "", r.ns_per_iter, pivots);
+    out.push_back(r);
   }
   {
     auto fn = nf::build_nat_nf();
@@ -268,11 +259,11 @@ std::vector<MicroResult> run_micros() {
     }, 1));
   }
   {
-    // Steady-state cost of the batched datapath per delivered packet:
+    // Steady-state cost of the datapath per delivered packet:
     // NicSim::run over a whole trace, so DMA/queue/thread-binding and
     // the statistics fold are all in the loop (measure_one above times
-    // the program-only path). This is the number the structure-of-
-    // arrays rewrite is accountable for.
+    // the program-only path). The name predates the one per-packet loop
+    // and is kept so the baseline row still gates.
     nicsim::NicSim sim;
     auto& table = sim.create_table("flow_table", 131072, 64, nicsim::MemLevel::kEmem);
     nf::NatProgram program(table, true);

@@ -229,33 +229,6 @@ Result<Analysis> Analyzer::repair(const cir::Function& nf, const workload::Trace
   return repair(nf, core::summarize(trace, profile_, options.predict.payload_buckets), previous, options);
 }
 
-namespace {
-
-/// EMEM working-set pressure one NF exerts on its neighbours: active
-/// bytes of its EMEM-placed state objects, plus the spilled packet-tail
-/// buffer pool when its traffic exceeds the CTM residency.
-double emem_pressure(const Analysis& analysis, const WorkloadSummary& workload,
-                     const lnic::NicProfile& profile) {
-  double pressure = 0.0;
-  const double residency = profile.params.scalar(lnic::keys::kCtmPacketResidency);
-  if (residency > 0.0 && workload.mean_payload + 54.0 > residency) pressure += 1024.0 * 2048.0;
-  const std::uint32_t flows = workload.distinct_flows;
-  for (std::size_t s = 0; s < analysis.lowered.state_objects.size(); ++s) {
-    const NodeId region = analysis.mapping.state_region[s];
-    const auto* mem = profile.graph.node(region).memory();
-    if (mem == nullptr || mem->kind != lnic::MemKind::kEmem) continue;
-    const auto& obj = analysis.lowered.state_objects[s];
-    double active = static_cast<double>(obj.total_bytes());
-    if (obj.pattern == cir::StatePattern::kHashTable) {
-      active = std::min(active, static_cast<double>(flows) * static_cast<double>(obj.entry_bytes));
-    }
-    pressure += active;
-  }
-  return pressure;
-}
-
-}  // namespace
-
 Result<CoResident> Analyzer::coresident(const cir::Function& nf_a, const WorkloadSummary& workload_a,
                                         const cir::Function& nf_b, const WorkloadSummary& workload_b,
                                         const AnalyzeOptions& options) const {
@@ -267,8 +240,10 @@ Result<CoResident> Analyzer::coresident(const cir::Function& nf_a, const Workloa
   auto solo_b = analyze(nf_b, workload_b, options);
   if (!solo_b) return solo_b.error();
 
-  const double pressure_a = emem_pressure(solo_a.value(), workload_a, profile_);
-  const double pressure_b = emem_pressure(solo_b.value(), workload_b, profile_);
+  const double pressure_a =
+      emem_working_set(solo_a.value().lowered, solo_a.value().mapping, profile_, workload_a).bytes;
+  const double pressure_b =
+      emem_working_set(solo_b.value().lowered, solo_b.value().mapping, profile_, workload_b).bytes;
 
   AnalyzeOptions opts_a = options;
   opts_a.predict.nic_share = 0.5;

@@ -78,6 +78,30 @@ double flow_cache_capacity(const lnic::NicProfile& nic) {
   return nic.params.try_scalar(keys::kFlowCacheCapacity).value_or(0.0);
 }
 
+EmemWorkingSet emem_working_set(const cir::Function& fn, const mapping::Mapping& mapping,
+                                const lnic::NicProfile& profile, const WorkloadSummary& workload, double base) {
+  EmemWorkingSet ws;
+  ws.bytes = base;
+  const double flows = static_cast<double>(workload.distinct_flows);
+  for (std::size_t s = 0; s < fn.state_objects.size(); ++s) {
+    const auto* mem = profile.graph.node(mapping.state_region[s]).memory();
+    if (mem == nullptr || mem->kind != lnic::MemKind::kEmem) continue;
+    const auto& obj = fn.state_objects[s];
+    double active = static_cast<double>(obj.total_bytes());
+    if (obj.pattern == cir::StatePattern::kHashTable) {
+      active = std::min(active, flows * static_cast<double>(obj.entry_bytes));
+    }
+    ws.bytes += active;
+  }
+  // Spilled packet tails join the contended working set.
+  const double residency = profile.params.scalar(keys::kCtmPacketResidency);
+  if (residency > 0.0 && workload.mean_payload + 54.0 > residency) {
+    ws.tail_pool = 1024.0 * 2048.0;
+    ws.bytes += ws.tail_pool;
+  }
+  return ws;
+}
+
 WorkloadSummary summarize(const workload::Trace& trace, const lnic::NicProfile& nic,
                           std::size_t payload_buckets) {
   CLARA_TRACE_SCOPE("core/summarize");
@@ -171,41 +195,23 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   const CostHints& hints = workload.hints;
 
   // --- EMEM cache hit-rate estimate (working set vs. capacity) ----------
-  double emem_ws = options.foreign_cache_pressure_bytes;
   Bytes emem_cache_capacity = 0;
   for (const NodeId region : profile.graph.memory_regions()) {
     const auto* mem = profile.graph.node(region).memory();
     if (mem->kind == lnic::MemKind::kEmem) emem_cache_capacity = mem->cache_capacity;
   }
-  const std::uint32_t distinct = workload.distinct_flows;
-  for (std::size_t s = 0; s < fn.state_objects.size(); ++s) {
-    const NodeId region = mapping.state_region[s];
-    const auto* mem = profile.graph.node(region).memory();
-    if (mem->kind != lnic::MemKind::kEmem) continue;
-    const auto& obj = fn.state_objects[s];
-    double active = static_cast<double>(obj.total_bytes());
-    if (obj.pattern == cir::StatePattern::kHashTable) {
-      active = std::min(active, static_cast<double>(distinct) * static_cast<double>(obj.entry_bytes));
-    }
-    emem_ws += active;
-  }
-  // Spilled packet tails occupy a recycled buffer pool (~1k regions of
-  // 2 kB); they join the contended working set and, when the pool fits
-  // in what the state leaves of the cache, tail reads mostly hit.
-  const double residency = params.scalar(keys::kCtmPacketResidency);
-  const double avg_frame = workload.mean_payload + 54.0;
-  const double tail_pool = 1024.0 * 2048.0;
-  const bool tails_spill = residency > 0.0 && avg_frame > residency;
-  if (tails_spill) emem_ws += tail_pool;
-
+  const EmemWorkingSet ws =
+      emem_working_set(fn, mapping, profile, workload, options.foreign_cache_pressure_bytes);
   double hr_emem = 1.0;
-  if (emem_ws > 0.0 && emem_cache_capacity > 0) {
-    hr_emem = std::min(1.0, static_cast<double>(emem_cache_capacity) / emem_ws);
+  if (ws.bytes > 0.0 && emem_cache_capacity > 0) {
+    hr_emem = std::min(1.0, static_cast<double>(emem_cache_capacity) / ws.bytes);
   }
+  // Spilled tails recycle a pool of buffers: when the pool fits in what
+  // the state leaves of the cache, tail reads mostly hit.
   double hr_tail = 0.0;
-  if (tails_spill && emem_cache_capacity > 0) {
-    const double state_ws = emem_ws - tail_pool;
-    hr_tail = std::clamp((static_cast<double>(emem_cache_capacity) - state_ws) / tail_pool, 0.0, 1.0);
+  if (ws.tail_pool > 0.0 && emem_cache_capacity > 0) {
+    const double state_ws = ws.bytes - ws.tail_pool;
+    hr_tail = std::clamp((static_cast<double>(emem_cache_capacity) - state_ws) / ws.tail_pool, 0.0, 1.0);
   }
   if (!options.model_emem_cache) {
     hr_emem = 0.0;
@@ -221,6 +227,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   // reads these values back with every floating-point operation's
   // operands and order unchanged.
   const auto& pools = mapper.pools();
+  const double residency = params.scalar(keys::kCtmPacketResidency);
   const double ctm = params.scalar(keys::kMemReadCtm);
   const double emem_hit = params.scalar(keys::kEmemCacheHit);
   const double emem_read = params.scalar(keys::kMemReadEmem);

@@ -138,6 +138,22 @@ Result<Prediction> predict(const cir::Function& fn, const passes::DataflowGraph&
 /// The flow-cache capacity `nic` declares, in entries (0 when it has none).
 double flow_cache_capacity(const lnic::NicProfile& nic);
 
+/// The EMEM working set one NF's placement exerts under `workload`: what
+/// the predictor prices the EMEM cache hit rate from, and the pressure a
+/// co-resident NF adds to its neighbour's.
+struct EmemWorkingSet {
+  /// `base`, then the active bytes of each EMEM-placed state object in
+  /// order (hash tables capped at distinct flows × entry bytes), then
+  /// tail_pool.
+  double bytes = 0.0;
+  /// The recycled buffer pool spilled packet tails occupy (~1k regions
+  /// of 2 kB) when the average frame exceeds CTM residency, else 0.
+  double tail_pool = 0.0;
+};
+EmemWorkingSet emem_working_set(const cir::Function& fn, const mapping::Mapping& mapping,
+                                const lnic::NicProfile& profile, const WorkloadSummary& workload,
+                                double base = 0.0);
+
 /// Summarizes `trace` in one pass over its packets (plus one to
 /// classify them): the packet classes, mean payload, distinct flows, and
 /// the hints the mapper and predictor share — average payload, loop-trip

@@ -50,7 +50,7 @@ void fields(auto& v, Is<PipelineStages> auto& stages) {
   v("ilp", stages.mask, Bit{PipelineStages::kIlp});
 }
 
-/// warm_basis and ilp_algorithm are process-local and never serialize.
+/// warm_basis is process-local and never serializes.
 void fields(auto& v, Is<mapping::MapOptions> auto& map) {
   v("pps", map.pps);
   v("ctm_state_fraction", map.ctm_state_fraction);

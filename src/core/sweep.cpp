@@ -113,14 +113,6 @@ Histogram merge_histograms(const std::vector<SweepResult>& results, const SweepO
   return merged;
 }
 
-Accumulator merge_stats(const std::vector<SweepResult>& results) {
-  Accumulator merged;
-  for (const auto& r : results) {
-    if (r.ok) merged.merge(r.stats);
-  }
-  return merged;
-}
-
 std::vector<LoadSweepPoint> predict_load_sweep(const Analyzer& analyzer, const Analysis& analysis,
                                                const WorkloadSummary& base,
                                                const std::vector<double>& loads_pps,

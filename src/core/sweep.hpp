@@ -93,10 +93,9 @@ std::vector<SweepResult> run_sweep(const std::vector<SweepPoint>& points, const 
                                    const SweepOptions& options = {},
                                    SweepFailureSummary* failures = nullptr);
 
-/// Merged view of all shard histograms/accumulators (Histogram::merge /
-/// Accumulator::merge). Shards that failed (ok == false) are skipped.
+/// Merged view of all shard histograms (Histogram::merge). Shards that
+/// failed (ok == false) are skipped.
 Histogram merge_histograms(const std::vector<SweepResult>& results, const SweepOptions& options);
-Accumulator merge_stats(const std::vector<SweepResult>& results);
 
 /// Predictor sensitivity sweep: re-predicts an analyzed NF at each
 /// offered load, on the base workload's profile with the point's rate

@@ -1,10 +1,9 @@
 // Linear / integer programming model builder.
 //
 // Clara encodes its mapping problem (paper §3.4) as a small MILP; this
-// module provides the model representation, an exact two-phase simplex
-// for LP relaxations, and branch-and-bound over the integer variables.
-// Problem sizes are tens-to-hundreds of variables, so a dense tableau is
-// the right tool — no external solver dependency.
+// module provides the model representation, a revised simplex for LP
+// relaxations (ilp/simplex) and branch-and-bound over the integer
+// variables (ilp/solver), with no external solver dependency.
 #pragma once
 
 #include <limits>

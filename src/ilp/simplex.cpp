@@ -1,39 +1,25 @@
-// Two-phase simplex over a shared sparse standard form.
+// Two-phase revised simplex over a sparse standard form.
 //
-// One decision engine, two matrix backends. Engine<Mat> owns
-// everything that *decides* — pricing, the ratio test, dual simplex,
-// phase structure, warm-basis install, periodic refactorization — and
-// it prices the revised way for both backends: the basis inverse is
-// kept as a shared eta file (product form of the inverse), the dual
-// vector pi = c_B' B^-1 comes from one BTRAN pass per iteration, and a
-// candidate's reduced cost is a sparse dot against its *pristine* CSC
-// column. Pricing therefore costs O(nnz) per candidate instead of
-// O(rows), and Mat only answers "what is tableau column j right now?"
-// for the handful of columns a pivot actually needs: the entering
-// column, warm installs, refactorization replays.
+// The constraint matrix stays in compressed sparse column form and no
+// tableau exists at all: the basis inverse is kept as an eta file
+// (product form of the inverse), the dual vector pi = c_B' B^-1 comes
+// from one BTRAN pass per iteration, and a candidate's reduced cost is a
+// sparse dot against its *pristine* CSC column. Pricing therefore costs
+// O(nnz) per candidate instead of O(rows), and only the handful of
+// columns a pivot actually needs — the entering column, warm installs,
+// refactorization replays — are ever materialized: scatter the pristine
+// column, then one FTRAN replay of the eta file. A pivot costs
+// O(m + eta file) instead of O(rows × cols).
 //
-//  - DenseMatrix keeps the explicit tableau and updates every column
-//    on every pivot (the original O(rows × cols) engine, kept as the
-//    reference implementation).
-//  - SparseMatrix materializes a requested column on demand: scatter
-//    the pristine column, then one FTRAN replay of the eta file. No
-//    tableau exists at all, so a pivot costs O(m + eta file) instead
-//    of O(rows × cols).
-//
-// Bit-identity between the two is by construction: the eta recorded at
-// each pivot is taken from the materialized column w, FTRAN performs
-// op-for-op the dense tableau's column update (v[row] /= pivot, then
-// v[r] -= multiplier * v[row] for every multiplier at or above kEps),
-// and every pricing decision reads the shared eta file — so both
-// backends see the same numbers and pivot the same way. The
-// equivalence suite in tests/simplex_equiv_test.cpp asserts it stays
-// that way.
+// tests/engine_golden_test.cpp pins the pivot trajectory (status,
+// objective, pivot and node counts, value and basis digests) on the
+// synthetic instance factories, warm starts, and the example mappings.
 //
 // Branch-and-bound calls solve_lp once per node, so per-solve setup
 // cost is as hot as the pivot loop. All scratch — the standard form,
-// the engines, the eta pools — lives in a thread-local workspace and
-// is reused across solves; buffers are logically reinitialized but
-// keep their capacity.
+// the engine, the eta pool — lives in a thread-local workspace and is
+// reused across solves; buffers are logically reinitialized but keep
+// their capacity.
 #include "ilp/simplex.hpp"
 
 #include <algorithm>
@@ -49,17 +35,20 @@ namespace {
 constexpr double kEps = 1e-9;
 constexpr std::size_t kNone = ~std::size_t{0};
 
+/// Iterations one run of primal or dual simplex may take before it
+/// reports kLimit.
+constexpr std::size_t kMaxPivots = 200'000;
+
 /// Counted pivots between basis refactorizations. Refactorizing
 /// replays the current basis from the pristine matrix, which resets
 /// accumulated floating-point drift and truncates the eta file — and
 /// the eta file's length is what every BTRAN/FTRAN pass pays, so the
-/// interval bounds per-iteration pricing cost too. Both backends
-/// refactorize at the same cadence with the same row selection, so
-/// they stay in lockstep. The clock counts from solve start (warm
-/// installs included), so short node solves never refactorize
-/// mid-solve; long degenerate solves do, and the cleaner numerics
-/// usually saves them pivots outright — on the B&B bench this cadence
-/// cuts total pivots by more than half versus never refactorizing.
+/// interval bounds per-iteration pricing cost too. The clock counts
+/// from solve start (warm installs included), so short node solves
+/// never refactorize mid-solve; long degenerate solves do, and the
+/// cleaner numerics usually saves them pivots outright — on the B&B
+/// bench this cadence cuts total pivots by more than half versus never
+/// refactorizing.
 constexpr std::size_t kRefactorEvery = 40;
 
 /// Standard-form problem: minimize c'y subject to A y = b, y >= 0,
@@ -228,12 +217,12 @@ void detect_initial_basis(const Standard& s, std::vector<std::size_t>& basis) {
   }
 }
 
-/// Product-form basis inverse shared by both backends: pivot k is one
-/// Gauss-Jordan step stored as its pivot row, pivot value, and off-row
-/// multipliers. FTRAN replays the steps forward to carry a pristine
-/// column to the current tableau; BTRAN runs them transposed, in
-/// reverse, to form dual vectors (pi = c_B' B^-1, single rows of B^-1)
-/// without materializing any column at all.
+/// Product-form basis inverse: pivot k is one Gauss-Jordan step stored
+/// as its pivot row, pivot value, and off-row multipliers. FTRAN replays
+/// the steps forward to carry a pristine column to the current tableau;
+/// BTRAN runs them transposed, in reverse, to form dual vectors
+/// (pi = c_B' B^-1, single rows of B^-1) without materializing any
+/// column at all.
 struct EtaFile {
   struct Eta {
     std::uint32_t row = 0;
@@ -251,9 +240,9 @@ struct EtaFile {
     mult_val.clear();
   }
 
-  /// Records the pivot at `row` from the materialized column w.
-  /// Multipliers mirror the dense update's skip rule: rows whose
-  /// coefficient is below kEps are not touched there either.
+  /// Records the pivot at `row` from the materialized column w. Rows
+  /// whose coefficient is below kEps get no multiplier: the update
+  /// skips them.
   void record(std::size_t row, const double* w, std::size_t m) {
     Eta e;
     e.row = static_cast<std::uint32_t>(row);
@@ -269,8 +258,8 @@ struct EtaFile {
     etas.push_back(e);
   }
 
-  /// v := E_k ··· E_1 v — op-for-op the dense tableau's column update,
-  /// applied to a freshly scattered pristine column.
+  /// v := E_k ··· E_1 v, applied to a freshly scattered pristine
+  /// column.
   void ftran(double* v) const {
     for (const Eta& e : etas) {
       v[e.row] /= e.pivot;
@@ -296,113 +285,15 @@ struct EtaFile {
   }
 };
 
-/// Explicit-tableau backend: the pristine matrix is materialized dense
-/// (structural CSC columns plus appended artificial unit columns) and
-/// every pivot updates the whole tableau.
-class DenseMatrix {
- public:
-  void reset(const Standard& s, std::size_t n_total, const std::vector<std::size_t>& art_rows,
-             const EtaFile&) {
-    s_ = &s;
-    n_total_ = n_total;
-    art_rows_ = art_rows;
-    materialize();
-    scratch_.resize(s.m);
-  }
-
-  void reset_to_pristine() { materialize(); }
-
-  const double* column(std::size_t j) {
-    for (std::size_t r = 0; r < s_->m; ++r) scratch_[r] = a_[r * n_total_ + j];
-    return scratch_.data();
-  }
-
-  void pivot(std::size_t row, std::size_t col) {
-    double* pivot_row = &a_[row * n_total_];
-    const double p = pivot_row[col];
-    assert(std::abs(p) > kEps);
-    for (std::size_t j = 0; j < n_total_; ++j) pivot_row[j] /= p;
-    for (std::size_t r = 0; r < s_->m; ++r) {
-      if (r == row) continue;
-      double* other = &a_[r * n_total_];
-      const double factor = other[col];
-      if (std::abs(factor) < kEps) continue;
-      for (std::size_t j = 0; j < n_total_; ++j) other[j] -= factor * pivot_row[j];
-    }
-  }
-
- private:
-  void materialize() {
-    a_.assign(s_->m * n_total_, 0.0);
-    for (std::size_t j = 0; j < s_->n; ++j) {
-      for (std::size_t k = s_->col_ptr[j]; k < s_->col_ptr[j + 1]; ++k) {
-        a_[s_->col_row[k] * n_total_ + j] = s_->col_val[k];
-      }
-    }
-    for (std::size_t k = 0; k < art_rows_.size(); ++k) {
-      a_[art_rows_[k] * n_total_ + s_->n + k] = 1.0;
-    }
-  }
-
-  const Standard* s_ = nullptr;
-  std::size_t n_total_ = 0;
-  std::vector<std::size_t> art_rows_;
-  std::vector<double> a_;  // m × n_total, row-major
-  std::vector<double> scratch_;
-};
-
-/// Revised backend: no tableau anywhere. column(j) scatters the
-/// pristine column into scratch and FTRANs it through the engine's eta
-/// file — bit-identical to the dense column because FTRAN replays
-/// exactly the updates the dense tableau applied eagerly. pivot() is a
-/// no-op: the eta the engine records *is* this backend's state change.
-class SparseMatrix {
- public:
-  void reset(const Standard& s, std::size_t n_total, const std::vector<std::size_t>& art_rows,
-             const EtaFile& etas) {
-    s_ = &s;
-    art_rows_ = &art_rows;
-    eta_ = &etas;
-    scratch_.resize(s.m);
-    (void)n_total;
-  }
-
-  void reset_to_pristine() {}
-
-  const double* column(std::size_t j) {
-    double* v = scratch_.data();
-    std::fill(v, v + s_->m, 0.0);
-    if (j < s_->n) {
-      for (std::size_t k = s_->col_ptr[j]; k < s_->col_ptr[j + 1]; ++k) {
-        v[s_->col_row[k]] = s_->col_val[k];
-      }
-    } else {
-      v[(*art_rows_)[j - s_->n]] = 1.0;
-    }
-    eta_->ftran(v);
-    return v;
-  }
-
-  void pivot(std::size_t, std::size_t) {}
-
- private:
-  const Standard* s_ = nullptr;
-  const std::vector<std::size_t>* art_rows_ = nullptr;
-  const EtaFile* eta_ = nullptr;
-  std::vector<double> scratch_;
-};
-
-/// All simplex decisions, generic over the matrix backend. Phase 1
-/// minimizes the artificial sum, phase 2 the true objective; warm
-/// starts install a parent basis and repair with dual simplex. Every
-/// entry point (solve, solve_warm) re-initializes from the pristine
-/// standard form, so a failed warm install cannot leak partial state
-/// into the cold fallback.
-template <class Mat>
+/// All simplex decisions. Phase 1 minimizes the artificial sum, phase 2
+/// the true objective; warm starts install a parent basis and repair
+/// with dual simplex. Every entry point (solve, solve_warm)
+/// re-initializes from the pristine standard form, so a failed warm
+/// install cannot leak partial state into the cold fallback.
 class Engine {
  public:
-  Solution solve(const Standard& s, const Model& model, std::size_t max_pivots) {
-    bind(s, max_pivots);
+  Solution solve(const Standard& s, const Model& model) {
+    bind(s);
     Solution sol;
     if (s_->infeasible_bounds) {
       sol.status = SolveStatus::kInfeasible;
@@ -447,7 +338,7 @@ class Engine {
       for (std::size_t r = 0; r < m_; ++r) {
         if (!is_art_[basis_[r]]) continue;
         for (std::size_t j = 0; j < s_->n; ++j) {
-          const double* col = mat_.column(j);
+          const double* col = column(j);
           if (std::abs(col[r]) > kEps) {
             pivot(r, j, col);
             break;
@@ -474,8 +365,8 @@ class Engine {
   /// on the next solve()/solve_warm() call, so the partial install
   /// cannot poison a fallback cold solve.
   bool solve_warm(const Standard& s, const Model& model, const std::vector<std::size_t>& warm,
-                  std::size_t max_pivots, Solution& out) {
-    bind(s, max_pivots);
+                  Solution& out) {
+    bind(s);
     if (s_->infeasible_bounds || warm.size() != m_) return false;
     seen_.assign(s_->n, 0);
     for (const auto j : warm) {
@@ -494,7 +385,7 @@ class Engine {
     // still-unassigned row with the largest pivot magnitude.
     row_done_.assign(m_, 0);
     for (const auto j : warm) {
-      const double* w = mat_.column(j);
+      const double* w = column(j);
       std::size_t best_r = kNone;
       double best_abs = 1e-7;  // tighter than kEps: a near-singular basis is not worth keeping
       for (std::size_t r = 0; r < m_; ++r) {
@@ -523,10 +414,9 @@ class Engine {
   }
 
  private:
-  void bind(const Standard& s, std::size_t max_pivots) {
+  void bind(const Standard& s) {
     s_ = &s;
     m_ = s.m;
-    max_pivots_ = max_pivots;
   }
 
   void init_state() {
@@ -538,17 +428,34 @@ class Engine {
     is_art_.assign(n_total_, 0);
     for (const auto j : artificials_) is_art_[j] = 1;
     eta_.clear();
-    mat_.reset(*s_, n_total_, art_rows_, eta_);
+    scratch_.resize(m_);
     phase2_ = false;
     pivots_done_ = 0;
     since_refactor_ = 0;
     refactor_failed_ = false;
   }
 
+  /// Current tableau column j (B^-1 A_j): the pristine column (or the
+  /// artificial's unit column) scattered into scratch, then one FTRAN
+  /// pass. Valid until the next call.
+  const double* column(std::size_t j) {
+    double* v = scratch_.data();
+    std::fill(v, v + m_, 0.0);
+    if (j < s_->n) {
+      for (std::size_t k = s_->col_ptr[j]; k < s_->col_ptr[j + 1]; ++k) {
+        v[s_->col_row[k]] = s_->col_val[k];
+      }
+    } else {
+      v[art_rows_[j - s_->n]] = 1.0;
+    }
+    eta_.ftran(v);
+    return v;
+  }
+
   /// Performs the basis change at (row, col). `w` is the current
   /// tableau column of `col` (B^-1 A_col), already materialized by the
-  /// caller; the eta recorded from it is what both backends' future
-  /// FTRAN/BTRAN passes replay.
+  /// caller; the eta recorded from it is what every later FTRAN/BTRAN
+  /// pass replays.
   void pivot(std::size_t row, std::size_t col, const double* w, bool count = true) {
     const double p = w[row];
     assert(std::abs(p) > kEps);
@@ -562,7 +469,6 @@ class Engine {
       if (std::abs(factor) < kEps) continue;
       x_b_[r] -= factor * xb_row;
     }
-    mat_.pivot(row, col);
     if (basis_[row] != kNone) in_basis_[basis_[row]] = 0;
     basis_[row] = col;
     in_basis_[col] = 1;
@@ -578,14 +484,13 @@ class Engine {
   /// bookkeeping, not simplex progress.
   void refactor() {
     refactor_basis_ = basis_;
-    mat_.reset_to_pristine();
     eta_.clear();
     x_b_ = s_->b;
     basis_.assign(m_, kNone);
     in_basis_.assign(n_total_, 0);
     row_done_.assign(m_, 0);
     for (const auto col : refactor_basis_) {
-      const double* w = mat_.column(col);
+      const double* w = column(col);
       std::size_t best_r = kNone;
       double best_abs = kEps;
       for (std::size_t r = 0; r < m_; ++r) {
@@ -632,7 +537,7 @@ class Engine {
   SolveStatus run(const std::vector<double>& cost) {
     std::size_t pivots = 0;
     while (true) {
-      if (++pivots > max_pivots_) return SolveStatus::kLimit;
+      if (++pivots > kMaxPivots) return SolveStatus::kLimit;
       if (since_refactor_ >= kRefactorEvery) refactor();
       if (refactor_failed_) return SolveStatus::kLimit;
 
@@ -651,7 +556,7 @@ class Engine {
       if (entering == kNone) return SolveStatus::kOptimal;
 
       // Ratio test (Bland: smallest basis index breaks ties).
-      const double* col = mat_.column(entering);
+      const double* col = column(entering);
       std::size_t leaving = kNone;
       double best_ratio = kInf;
       for (std::size_t r = 0; r < m_; ++r) {
@@ -679,7 +584,7 @@ class Engine {
   SolveStatus dual_run() {
     std::size_t pivots = 0;
     while (true) {
-      if (++pivots > max_pivots_) return SolveStatus::kLimit;
+      if (++pivots > kMaxPivots) return SolveStatus::kLimit;
       if (since_refactor_ >= kRefactorEvery) refactor();
       if (refactor_failed_) return SolveStatus::kLimit;
       std::size_t row = kNone;
@@ -711,7 +616,7 @@ class Engine {
         }
       }
       if (entering == kNone) return SolveStatus::kInfeasible;
-      pivot(row, entering, mat_.column(entering));
+      pivot(row, entering, column(entering));
     }
   }
 
@@ -739,8 +644,6 @@ class Engine {
 
   const Standard* s_ = nullptr;
   std::size_t m_ = 0;
-  std::size_t max_pivots_ = 0;
-  Mat mat_;
   EtaFile eta_;
   std::size_t n_total_ = 0;
   std::vector<std::size_t> basis_;
@@ -752,6 +655,7 @@ class Engine {
   std::vector<double> c_;                 // costs, resized over artificials
   std::vector<double> pi_;                // dual vector c_B' B^-1
   std::vector<double> rho_;               // one row of B^-1 (dual pricing)
+  std::vector<double> scratch_;           // the column column() materializes
   std::vector<double> phase1_cost_;
   std::vector<double> y_;
   std::vector<std::uint8_t> seen_;
@@ -769,8 +673,7 @@ class Engine {
 struct LpWorkspace {
   Standard std_form;
   BuildScratch build;
-  Engine<SparseMatrix> revised;
-  Engine<DenseMatrix> dense;
+  Engine engine;
 };
 
 LpWorkspace& workspace() {
@@ -778,27 +681,16 @@ LpWorkspace& workspace() {
   return ws;
 }
 
-template <class Mat>
-Solution solve_with(Engine<Mat>& engine, const Standard& std_form, const Model& model,
-                    const LpOptions& options) {
-  if (!options.warm_basis.empty()) {
-    Solution sol;
-    if (engine.solve_warm(std_form, model, options.warm_basis, options.max_pivots, sol)) {
-      return sol;
-    }
-  }
-  return engine.solve(std_form, model, options.max_pivots);
-}
-
 }  // namespace
 
 Solution solve_lp(const Model& model, const LpOptions& options) {
   LpWorkspace& ws = workspace();
   build_standard(model, options, ws.std_form, ws.build);
-  if (options.algorithm == LpAlgorithm::kDense) {
-    return solve_with(ws.dense, ws.std_form, model, options);
+  if (!options.warm_basis.empty()) {
+    Solution sol;
+    if (ws.engine.solve_warm(ws.std_form, model, options.warm_basis, sol)) return sol;
   }
-  return solve_with(ws.revised, ws.std_form, model, options);
+  return ws.engine.solve(ws.std_form, model);
 }
 
 }  // namespace clara::ilp

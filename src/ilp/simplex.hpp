@@ -1,19 +1,12 @@
-// Simplex solvers for LP relaxations.
+// Simplex solver for LP relaxations.
 //
 // The solver works on a Model, ignoring integrality (branch-and-bound
 // enforces it by tightening variable bounds). Bland's rule guards
-// against cycling. Two interchangeable engines share one sparse
-// standard form and produce bit-identical Solutions:
-//
-//  - kRevised (default): revised simplex. The constraint matrix stays
-//    in compressed sparse column form; the basis inverse is an eta
-//    file (product form), pricing works on BTRAN dual vectors dotted
-//    against pristine sparse columns, and only the entering column is
-//    ever materialized — a pivot costs O(m + eta file) instead of the
-//    whole O(rows × cols) tableau.
-//  - kDense: the original explicit-tableau engine, kept as the
-//    reference implementation the equivalence suite checks the
-//    revised engine against.
+// against cycling. It is a revised simplex: the constraint matrix stays
+// in compressed sparse column form, the basis inverse is an eta file
+// (product form), pricing works on BTRAN dual vectors dotted against
+// pristine sparse columns, and only the entering column is ever
+// materialized — a pivot costs O(m + eta file), not O(rows × cols).
 #pragma once
 
 #include <vector>
@@ -22,18 +15,11 @@
 
 namespace clara::ilp {
 
-/// Which simplex engine solve_lp runs. Both produce bit-identical
-/// Solutions (asserted by the dense-vs-revised equivalence suite);
-/// kDense exists as the reference implementation and costs
-/// O(rows × cols) per pivot.
-enum class LpAlgorithm { kRevised, kDense };
-
 struct LpOptions {
   /// Per-variable bound overrides used by branch-and-bound; empty means
   /// use the model's own bounds. Sized num_vars when present.
   std::vector<double> lo_override;
   std::vector<double> hi_override;
-  std::size_t max_pivots = 200'000;
   /// Warm-start basis (standard-form column index per row), typically
   /// the parent node's Solution::basis. Branching only changes bound
   /// values, which is an rhs-only perturbation of the standard form, so
@@ -41,7 +27,6 @@ struct LpOptions {
   /// repairs primal feasibility with dual simplex, and skips phase 1.
   /// Ignored (cold solve) when structurally incompatible.
   std::vector<std::size_t> warm_basis;
-  LpAlgorithm algorithm = LpAlgorithm::kRevised;
 };
 
 /// Solves the LP relaxation. Solution::values has one entry per model

@@ -42,6 +42,17 @@ struct NodeOrder {
 /// concurrency setting.
 constexpr std::size_t kWaveWidth = 16;
 
+/// Sibling nodes batched per pool task when a wave's relaxations run
+/// concurrently. Node LPs are short (tens of microseconds warm), so one
+/// task per node spends a visible fraction of the wave on submit/steal
+/// overhead; batching amortizes it. Purely a scheduling knob: results
+/// are applied in pop order regardless, so the returned Solution is
+/// bit-identical at every grain.
+constexpr std::size_t kWaveGrain = 4;
+
+/// Integrality tolerance: values within this of an integer count.
+constexpr double kIntTol = 1e-6;
+
 struct WaveResult {
   Solution relax;
   bool solved = false;
@@ -73,7 +84,6 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
   if (!model.has_integers()) {
     LpOptions lp_options;
     lp_options.warm_basis = options.warm_basis;
-    lp_options.algorithm = options.algorithm;
     return solve_lp(model, lp_options);
   }
 
@@ -103,11 +113,10 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
   std::uint64_t wave_index = 0;
   bool hit_limit = false;
   bool hit_deadline = false;
-  bool stop_search = false;
   std::vector<std::shared_ptr<Node>> wave;
   std::vector<WaveResult> results;
 
-  while (!open.empty() && !stop_search) {
+  while (!open.empty()) {
     // The deadline is checked only here, at the wave boundary: the node
     // sequence explored before the stop is always a prefix of the
     // deterministic no-deadline sequence, and a budget short enough to
@@ -158,11 +167,10 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
           lp_options.lo_override = node->lo;
           lp_options.hi_override = node->hi;
           lp_options.warm_basis = node->warm_basis;
-          lp_options.algorithm = options.algorithm;
           results[i].relax = solve_lp(model, lp_options);
           results[i].solved = true;
         },
-        std::max<std::size_t>(1, options.wave_grain));
+        kWaveGrain);
     // The wave barrier just completed: every relaxation is done and the
     // caller waited for the slowest one. Per-wave wall time is the
     // barrier-wait figure `clara profile` and the wave histogram report.
@@ -177,7 +185,7 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
     // and a pure function of (model, options, wave, results), so the
     // incumbent trajectory, node/pivot counts, and final Solution are
     // bit-identical at every jobs level.
-    for (std::size_t i = 0; i < wave.size() && !stop_search; ++i) {
+    for (std::size_t i = 0; i < wave.size(); ++i) {
       const auto& node = wave[i];
       ++explored;
 
@@ -203,7 +211,7 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
       }
       if (relax.objective >= incumbent.objective - 1e-12) continue;
 
-      const int branch_var = pick_branch_var(model, relax.values, options.int_tol);
+      const int branch_var = pick_branch_var(model, relax.values, kIntTol);
       if (branch_var < 0) {
         // Integral: new incumbent. Its basis is kept on the Solution so
         // a re-solve of the same model can warm-start from it.
@@ -218,16 +226,6 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
           incumbent = candidate;
           incumbent.status = SolveStatus::kOptimal;
           trajectory.push_back({explored, candidate.objective});
-        }
-        if (options.rel_gap > 0.0) {
-          // Best outstanding bound: the open heap plus this wave's
-          // not-yet-applied tail.
-          double bound = open.empty() ? kInf : open.top()->bound;
-          for (std::size_t k = i + 1; k < wave.size(); ++k) bound = std::min(bound, wave[k]->bound);
-          if (bound != kInf &&
-              incumbent.objective - bound <= options.rel_gap * std::max(1.0, std::abs(incumbent.objective))) {
-            stop_search = true;
-          }
         }
         continue;
       }

@@ -11,11 +11,6 @@ namespace clara::ilp {
 
 struct SolveOptions {
   std::size_t max_nodes = 100'000;
-  /// Integrality tolerance: values within this of an integer count.
-  double int_tol = 1e-6;
-  /// Stop early when the incumbent is within this relative gap of the
-  /// best bound (0 = prove optimality).
-  double rel_gap = 0.0;
   /// Concurrency for the branch-and-bound search (0 = the global
   /// parallel::jobs() level, 1 = fully serial). The returned Solution is
   /// bit-identical at every jobs value: node waves are formed and applied
@@ -33,16 +28,6 @@ struct SolveOptions {
   /// by dual simplex, but may steer a degenerate LP to a different
   /// optimal vertex.
   std::vector<std::size_t> warm_basis;
-  /// Sibling nodes batched per pool task when a wave's relaxations run
-  /// concurrently. Node LPs are short (tens of microseconds warm), so
-  /// one task per node spends a visible fraction of the wave on
-  /// submit/steal overhead; batching amortizes it. Purely a scheduling
-  /// knob: results are applied in pop order regardless, so the returned
-  /// Solution is bit-identical at every grain.
-  std::size_t wave_grain = 4;
-  /// Simplex engine for every relaxation (see LpAlgorithm): kRevised
-  /// unless a test pins the dense reference engine.
-  LpAlgorithm algorithm = LpAlgorithm::kRevised;
 };
 
 /// Index of the integer variable whose fractional part is closest to

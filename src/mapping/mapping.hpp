@@ -106,12 +106,9 @@ struct MapOptions {
   /// Basis from a previous solve of the *same* model (Mapping::ilp_basis)
   /// to warm-start the root relaxation with.
   std::vector<std::size_t> warm_basis;
-  /// Simplex engine for the placement ILP (kRevised unless a test pins
-  /// the dense reference engine; both yield bit-identical mappings).
-  ilp::LpAlgorithm ilp_algorithm = ilp::LpAlgorithm::kRevised;
 
-  /// The one translation of these knobs into solver options: node budget,
-  /// warm basis, and engine copy over, and a positive time_budget_ms
+  /// The one translation of these knobs into solver options: node budget
+  /// and warm basis copy over, and a positive time_budget_ms
   /// becomes an absolute steady_clock deadline anchored at the call.
   /// Every solve site (map, repair) goes through here so the plumbing
   /// cannot drift.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <deque>
 #include <functional>
 
 #include "fault/fault.hpp"
@@ -332,12 +331,14 @@ void NicSim::finalize_stats(RunStats& stats, const RunSnapshot& before, Cycles f
   for (const auto v : stats.latency.samples()) hist.observe(v);
 }
 
-namespace {
-/// Packets staged per batch through run()'s three stages. Big enough to
-/// amortize loop overhead, small enough that a block's arrays stay in
-/// L1 alongside the caches the programs touch.
-constexpr std::size_t kSimBatch = 64;
-}  // namespace
+Cycles NicSim::dma_cycles(std::uint32_t frame) const {
+  Cycles dma = saturating_add(config_.ingress_base, cycles_from_double(config_.ingress_per_byte * frame));
+  if (frame > config_.ctm_pkt_residency) {
+    dma = saturating_add(
+        dma, cycles_from_double(config_.spill_per_byte * static_cast<double>(frame - config_.ctm_pkt_residency)));
+  }
+  return dma;
+}
 
 RunStats NicSim::run(NicProgram& program, const workload::Trace& trace) {
   CLARA_TRACE_SCOPE("nicsim/run");
@@ -350,156 +351,20 @@ RunStats NicSim::run(NicProgram& program, const workload::Trace& trace) {
   const RunSnapshot before = snapshot_counters();
   timeline_dirty_ = true;
 
-  // Reused per-batch arrays (capacity persists on the sim instance).
-  Batch& b = batch_;
-  b.arrival.resize(kSimBatch);
-  b.ready.resize(kSimBatch);
-  b.onramp.resize(kSimBatch);
-  b.finish.resize(kSimBatch);
-  b.dropped.resize(kSimBatch);
+  // Earliest-available-thread heap, (free_at, thread) min order, so ties
+  // go to the lowest thread index. Entries go stale when a thread is
+  // rebound; stale tops are discarded lazily by comparing against
+  // thread_free_ (the authoritative value).
+  thread_heap_.clear();
+  for (std::uint32_t t = 0; t < thread_free_.size(); ++t) thread_heap_.emplace_back(thread_free_[t], t);
+  std::make_heap(thread_heap_.begin(), thread_heap_.end(), std::greater<>{});
 
-  // Earliest-available-thread heap, (free_at, thread) min order with the
-  // same lowest-index tie-break as the linear scan it replaces. Entries
-  // go stale when a thread is rebound; stale tops are discarded lazily
-  // by comparing against thread_free_ (the authoritative value).
-  b.thread_heap.clear();
-  for (std::uint32_t t = 0; t < thread_free_.size(); ++t) {
-    b.thread_heap.emplace_back(thread_free_[t], t);
-  }
-  std::make_heap(b.thread_heap.begin(), b.thread_heap.end(), std::greater<>{});
+  // Ring of the dispatch times of packets still queued at ingress,
+  // oldest first. Admission keeps at most ingress_queue_capacity.
+  inflight_.assign(config_.ingress_queue_capacity + 1, 0);
+  const std::size_t ring = inflight_.size();
+  std::size_t inflight_head = 0, inflight_size = 0;
 
-  // In-flight dispatch-time ring (the scalar path's deque, preallocated).
-  b.inflight.assign(config_.ingress_queue_capacity + 1, 0);
-  b.inflight_head = 0;
-  b.inflight_size = 0;
-  const std::size_t ring = b.inflight.size();
-
-  Cycles last_completion = 0;
-  Cycles first_arrival = ~Cycles{0};
-
-  for (std::size_t base = 0; base < trace.packets.size(); base += kSimBatch) {
-    const std::size_t n = std::min(kSimBatch, trace.packets.size() - base);
-
-    // Stage A — arrival: clock conversion, injected wire loss, ingress
-    // hub and DMA reservations. Everything here depends only on arrival
-    // order and per-unit state, so it runs as a tight loop over the
-    // block. Wire-dropped packets vanish before DMA or queue
-    // accounting, exactly as in the scalar path.
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& pkt = trace.packets[base + i];
-      const Cycles arrival = cycles_from_double(static_cast<double>(pkt.arrival_ns) * cycles_per_ns);
-      b.arrival[i] = arrival;
-      first_arrival = std::min(first_arrival, arrival);
-      const std::uint64_t arrival_seq = arrivals_++;
-      if (fault::inject("nicsim/drop", arrival_seq)) {
-        b.dropped[i] = 1;
-        ++stats.drops;
-        continue;
-      }
-      b.dropped[i] = 0;
-      const Cycles hub_done = ingress_hub_.request(arrival, config_.hub_service);
-      const std::uint32_t frame = pkt.frame_len();
-      Cycles dma = saturating_add(config_.ingress_base, cycles_from_double(config_.ingress_per_byte * frame));
-      if (frame > config_.ctm_pkt_residency) {
-        dma = saturating_add(
-            dma, cycles_from_double(config_.spill_per_byte * static_cast<double>(frame - config_.ctm_pkt_residency)));
-      }
-      b.ready[i] = saturating_add(hub_done, dma);
-      b.onramp[i] = (hub_done - arrival) + dma;
-      dma_bytes_ += 2ULL * frame;  // in and back out
-    }
-
-    // Stage B — processing: queue admission, thread binding, and the
-    // ported program, per packet in arrival order (the program mutates
-    // caches and tables, so this order is the simulated semantics).
-    for (std::size_t i = 0; i < n; ++i) {
-      if (b.dropped[i]) continue;
-      const auto& pkt = trace.packets[base + i];
-      const Cycles ready = b.ready[i];
-
-      // Queue occupancy: drop packets not yet dispatched when this one
-      // becomes ready. arrival_seq for the fault key was consumed in
-      // stage A; recompute it from the block position.
-      while (b.inflight_size > 0 && b.inflight[b.inflight_head] <= ready) {
-        b.inflight_head = (b.inflight_head + 1) % ring;
-        --b.inflight_size;
-      }
-      const std::uint64_t arrival_seq = arrivals_ - n + i;
-      if (b.inflight_size >= config_.ingress_queue_capacity ||
-          fault::inject("nicsim/queue_overflow", arrival_seq)) {
-        b.dropped[i] = 2;
-        ++stats.drops;
-        continue;
-      }
-
-      // Bind to the earliest-available hardware thread (lowest index on
-      // ties, like the linear scan).
-      std::uint32_t thread = 0;
-      while (true) {
-        std::pop_heap(b.thread_heap.begin(), b.thread_heap.end(), std::greater<>{});
-        const auto [free_at, t] = b.thread_heap.back();
-        b.thread_heap.pop_back();
-        if (free_at == thread_free_[t]) {
-          thread = t;
-          break;
-        }
-        // Stale: the thread was rebound since this entry was pushed.
-      }
-      const Cycles start = std::max(ready, thread_free_[thread]);
-      b.inflight[(b.inflight_head + b.inflight_size) % ring] = start;
-      ++b.inflight_size;
-      stats.queue_wait.add(static_cast<double>(start - ready));
-
-      NicApi api(*this, pkt, start, static_cast<int>(thread), pkt_counter_++);
-      program.handle(api);
-      if (!api.done_) api.emit();  // programs that fall off the end emit
-
-      thread_free_[thread] = api.now_;
-      b.thread_heap.emplace_back(api.now_, thread);
-      std::push_heap(b.thread_heap.begin(), b.thread_heap.end(), std::greater<>{});
-      last_completion = std::max(last_completion, api.now_);
-      b.finish[i] = api.now_;
-
-      // Attribution: on-ramp (hub + DMA) and scheduling wait are
-      // charged here; everything after `start` was charged inside
-      // NicApi. The three pieces telescope to finish - arrival exactly.
-      api.bd_.add(obs::Component::kIngress, b.onramp[i]);
-      api.bd_.add(obs::Component::kQueueWait, start - ready);
-      stats.breakdown.add(api.bd_);
-    }
-
-    // Stage C — statistics fold over the block's delivered packets.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (b.dropped[i]) continue;
-      const auto& pkt = trace.packets[base + i];
-      const auto latency = static_cast<double>(b.finish[i] - b.arrival[i]);
-      stats.latency.add(latency);
-      if (pkt.is_tcp()) {
-        stats.tcp_latency.add(latency);
-        if (pkt.is_syn()) stats.syn_latency.add(latency);
-      } else {
-        stats.udp_latency.add(latency);
-      }
-      ++stats.packets;
-    }
-  }
-
-  finalize_stats(stats, before, first_arrival, last_completion);
-  return stats;
-}
-
-RunStats NicSim::run_scalar(NicProgram& program, const workload::Trace& trace) {
-  CLARA_TRACE_SCOPE("nicsim/run_scalar");
-  RunStats stats;
-  stats.clock_hz = config_.clock_hz;
-  stats.offered_pps = trace.profile.pps;
-  stats.latency.reserve(trace.size());
-
-  const double cycles_per_ns = config_.clock_hz / 1e9;
-  const RunSnapshot before = snapshot_counters();
-  timeline_dirty_ = true;
-
-  std::deque<Cycles> in_flight_starts;  // dispatch times of queued packets
   Cycles last_completion = 0;
   Cycles first_arrival = ~Cycles{0};
 
@@ -518,28 +383,33 @@ RunStats NicSim::run_scalar(NicProgram& program, const workload::Trace& trace) {
     // Ingress hub + DMA into CTM (with EMEM spill for big packets).
     const Cycles hub_done = ingress_hub_.request(arrival, config_.hub_service);
     const std::uint32_t frame = pkt.frame_len();
-    Cycles dma = saturating_add(config_.ingress_base, cycles_from_double(config_.ingress_per_byte * frame));
-    if (frame > config_.ctm_pkt_residency) {
-      dma = saturating_add(
-          dma, cycles_from_double(config_.spill_per_byte * static_cast<double>(frame - config_.ctm_pkt_residency)));
-    }
+    const Cycles dma = dma_cycles(frame);
     const Cycles ready = saturating_add(hub_done, dma);
     dma_bytes_ += 2ULL * frame;  // in and back out
 
     // Queue occupancy check: packets not yet dispatched when this one
     // becomes ready.
-    while (!in_flight_starts.empty() && in_flight_starts.front() <= ready) in_flight_starts.pop_front();
-    if (in_flight_starts.size() >= config_.ingress_queue_capacity ||
+    while (inflight_size > 0 && inflight_[inflight_head] <= ready) {
+      inflight_head = (inflight_head + 1) % ring;
+      --inflight_size;
+    }
+    if (inflight_size >= config_.ingress_queue_capacity ||
         fault::inject("nicsim/queue_overflow", arrival_seq)) {
       ++stats.drops;
       continue;
     }
 
     // Bind to the earliest-available hardware thread.
-    const auto thread = static_cast<std::size_t>(
-        std::min_element(thread_free_.begin(), thread_free_.end()) - thread_free_.begin());
+    std::pair<Cycles, std::uint32_t> top;
+    do {
+      std::pop_heap(thread_heap_.begin(), thread_heap_.end(), std::greater<>{});
+      top = thread_heap_.back();
+      thread_heap_.pop_back();
+    } while (top.first != thread_free_[top.second]);
+    const std::uint32_t thread = top.second;
     const Cycles start = std::max(ready, thread_free_[thread]);
-    in_flight_starts.push_back(start);
+    inflight_[(inflight_head + inflight_size) % ring] = start;
+    ++inflight_size;
     stats.queue_wait.add(static_cast<double>(start - ready));
 
     NicApi api(*this, pkt, start, static_cast<int>(thread), pkt_counter_++);
@@ -547,6 +417,8 @@ RunStats NicSim::run_scalar(NicProgram& program, const workload::Trace& trace) {
     if (!api.done_) api.emit();  // programs that fall off the end emit
 
     thread_free_[thread] = api.now_;
+    thread_heap_.emplace_back(api.now_, thread);
+    std::push_heap(thread_heap_.begin(), thread_heap_.end(), std::greater<>{});
     last_completion = std::max(last_completion, api.now_);
 
     // Attribution: on-ramp (hub + DMA) and scheduling wait are charged
@@ -589,16 +461,9 @@ Cycles NicSim::measure_one(NicProgram& program, const workload::PacketMeta& pkt)
     std::fill(thread_free_.begin(), thread_free_.end(), Cycles{0});
     timeline_dirty_ = false;
   }
-  NicSim& self = *this;
-  NicApi api(self, pkt, 0, 0, pkt_counter_++);
-  // Charge the datapath on-ramp exactly like run().
-  const std::uint32_t frame = pkt.frame_len();
-  Cycles dma = saturating_add(config_.ingress_base, cycles_from_double(config_.ingress_per_byte * frame));
-  if (frame > config_.ctm_pkt_residency) {
-    dma = saturating_add(
-        dma, cycles_from_double(config_.spill_per_byte * static_cast<double>(frame - config_.ctm_pkt_residency)));
-  }
-  api.charge(obs::Component::kIngress, saturating_add(config_.hub_service, dma));
+  NicApi api(*this, pkt, 0, 0, pkt_counter_++);
+  // The datapath on-ramp as run() charges it on an idle ingress hub.
+  api.charge(obs::Component::kIngress, saturating_add(config_.hub_service, dma_cycles(pkt.frame_len())));
   program.handle(api);
   if (!api.done_) api.emit();
   return api.now_;

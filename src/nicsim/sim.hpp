@@ -181,19 +181,11 @@ class NicSim {
   LpmTable& create_lpm(std::string name, std::uint64_t rule_entries, std::uint32_t flow_cache_capacity);
 
   /// Runs a trace through the program; packets arrive at their trace
-  /// timestamps (converted to cycles at the device clock). Packets move
-  /// through the datapath in batched structure-of-arrays form: the
-  /// arrival stage (wire faults, ingress hub, DMA) fills per-block
-  /// arrays, the processing stage binds and runs each admitted packet
-  /// in arrival order, and the statistics stage folds the block —
-  /// bit-identical to per-packet processing because every piece of
-  /// mutable simulator state is still touched in arrival order
-  /// (asserted against run_scalar by the SoA equivalence suite).
+  /// timestamps (converted to cycles at the device clock). One packet at
+  /// a time, in arrival order: wire faults, ingress hub and DMA, queue
+  /// admission, binding to the earliest-available hardware thread, the
+  /// ported program, then the statistics fold.
   RunStats run(NicProgram& program, const workload::Trace& trace);
-
-  /// The original one-packet-at-a-time loop, kept as the reference
-  /// implementation the equivalence suite checks run() against.
-  RunStats run_scalar(NicProgram& program, const workload::Trace& trace);
 
   /// Latency of a single packet on an otherwise idle NIC (microbenchmark
   /// path; does not disturb steady-state statistics).
@@ -205,6 +197,9 @@ class NicSim {
 
   [[nodiscard]] const NicConfig& config() const { return config_; }
   [[nodiscard]] const SetAssocCache& emem_cache() const { return emem_cache_; }
+  /// Busy cycles per NPU core, accumulated since the last reset: which
+  /// core ran each packet's compute.
+  [[nodiscard]] const std::vector<Cycles>& core_busy() const { return core_busy_; }
 
  private:
   friend class NicApi;
@@ -218,9 +213,13 @@ class NicSim {
     Cycles core_busy = 0, accel_busy = 0;
   };
   [[nodiscard]] RunSnapshot snapshot_counters() const;
-  /// Rates, energy, and metrics shared by run() and run_scalar().
+  /// Rates, energy, and metrics of a finished run().
   void finalize_stats(RunStats& stats, const RunSnapshot& before, Cycles first_arrival,
                       Cycles last_completion);
+  /// DMA of a `frame`-byte packet into CTM, with the EMEM spill of the
+  /// bytes past CTM residency: the on-ramp after the ingress hub, shared
+  /// by run() and measure_one().
+  [[nodiscard]] Cycles dma_cycles(std::uint32_t frame) const;
 
   NicConfig config_;
   SetAssocCache emem_cache_;
@@ -232,26 +231,12 @@ class NicSim {
   ServiceUnit egress_hub_;
   std::vector<Cycles> core_busy_;
   std::vector<Cycles> thread_free_;
-  /// Reused structure-of-arrays block for run(): one entry per packet
-  /// of the current batch, refilled stage by stage. Lives on the sim
-  /// (not the stack) so capacity survives across runs — the arena
-  /// allocation the batched loop never repeats.
-  struct Batch {
-    std::vector<Cycles> arrival;
-    std::vector<Cycles> ready;
-    std::vector<Cycles> onramp;  // (hub_done - arrival) + dma, for attribution
-    std::vector<Cycles> finish;
-    std::vector<std::uint8_t> dropped;
-    /// Min-heap of (free_at, thread) with lazy invalidation — replaces
-    /// a linear scan over every hardware thread per packet.
-    std::vector<std::pair<Cycles, std::uint32_t>> thread_heap;
-    /// Ring buffer of dispatch times of queued packets (the deque the
-    /// scalar loop uses, without its allocation).
-    std::vector<Cycles> inflight;
-    std::size_t inflight_head = 0;
-    std::size_t inflight_size = 0;
-  };
-  Batch batch_;
+  /// run()'s scheduling state, kept on the sim so its capacity survives
+  /// across runs. Min-heap of (free_at, thread), lazily invalidated: the
+  /// earliest-available thread without a scan over every thread.
+  std::vector<std::pair<Cycles, std::uint32_t>> thread_heap_;
+  /// Ring of dispatch times of packets queued at ingress.
+  std::vector<Cycles> inflight_;
   /// True when run() has dirtied thread availability; lets measure_one
   /// skip re-zeroing hundreds of per-thread timestamps on the (hot)
   /// microbenchmark path when there is nothing to clear.

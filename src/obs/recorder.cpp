@@ -1,7 +1,6 @@
 #include "obs/recorder.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -13,15 +12,6 @@
 namespace clara::obs {
 
 namespace {
-
-/// Shared epoch so timestamps from every recorder instance (and the span
-/// tracer's wall clock) are mutually comparable within a process.
-std::int64_t now_ns() {
-  static const auto epoch = std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                              epoch)
-      .count();
-}
 
 std::atomic<std::uint64_t> g_next_instance_id{1};
 
@@ -92,7 +82,7 @@ FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() {
     if (entry.instance_id == instance_id_) return entry.ring;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  rings_.push_back(std::make_unique<Ring>(static_cast<std::uint32_t>(rings_.size())));
+  rings_.push_back(std::make_unique<Ring>(thread_id()));
   Ring* ring = rings_.back().get();
   cache.push_back({instance_id_, ring});
   return ring;
@@ -200,16 +190,6 @@ std::string FlightRecorder::to_chrome_json(const std::string& reason) const {
                  json_escape(reason).c_str(), events.size());
   }
   return chrome_trace_json(chrome, extra);
-}
-
-std::string FlightRecorder::dump_text() const {
-  std::string out;
-  for (const auto& event : snapshot()) {
-    out += strf("%lld %-14s tid=%u a=%llu b=%llu\n", static_cast<long long>(event.ts_ns),
-                to_string(event.kind), event.tid, static_cast<unsigned long long>(event.a),
-                static_cast<unsigned long long>(event.b));
-  }
-  return out;
 }
 
 bool FlightRecorder::dump_to_file(const std::string& path, const std::string& reason) const {

@@ -45,11 +45,11 @@ enum class FlightEventKind : std::uint8_t {
 
 const char* to_string(FlightEventKind kind);
 
-/// One recorded event, as read back by snapshot(). `tid` is the dense
-/// recorder-thread id (assigned in ring-registration order), matching
-/// the Chrome export's tid field.
+/// One recorded event, as read back by snapshot(). `tid` is the
+/// recording thread's obs::thread_id(), the Chrome export's tid field
+/// and the same id the span tracer gives that thread.
 struct FlightEvent {
-  std::int64_t ts_ns = 0;  // since the recorder's epoch
+  std::int64_t ts_ns = 0;  // obs::now_ns() when recorded
   std::uint64_t a = 0;
   std::uint64_t b = 0;
   std::uint32_t tid = 0;
@@ -91,9 +91,6 @@ class FlightRecorder {
   /// "flight/task", everything else thread-scoped instant events named
   /// "flight/<kind>".
   [[nodiscard]] std::string to_chrome_json(const std::string& reason = {}) const;
-
-  /// Plain-text dump, one "ts_ns kind tid a b" line per event.
-  [[nodiscard]] std::string dump_text() const;
 
   /// Writes to_chrome_json(reason) to `path`. False on I/O failure.
   bool dump_to_file(const std::string& path, const std::string& reason) const;

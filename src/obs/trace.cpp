@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <sstream>
 
@@ -11,12 +12,6 @@ namespace clara::obs {
 
 namespace {
 
-std::uint32_t this_thread_id() {
-  static std::atomic<std::uint32_t> next{0};
-  thread_local const std::uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
-  return id;
-}
-
 /// Per-thread stack of open span indices (parent tracking).
 std::vector<std::size_t>& open_stack() {
   thread_local std::vector<std::size_t> stack;
@@ -24,6 +19,17 @@ std::vector<std::size_t>& open_stack() {
 }
 
 }  // namespace
+
+std::int64_t now_ns() {
+  static const auto epoch = std::chrono::steady_clock::now();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() - epoch).count();
+}
+
+std::uint32_t thread_id() {
+  static std::atomic<std::uint32_t> next{0};
+  thread_local const std::uint32_t id = next.fetch_add(1, std::memory_order_relaxed);
+  return id;
+}
 
 std::string json_escape(const std::string& s) {
   std::string out;
@@ -47,17 +53,15 @@ std::string json_escape(const std::string& s) {
 }
 
 std::size_t Tracer::begin_span(std::string name) {
-  const auto now = std::chrono::steady_clock::now();
   auto& stack = open_stack();
   TraceSpan span;
   span.name = std::move(name);
-  span.tid = this_thread_id();
+  span.tid = thread_id();
   span.depth = static_cast<std::uint32_t>(stack.size());
+  span.start_ns = now_ns();
   std::lock_guard<std::mutex> lock(mu_);
   span.parent =
       stack.empty() ? TraceSpan::kNoParent : static_cast<std::uint32_t>(stack.back());
-  span.start_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now - epoch_).count();
   const std::size_t index = spans_.size();
   spans_.push_back(std::move(span));
   stack.push_back(index);
@@ -65,7 +69,7 @@ std::size_t Tracer::begin_span(std::string name) {
 }
 
 void Tracer::end_span(std::size_t index) {
-  const auto now = std::chrono::steady_clock::now();
+  const std::int64_t end_ns = now_ns();
   auto& stack = open_stack();
   // RAII scopes unwind in LIFO order; tolerate a mismatched index (e.g.
   // clear() raced an open scope) by searching.
@@ -77,8 +81,6 @@ void Tracer::end_span(std::size_t index) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (index >= spans_.size()) return;  // cleared while open
-  const auto end_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now - epoch_).count();
   spans_[index].dur_ns = std::max<std::int64_t>(0, end_ns - spans_[index].start_ns);
 }
 
@@ -95,7 +97,6 @@ std::size_t Tracer::span_count() const {
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
-  epoch_ = std::chrono::steady_clock::now();
 }
 
 std::string chrome_trace_json(const std::vector<ChromeEvent>& events,

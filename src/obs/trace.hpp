@@ -22,7 +22,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -30,14 +29,24 @@
 
 namespace clara::obs {
 
+/// Nanoseconds since the process-wide obs epoch (the first call). Spans
+/// and flight-recorder events both read this clock, so a trace and a
+/// flight dump of the same run line up on one timeline.
+std::int64_t now_ns();
+
+/// Dense process-wide id of the calling thread (0, 1, 2, ... in order of
+/// first use). Spans and flight-recorder events both carry it as their
+/// Chrome "tid".
+std::uint32_t thread_id();
+
 struct TraceSpan {
   static constexpr std::uint32_t kNoParent = ~std::uint32_t{0};
 
   std::string name;
-  std::uint32_t tid = 0;     // dense per-thread id (chrome "tid")
+  std::uint32_t tid = 0;     // thread_id() of the recording thread
   std::uint32_t parent = kNoParent;  // index into the tracer's span list
   std::uint32_t depth = 0;
-  std::int64_t start_ns = 0;  // since the tracer's epoch
+  std::int64_t start_ns = 0;  // now_ns() at open
   std::int64_t dur_ns = -1;   // -1 while the span is still open
 };
 
@@ -68,7 +77,6 @@ class Tracer {
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   std::vector<TraceSpan> spans_;
-  std::chrono::steady_clock::time_point epoch_ = std::chrono::steady_clock::now();
 };
 
 /// Process-wide tracer used by the CLARA_TRACE_SCOPE instrumentation.

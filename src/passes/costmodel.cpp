@@ -229,22 +229,6 @@ double vcall_state_accesses(VCall v, UnitKind kind, const StateObject* state) {
   }
 }
 
-double state_access_cycles(const lnic::Graph& graph, NodeId unit, NodeId region, const ParameterStore& params,
-                           bool write) {
-  const auto weight = graph.access_weight(unit, region);
-  if (!weight) return 1e12;  // unreachable; hard-constrained away in the ILP
-  const auto* mem = graph.node(region).memory();
-  if (mem == nullptr) return 1e12;
-  const char* key = nullptr;
-  switch (mem->kind) {
-    case lnic::MemKind::kLocal: key = write ? keys::kMemWriteLocal : keys::kMemReadLocal; break;
-    case lnic::MemKind::kCtm: key = write ? keys::kMemWriteCtm : keys::kMemReadCtm; break;
-    case lnic::MemKind::kImem: key = write ? keys::kMemWriteImem : keys::kMemReadImem; break;
-    case lnic::MemKind::kEmem: key = write ? keys::kMemWriteEmem : keys::kMemReadEmem; break;
-  }
-  return params.scalar(key) * *weight;
-}
-
 double packet_access_cycles(double pkt_len, double offset_hint, const ParameterStore& params) {
   const double residency = params.scalar(keys::kCtmPacketResidency);
   const double ctm = params.scalar(keys::kMemReadCtm);

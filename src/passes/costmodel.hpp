@@ -80,7 +80,7 @@ double mix_compute_cycles(const InstrMix& mix, lnic::UnitKind kind, const lnic::
 /// Compute-side cycles of one vcall invocation on a unit of `kind`,
 /// given the length/size argument `arg` (bytes for csum/crypto/scan,
 /// unused otherwise). State-access cycles are excluded — use
-/// vcall_state_accesses + state_access_cycles for those.
+/// vcall_state_accesses + Mapper::access_cycles for those.
 /// `state` supplies table geometry for lookup-style vcalls.
 /// `use_flow_cache` is the kLpmLookup flag (the NF's third argument):
 /// when false, every lookup walks the DRAM match-action tables.
@@ -93,14 +93,6 @@ double vcall_compute_cycles(cir::VCall v, lnic::UnitKind kind, double arg,
 /// an NPU touches a bucket then an entry → 2; a software LPM walks a
 /// trie → ~log2(entries)).
 double vcall_state_accesses(cir::VCall v, lnic::UnitKind kind, const cir::StateObject* state);
-
-/// Cycles of a single access from `unit` to memory region `region`
-/// (base latency of the region level × the NUMA edge weight). Returns
-/// a large penalty when the unit cannot reach the region at all — the
-/// ILP uses hard constraints instead, but greedy/report paths want a
-/// finite number.
-double state_access_cycles(const lnic::Graph& graph, NodeId unit, NodeId region,
-                           const lnic::ParameterStore& params, bool write);
 
 /// Packet-byte access cost: packets up to the CTM-residency threshold
 /// read at CTM latency; beyond it, the spilled tail reads at EMEM

@@ -1,17 +1,20 @@
 // Observability-layer tests: metrics registry under concurrency,
-// histogram merging, tracer nesting + Chrome JSON export, logger
+// histogram merging, tracer nesting + Chrome JSON export, one clock and
+// one thread id shared by spans and flight events, logger
 // thread-safety, and the breakdown invariant — the simulator's
 // per-component attribution must sum to the measured per-packet latency
 // (and the predictor's analytic attribution to its predicted mean).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "core/clara.hpp"
@@ -20,6 +23,7 @@
 #include "nicsim/sim.hpp"
 #include "obs/breakdown.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "workload/tracegen.hpp"
 
@@ -321,6 +325,42 @@ TEST_F(TracerTest, ThreadsGetDistinctIds) {
   EXPECT_NE(spans[0].tid, spans[1].tid);
   EXPECT_EQ(spans[0].parent, TraceSpan::kNoParent);
   EXPECT_EQ(spans[1].parent, TraceSpan::kNoParent);
+}
+
+TEST_F(TracerTest, SpansAndFlightEventsShareClockAndThreadIds) {
+  // A mark on this thread first, so the recorder has seen a thread the
+  // tracer has not; the pause makes a span clock that restarted at
+  // tracer().clear() disagree with the recorder's by more than the
+  // worker's span lasts.
+  recorder().clear();
+  record(FlightEventKind::kMark, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  tracer().clear();
+  std::thread worker([] {
+    CLARA_TRACE_SCOPE("worker/span");
+    record(FlightEventKind::kMark, 2);
+  });
+  worker.join();
+
+  const auto spans = Json::parse(tracer().to_chrome_json());
+  const auto flight = Json::parse(recorder().to_chrome_json());
+  ASSERT_TRUE(spans.ok() && flight.ok());
+  // The exported event named `name`, a flight mark also by its `a`.
+  const auto find = [](const Json& doc, const std::string& name, double a = 0.0) -> const Json* {
+    for (const auto& e : doc.get("traceEvents")->as_array()) {
+      if (e.string_at("name") == name && (a == 0.0 || e.get("args")->number_at("a") == a)) return &e;
+    }
+    return nullptr;
+  };
+  const Json* span = find(spans.value(), "worker/span");
+  const Json* main_mark = find(flight.value(), "flight/mark", 1.0);
+  const Json* worker_mark = find(flight.value(), "flight/mark", 2.0);
+  ASSERT_TRUE(span && main_mark && worker_mark);
+
+  EXPECT_EQ(worker_mark->number_at("tid"), span->number_at("tid"));
+  EXPECT_NE(main_mark->number_at("tid"), span->number_at("tid"));
+  EXPECT_GE(worker_mark->number_at("ts"), span->number_at("ts"));
+  EXPECT_LE(worker_mark->number_at("ts"), span->number_at("ts") + span->number_at("dur"));
 }
 
 // --- Breakdown -------------------------------------------------------------
