@@ -1,6 +1,7 @@
 #include "common/strings.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
@@ -53,7 +54,7 @@ std::optional<double> parse_double(std::string_view s) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return std::nullopt;
+  if (errno != 0 || end != buf.c_str() + buf.size() || !std::isfinite(v)) return std::nullopt;
   return v;
 }
 

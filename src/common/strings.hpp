@@ -17,7 +17,8 @@ std::string_view trim(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
 
-/// Strict integer / double parsing: the whole string must be consumed.
+/// Strict integer / double parsing: the whole string must be consumed,
+/// and a double must be finite (no "inf", "nan" or overflow).
 std::optional<std::int64_t> parse_int(std::string_view s);
 std::optional<double> parse_double(std::string_view s);
 

@@ -129,24 +129,12 @@ void AnalysisCache::insert_graph(std::uint64_t key, std::shared_ptr<const GraphE
   insert(graphs_, key, std::move(entry), "graph");
 }
 
-void AnalysisCache::insert_mapping(std::uint64_t key, std::uint64_t family_key,
-                                   std::shared_ptr<const MappingEntry> entry) {
-  if (!enabled()) return;
-  if (!entry->mapping.ilp_basis.empty()) {
-    std::lock_guard<std::mutex> lock(family_mu_);
-    family_bases_[family_key] = entry->mapping.ilp_basis;
-  }
+void AnalysisCache::insert_mapping(std::uint64_t key, std::shared_ptr<const MappingEntry> entry) {
   insert(mappings_, key, std::move(entry), "map");
 }
 
 void AnalysisCache::insert_summary(std::uint64_t key, std::shared_ptr<const WorkloadSummary> entry) {
   insert(summaries_, key, std::move(entry), "summary");
-}
-
-std::vector<std::size_t> AnalysisCache::family_basis(std::uint64_t family_key) const {
-  std::lock_guard<std::mutex> lock(family_mu_);
-  const auto it = family_bases_.find(family_key);
-  return it != family_bases_.end() ? it->second : std::vector<std::size_t>{};
 }
 
 CacheStats AnalysisCache::stats() const {
@@ -163,10 +151,6 @@ void AnalysisCache::clear() {
   lowered_.clear();
   graphs_.clear();
   mappings_.clear();
-  {
-    std::lock_guard<std::mutex> lock(family_mu_);
-    family_bases_.clear();
-  }
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
@@ -234,22 +218,8 @@ std::uint64_t hash_hints(const passes::CostHints& hints) {
 
 std::uint64_t summary_key(const workload::WorkloadProfile& profile, std::size_t payload_buckets,
                           double flow_cache_capacity) {
-  // Field by field, doubles by bit pattern: serialize() rounds, and two
-  // specs that differ past its precision generate different traces.
-  Fnv1a h;
-  h.mix(std::string_view("summary"));
-  h.mix(profile.tcp_fraction);
-  h.mix(profile.flows);
-  h.mix(profile.zipf_alpha);
-  h.mix(static_cast<std::uint64_t>(profile.payload_min));
-  h.mix(static_cast<std::uint64_t>(profile.payload_max));
-  h.mix(profile.pps);
-  h.mix(profile.packets);
-  h.mix_byte(static_cast<std::uint8_t>(profile.arrivals));
-  h.mix(profile.seed);
-  h.mix(static_cast<std::uint64_t>(payload_buckets));
-  h.mix(flow_cache_capacity);
-  return h.digest();
+  return Fnv1a().mix(std::string_view("summary")).mix(profile.digest()).mix(std::uint64_t{payload_buckets})
+      .mix(flow_cache_capacity).digest();
 }
 
 std::uint64_t lowered_key(std::uint64_t input_fn_hash, bool pattern_matching, bool optimize_ir) {
@@ -262,7 +232,7 @@ std::uint64_t graph_key(std::uint64_t lowered_fn_hash, std::uint64_t hints_hash,
 }
 
 std::uint64_t mapping_key(std::uint64_t graph_digest, const mapping::MapOptions& options,
-                          bool use_ilp, std::uint64_t* family_out) {
+                          bool use_ilp) {
   Fnv1a h;
   h.mix(std::string_view("map"));
   h.mix(graph_digest);
@@ -270,9 +240,6 @@ std::uint64_t mapping_key(std::uint64_t graph_digest, const mapping::MapOptions&
   h.mix(options.ctm_state_fraction);
   h.mix(static_cast<std::uint64_t>(options.max_ilp_nodes));
   h.mix(use_ilp);
-  // Everything but the time budget forms the warm-basis family: the
-  // model is identical, only how long we are willing to solve differs.
-  if (family_out != nullptr) *family_out = h.digest();
   h.mix(options.time_budget_ms);
   return h.digest();
 }

@@ -9,7 +9,7 @@
 // warm pass every trace generation and every ILP solve is skipped.
 //
 // Four stage caches:
-//   summary  key = H(every WorkloadProfile field) ⊕ payload buckets
+//   summary  key = WorkloadProfile::digest() ⊕ payload buckets
 //                  ⊕ flow-cache capacity
 //   lowered  key = H(input fn) ⊕ stage toggles
 //   graph    key = H(lowered fn) ⊕ H(cost hints) ⊕ H(profile)
@@ -26,12 +26,6 @@
 // each stage cache is a sharded LRU with a per-shard mutex. Lookups that
 // race a concurrent compute of the same key simply compute twice — the
 // results are identical by construction, so last-insert-wins is safe.
-//
-// Separately, the mapping cache remembers the most recent simplex basis
-// per model *family* (mapping key minus the time budget). A re-solve of
-// the same model under a different budget — the "raise the deadline and
-// try again" loop — warm-starts from that basis instead of factoring
-// from scratch.
 #pragma once
 
 #include <atomic>
@@ -41,7 +35,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "cir/function.hpp"
 #include "core/predict.hpp"
@@ -207,14 +200,7 @@ class AnalysisCache {
   void insert_graph(std::uint64_t key, std::shared_ptr<const GraphEntry> entry);
 
   std::shared_ptr<const MappingEntry> find_mapping(std::uint64_t key);
-  void insert_mapping(std::uint64_t key, std::uint64_t family_key,
-                      std::shared_ptr<const MappingEntry> entry);
-
-  /// Most recent simplex basis recorded for a model family (the mapping
-  /// key stripped of its time budget) — warm-start material for a
-  /// re-solve of the same model under a different budget. Empty when
-  /// none is known.
-  [[nodiscard]] std::vector<std::size_t> family_basis(std::uint64_t family_key) const;
+  void insert_mapping(std::uint64_t key, std::shared_ptr<const MappingEntry> entry);
 
   /// Aggregate counters over all stages (also published to obs metrics
   /// with per-stage labels as they change).
@@ -237,8 +223,6 @@ class AnalysisCache {
   ShardedLru<LoweredEntry> lowered_;
   ShardedLru<GraphEntry> graphs_;
   ShardedLru<MappingEntry> mappings_;
-  mutable std::mutex family_mu_;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> family_bases_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
@@ -257,9 +241,7 @@ std::uint64_t hash_profile(const lnic::NicProfile& profile);
 /// Digest of the workload-derived cost hints.
 std::uint64_t hash_hints(const passes::CostHints& hints);
 
-/// Key of the summary of the trace `profile` generates: every profile
-/// field at full precision (seed included), the payload bucket count,
-/// and the NIC's flow-cache capacity.
+/// Key of the summary of the trace `profile` generates: its digest ⊕ buckets ⊕ flow-cache capacity.
 std::uint64_t summary_key(const workload::WorkloadProfile& profile, std::size_t payload_buckets,
                           double flow_cache_capacity);
 
@@ -270,9 +252,8 @@ std::uint64_t lowered_key(std::uint64_t input_fn_hash, bool pattern_matching, bo
 std::uint64_t graph_key(std::uint64_t lowered_fn_hash, std::uint64_t hints_hash,
                         std::uint64_t profile_hash);
 
-/// Key of a mapping solve; `family_out` (optional) receives the same key
-/// with the time budget left out — the warm-basis family.
+/// Key of a mapping solve.
 std::uint64_t mapping_key(std::uint64_t graph_digest, const mapping::MapOptions& options,
-                          bool use_ilp, std::uint64_t* family_out = nullptr);
+                          bool use_ilp);
 
 }  // namespace clara::core

@@ -158,28 +158,21 @@ Result<Analysis> Analyzer::analyze(const cir::Function& nf, const WorkloadSummar
   const passes::CostHints& hints = workload.hints;
 
   // Stage 3: the mapping solve — the expensive stage the cache exists
-  // for. A hit skips the ILP entirely; a miss within a known model
-  // family (same model, different time budget) warm-starts the root
-  // relaxation from the family's last recorded basis.
+  // for. A hit skips the ILP entirely.
   const mapping::Mapper mapper(profile_);
   std::uint64_t mkey = 0;
-  std::uint64_t family = 0;
   std::shared_ptr<const MappingEntry> mapping_entry;
   if (use_cache) {
-    mkey = mapping_key(p.graph_key, p.map, options.stages.ilp(), &family);
+    mkey = mapping_key(p.graph_key, p.map, options.stages.ilp());
     mapping_entry = cache.find_mapping(mkey);
   }
   if (!mapping_entry) {
-    mapping::MapOptions solve_options = p.map;
-    if (use_cache && options.stages.ilp() && solve_options.warm_basis.empty()) {
-      solve_options.warm_basis = cache.family_basis(family);
-    }
-    auto mapped = options.stages.ilp() ? mapper.map(graph, hints, solve_options)
-                                       : mapper.map_greedy(graph, hints, solve_options);
+    auto mapped = options.stages.ilp() ? mapper.map(graph, hints, p.map)
+                                       : mapper.map_greedy(graph, hints, p.map);
     if (!mapped) return dump_on_failure(mapped.error());
     auto entry = std::make_shared<MappingEntry>();
     entry->mapping = std::move(mapped).value();
-    if (use_cache) cache.insert_mapping(mkey, family, entry);
+    if (use_cache) cache.insert_mapping(mkey, entry);
     mapping_entry = std::move(entry);
   }
   p.analysis.mapping = mapping_entry->mapping;
@@ -201,19 +194,11 @@ Result<Analysis> Analyzer::repair(const cir::Function& nf, const WorkloadSummary
   Prefix& p = prefix.value();
   const passes::DataflowGraph& graph = *p.analysis.graph;
 
-  // Incremental repair instead of a cold solve. The reduced model still
-  // warm-starts from the model family's recorded basis when one exists.
-  // The result is deliberately NOT inserted into the mapping cache.
+  // Incremental repair instead of a cold solve, deliberately NOT inserted into the mapping cache.
   const mapping::Mapper mapper(profile_);
-  mapping::MapOptions solve_options = p.map;
-  if (use_cache && options.stages.ilp() && solve_options.warm_basis.empty()) {
-    std::uint64_t family = 0;
-    (void)mapping_key(p.graph_key, p.map, options.stages.ilp(), &family);
-    solve_options.warm_basis = cache.family_basis(family);
-  }
   auto repaired = options.stages.ilp()
-                      ? mapper.repair(graph, workload.hints, previous.mapping, solve_options)
-                      : mapper.map_greedy(graph, workload.hints, solve_options);
+                      ? mapper.repair(graph, workload.hints, previous.mapping, p.map)
+                      : mapper.map_greedy(graph, workload.hints, p.map);
   if (!repaired) return dump_on_failure(repaired.error());
   p.analysis.mapping = std::move(repaired).value();
   if (!options.stages.ilp()) {

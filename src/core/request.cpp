@@ -50,7 +50,6 @@ void fields(auto& v, Is<PipelineStages> auto& stages) {
   v("ilp", stages.mask, Bit{PipelineStages::kIlp});
 }
 
-/// warm_basis is process-local and never serializes.
 void fields(auto& v, Is<mapping::MapOptions> auto& map) {
   v("pps", map.pps);
   v("ctm_state_fraction", map.ctm_state_fraction);

@@ -67,8 +67,7 @@ struct Request {
   std::string trace_file;
   /// Pipeline configuration. map.time_budget_ms doubles as the
   /// per-request deadline: on expiry the response is degraded=true, not
-  /// an error. map.warm_basis is process-local tuning and does not
-  /// serialize.
+  /// an error.
   AnalyzeOptions options;
   /// kSweep: offered-load grid for predict_load_sweep.
   std::vector<double> sweep_pps;

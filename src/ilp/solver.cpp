@@ -81,11 +81,7 @@ int pick_branch_var(const Model& model, const std::vector<double>& values, doubl
 
 Solution solve_milp(const Model& model, const SolveOptions& options) {
   CLARA_TRACE_SCOPE("ilp/branch_and_bound");
-  if (!model.has_integers()) {
-    LpOptions lp_options;
-    lp_options.warm_basis = options.warm_basis;
-    return solve_lp(model, lp_options);
-  }
+  if (!model.has_integers()) return solve_lp(model);
 
   const auto pool_before = parallel::pool().stats();
 
@@ -104,7 +100,6 @@ Solution solve_milp(const Model& model, const SolveOptions& options) {
     root->hi[i] = model.variables()[i].hi;
   }
   root->seq = next_seq++;
-  root->warm_basis = options.warm_basis;
 
   std::priority_queue<std::shared_ptr<Node>, std::vector<std::shared_ptr<Node>>, NodeOrder> open;
   open.push(root);

@@ -22,12 +22,6 @@ struct SolveOptions {
   /// Solution::degraded set (status kLimit when no incumbent exists —
   /// callers then substitute their own fallback). nullopt = unbounded.
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  /// Basis to warm-start the root relaxation with (from a previous solve
-  /// of the same model, e.g. a deadline-degraded attempt). Only pass a
-  /// basis recorded against this exact model: a stale basis is repaired
-  /// by dual simplex, but may steer a degenerate LP to a different
-  /// optimal vertex.
-  std::vector<std::size_t> warm_basis;
 };
 
 /// Index of the integer variable whose fractional part is closest to

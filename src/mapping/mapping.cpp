@@ -21,7 +21,6 @@ using passes::DfNode;
 ilp::SolveOptions MapOptions::to_solve_options() const {
   ilp::SolveOptions solve;
   solve.max_nodes = max_ilp_nodes;
-  solve.warm_basis = warm_basis;
   if (time_budget_ms > 0.0) {
     solve.deadline = std::chrono::steady_clock::now() +
                      std::chrono::duration_cast<std::chrono::steady_clock::duration>(

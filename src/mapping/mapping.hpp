@@ -75,8 +75,8 @@ struct Mapping {
   /// baseline's when no incumbent existed). Propagates into Analysis and
   /// the report text.
   bool degraded = false;
-  /// The solution's simplex basis, usable to warm-start a re-solve of
-  /// the same model (ilp::SolveOptions::warm_basis). Empty for greedy.
+  /// The solution's simplex basis, usable to warm-start an LP re-solve
+  /// of the same model (ilp::LpOptions::warm_basis). Empty for greedy.
   std::vector<std::size_t> ilp_basis;
   /// Signatures of the mapper's pools at solve time (indexed like
   /// node_pool values); consumed by Mapper::repair().
@@ -103,12 +103,9 @@ struct MapOptions {
   /// result when none exists — flagged Mapping::degraded instead of
   /// failing.
   double time_budget_ms = 0.0;
-  /// Basis from a previous solve of the *same* model (Mapping::ilp_basis)
-  /// to warm-start the root relaxation with.
-  std::vector<std::size_t> warm_basis;
 
-  /// The one translation of these knobs into solver options: node budget
-  /// and warm basis copy over, and a positive time_budget_ms
+  /// The one translation of these knobs into solver options: the node
+  /// budget copies over, and a positive time_budget_ms
   /// becomes an absolute steady_clock deadline anchored at the call.
   /// Every solve site (map, repair) goes through here so the plumbing
   /// cannot drift.

@@ -18,6 +18,7 @@
 #include "obs/breakdown.hpp"
 #include "obs/metrics.hpp"
 #include "passes/symexec.hpp"
+#include "workload/profile.hpp"
 #include "workload/trace_io.hpp"
 
 namespace clara::serve {
@@ -170,10 +171,11 @@ Response handle_sweep(const Request& request, const core::Analyzer& analyzer,
     return core::error_response(request, ErrorCode::kParse,
                                 "sweep request needs a non-empty sweep_pps grid");
   }
-  for (const double pps : request.sweep_pps) {
-    if (pps <= 0.0) {
+  for (const double pps : request.sweep_pps) {  // each becomes a spec's pps
+    if (!(workload::kMinPps <= pps && pps <= workload::kMaxPps)) {
       return core::error_response(request, ErrorCode::kParse,
-                                  "sweep_pps load points must be positive");
+                                  strf("sweep_pps point %g must be a number in [%g, %g]", pps,
+                                       workload::kMinPps, workload::kMaxPps));
     }
   }
   auto analysis = analyzer.analyze(fn, workload, request.options);

@@ -362,7 +362,12 @@ std::optional<core::Request> build_analyze_request(const Args& args) {
   if (args.has("no-patterns")) request.options.stages.set(core::PipelineStages::kPatterns, false);
   if (args.has("no-optimize")) request.options.stages.set(core::PipelineStages::kOptimize, false);
   if (args.has("time-budget-ms")) {
-    request.options.map.time_budget_ms = std::atof(args.get("time-budget-ms").c_str());
+    const auto budget = parse_double(args.get("time-budget-ms"));
+    if (!budget) {
+      std::fprintf(stderr, "--time-budget-ms must be a number of milliseconds (e.g. 50)\n");
+      return std::nullopt;
+    }
+    request.options.map.time_budget_ms = *budget;
   }
   request.energy = args.has("energy");
   request.breakdown = args.has("breakdown");
@@ -408,6 +413,18 @@ int cmd_print(const Args& args) {
 int cmd_analyze(const Args& args) {
   auto base = build_analyze_request(args);
   if (!base) return 1;
+  // --sweep-pps=10000,60000,200000: every number goes on; the service checks its range.
+  std::vector<double> loads;
+  if (args.has("sweep-pps")) {
+    for (const auto& item : split(args.get("sweep-pps"), ',')) {
+      const auto pps = parse_double(trim(item));
+      if (!pps) {
+        std::fprintf(stderr, "--sweep-pps: '%s' is not a number\n", item.c_str());
+        return 2;
+      }
+      loads.push_back(*pps);
+    }
+  }
   RequestRunner runner(args);
 
   core::Request first = *base;
@@ -511,18 +528,7 @@ int cmd_analyze(const Args& args) {
   if (!a.partial_text.empty()) std::printf("\n%s", a.partial_text.c_str());
   if (!a.paths_text.empty()) std::printf("\n%s", a.paths_text.c_str());
 
-  if (args.has("sweep-pps")) {
-    // Comma-separated load points, e.g. --sweep-pps=10000,60000,200000.
-    std::vector<double> loads;
-    std::stringstream ss(args.get("sweep-pps"));
-    for (std::string item; std::getline(ss, item, ',');) {
-      const double pps = std::atof(item.c_str());
-      if (pps > 0) loads.push_back(pps);
-    }
-    if (loads.empty()) {
-      std::fprintf(stderr, "sweep-pps: no valid load points\n");
-      return 1;
-    }
+  if (!loads.empty()) {
     core::Request sweep_request = *base;
     sweep_request.kind = core::RequestKind::kSweep;
     sweep_request.sweep_pps = std::move(loads);
@@ -636,7 +642,7 @@ int cmd_trace_info(const Args& args) {
   }
   const auto analysis = workload::analyze_trace(trace.value());
   std::printf("%s", analysis.render().c_str());
-  std::printf("profile        : %s\n", workload::profile_from_trace(trace.value()).serialize().c_str());
+  std::printf("profile        : %s\n", trace.value().profile.serialize().c_str());
   return 0;
 }
 

@@ -17,6 +17,10 @@
 
 namespace clara::workload {
 
+/// The `pps` range, shared by sweep points, and the `packets` cap, shared by trace files.
+inline constexpr double kMinPps = 1.0, kMaxPps = 1e9;
+inline constexpr std::uint64_t kMaxPackets = std::uint64_t{1} << 24;
+
 enum class ArrivalProcess {
   kDeterministic,  // fixed inter-arrival = 1/pps
   kPoisson,        // exponential inter-arrivals with mean 1/pps
@@ -38,16 +42,15 @@ struct WorkloadProfile {
   ArrivalProcess arrivals = ArrivalProcess::kDeterministic;
   std::uint64_t seed = 42;
 
-  [[nodiscard]] double avg_payload() const {
-    return (static_cast<double>(payload_min) + static_cast<double>(payload_max)) / 2.0;
-  }
-
-  /// Textual form round-trips through parse().
+  /// Textual form; parse_profile(serialize()) restores every field exactly.
   [[nodiscard]] std::string serialize() const;
+  /// Every field at full precision, seed included: equal digests, equal traces.
+  [[nodiscard]] std::uint64_t digest() const;
 };
 
-/// Parses "key=value" pairs separated by whitespace. Unknown keys are an
-/// error; omitted keys keep their defaults.
+/// Parses "key=value" pairs separated by whitespace. A value outside its
+/// key's closed range, or an unknown key, is kParse naming the key;
+/// omitted keys keep their defaults, a repeated key its last value.
 Result<WorkloadProfile> parse_profile(const std::string& text);
 
 }  // namespace clara::workload

@@ -1,10 +1,12 @@
 #include "workload/trace_io.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 
 #include "common/strings.hpp"
+#include "workload/analysis.hpp"
 
 namespace clara::workload {
 
@@ -12,6 +14,7 @@ namespace {
 
 constexpr char kMagic[4] = {'C', 'L', 'T', 'R'};
 constexpr std::uint32_t kVersion = 1;
+constexpr long kHeaderSize = 16;
 constexpr std::size_t kRecordSize = 28;
 
 struct FileCloser {
@@ -49,7 +52,7 @@ Status write_trace(const Trace& trace, const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "wb"));
   if (!f) return make_error("cannot open for writing: " + path);
 
-  unsigned char header[16];
+  unsigned char header[kHeaderSize];
   std::memcpy(header, kMagic, 4);
   put_u32(header + 4, kVersion);
   put_u64(header + 8, trace.packets.size());
@@ -76,24 +79,35 @@ Status write_trace(const Trace& trace, const std::string& path) {
 }
 
 Result<Trace> read_trace(const std::string& path) {
+  const auto fail = [&path](const std::string& what) {
+    return make_error(ErrorCode::kParse, strf("trace %s: %s", path.c_str(), what.c_str()));
+  };
   FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return make_error("cannot open for reading: " + path);
+  if (!f) return fail("cannot open for reading");
 
-  unsigned char header[16];
+  unsigned char header[kHeaderSize];
   if (std::fread(header, 1, sizeof(header), f.get()) != sizeof(header)) {
-    return make_error("truncated header: " + path);
+    return fail("truncated header");
   }
-  if (std::memcmp(header, kMagic, 4) != 0) return make_error("bad magic (not a CLTR trace): " + path);
+  if (std::memcmp(header, kMagic, 4) != 0) return fail("bad magic (not a CLTR trace)");
   const std::uint32_t version = get_u32(header + 4);
-  if (version != kVersion) return make_error(strf("unsupported trace version %u", version));
+  if (version != kVersion) return fail(strf("unsupported trace version %u", version));
   const std::uint64_t count = get_u64(header + 8);
+  // Bound the count by the records the file holds and the cap before it sizes anything.
+  const long size = std::fseek(f.get(), 0, SEEK_END) == 0 ? std::ftell(f.get()) : -1;
+  if (size < kHeaderSize || std::fseek(f.get(), kHeaderSize, SEEK_SET) != 0) return fail("cannot seek");
+  const std::uint64_t records = static_cast<std::uint64_t>(size - kHeaderSize) / kRecordSize;
+  if (count > std::min(records, kMaxPackets)) {
+    return fail(strf("header declares %llu packets; the file holds %llu, the limit is %llu",
+                     (unsigned long long)count, (unsigned long long)records, (unsigned long long)kMaxPackets));
+  }
 
   Trace trace;
   trace.packets.reserve(count);
   unsigned char rec[kRecordSize];
   for (std::uint64_t i = 0; i < count; ++i) {
     if (std::fread(rec, 1, kRecordSize, f.get()) != kRecordSize) {
-      return make_error(strf("truncated record %llu in %s", (unsigned long long)i, path.c_str()));
+      return fail(strf("truncated record %llu", (unsigned long long)i));
     }
     PacketMeta p;
     p.flow_id = get_u32(rec + 0);
@@ -107,7 +121,7 @@ Result<Trace> read_trace(const std::string& path) {
     p.arrival_ns = get_u64(rec + 20);
     trace.packets.push_back(p);
   }
-  trace.profile.packets = count;
+  trace.profile = profile_from_trace(trace);
   return trace;
 }
 

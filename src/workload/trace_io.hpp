@@ -18,11 +18,11 @@
 
 namespace clara::workload {
 
-/// Serializes packets only (the generating profile is not persisted;
-/// a loaded trace reports a default-constructed profile with the packet
-/// count filled in).
+/// Serializes packets only; the generating profile is not persisted.
 Status write_trace(const Trace& trace, const std::string& path);
 
+/// The trace's profile is what its packets show (profile_from_trace). Errors are
+/// kParse naming the file; a count beyond the file or kMaxPackets is refused unread.
 Result<Trace> read_trace(const std::string& path);
 
 }  // namespace clara::workload

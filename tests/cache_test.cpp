@@ -15,6 +15,7 @@
 #include "core/clara.hpp"
 #include "lnic/params.hpp"
 #include "lnic/profiles.hpp"
+#include "nf/corpus.hpp"
 #include "nf/nf_cir.hpp"
 #include "obs/metrics.hpp"
 #include "workload/tracegen.hpp"
@@ -171,16 +172,41 @@ TEST(AnalysisCacheTest, DeadlineFallbackDeterministicAcrossJobs) {
   EXPECT_EQ(g.value().mapping.state_region, reference->mapping.state_region);
 }
 
+// A solve must not depend on what the cache solved before: a budgeted
+// analysis after an unbudgeted one of the same model answers as it does
+// on a fresh cache, down to its pivots and basis.
+TEST(AnalysisCacheTest, BudgetedSolveIndependentOfEarlierSolves) {
+  const auto trace = make_trace("tcp=0.8 flows=2000 payload=300 pps=60000 packets=2000");
+  AnalyzeOptions budgeted;
+  budgeted.map.time_budget_ms = 60'000.0;  // a key of its own, never reached
+  CacheGuard guard;
+  Analyzer clara_tool(lnic::netronome_agilio_cx());
+  for (const char* name : {"nat", "lpm", "meter", "rewrite", "firewall", "dpi"}) {
+    const cir::Function fn = nf::find_nf(name)->build();
+    analysis_cache().clear();
+    const auto fresh = clara_tool.analyze(fn, trace, budgeted);
+    analysis_cache().clear();
+    ASSERT_TRUE(clara_tool.analyze(fn, trace).ok()) << name;
+    const auto after = clara_tool.analyze(fn, trace, budgeted);
+    ASSERT_TRUE(fresh.ok()) << name << ": " << fresh.error().message;
+    ASSERT_TRUE(after.ok()) << name << ": " << after.error().message;
+    const mapping::Mapping& a = fresh.value().mapping;
+    const mapping::Mapping& b = after.value().mapping;
+    EXPECT_EQ(b.node_pool, a.node_pool) << name;
+    EXPECT_EQ(b.state_region, a.state_region) << name;
+    EXPECT_EQ(b.objective, a.objective) << name;
+    EXPECT_EQ(b.ilp_pivots, a.ilp_pivots) << name;
+    EXPECT_EQ(b.ilp_basis, a.ilp_basis) << name;
+  }
+}
+
 TEST(AnalysisCacheTest, KeysSensitiveToEveryInput) {
   const mapping::MapOptions base;
-  std::uint64_t family_base = 0;
-  const std::uint64_t key_base = mapping_key(1, base, true, &family_base);
+  const std::uint64_t key_base = mapping_key(1, base, true);
 
   mapping::MapOptions changed = base;
   changed.pps = base.pps + 1.0;
-  std::uint64_t family_pps = 0;
-  EXPECT_NE(mapping_key(1, changed, true, &family_pps), key_base);
-  EXPECT_NE(family_pps, family_base);
+  EXPECT_NE(mapping_key(1, changed, true), key_base);
 
   changed = base;
   changed.ctm_state_fraction = 0.5;
@@ -193,12 +219,9 @@ TEST(AnalysisCacheTest, KeysSensitiveToEveryInput) {
   EXPECT_NE(mapping_key(1, base, false), key_base);  // ilp vs greedy
   EXPECT_NE(mapping_key(2, base, true), key_base);   // different graph
 
-  // The time budget changes the key but *not* the warm-basis family.
   changed = base;
   changed.time_budget_ms = 50.0;
-  std::uint64_t family_budget = 0;
-  EXPECT_NE(mapping_key(1, changed, true, &family_budget), key_base);
-  EXPECT_EQ(family_budget, family_base);
+  EXPECT_NE(mapping_key(1, changed, true), key_base);
 
   EXPECT_NE(lowered_key(1, true, true), lowered_key(1, false, true));
   EXPECT_NE(lowered_key(1, true, true), lowered_key(1, true, false));

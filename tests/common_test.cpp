@@ -261,6 +261,9 @@ TEST(Strings, ParseDouble) {
   EXPECT_DOUBLE_EQ(parse_double("-1e3").value(), -1000.0);
   EXPECT_FALSE(parse_double("abc").has_value());
   EXPECT_FALSE(parse_double("1.2.3").has_value());
+  for (const char* non_finite : {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e309"}) {
+    EXPECT_FALSE(parse_double(non_finite).has_value()) << non_finite;
+  }
 }
 
 TEST(Strings, Strf) { EXPECT_EQ(strf("%d-%s", 3, "x"), "3-x"); }

@@ -7,14 +7,17 @@
 // resource loss (including jobs-level bit-identity, the report NOTE, the
 // nothing-pinned equivalence with map(), and the fallback counts);
 // the Analyzer degraded/repaired/greedy flag matrix; sweep
-// retry-once-then-record; and the hardened CIR parser, including a
-// seeded byte-mutation fuzz corpus that must return Result errors and
-// never abort.
+// retry-once-then-record; the hardened CIR parser, including a seeded
+// byte-mutation fuzz corpus that must return Result errors and never
+// abort; and a structure-aware fuzz of workload-spec values through the
+// service.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -24,6 +27,7 @@
 #include "cir/verify.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "core/cache.hpp"
 #include "core/clara.hpp"
 #include "core/sweep.hpp"
@@ -39,6 +43,7 @@
 #include "obs/recorder.hpp"
 #include "passes/api_subst.hpp"
 #include "passes/dataflow.hpp"
+#include "serve/service.hpp"
 #include "workload/tracegen.hpp"
 
 #ifndef CLARA_EXAMPLES_DIR
@@ -110,6 +115,8 @@ TEST(FaultPlanTest, ParseErrorsAreTyped) {
       "frobnicate 3\n",                  // unknown directive
       "site nicsim/drop\n",              // no trigger
       "site nicsim/drop p=1.5\n",        // probability out of range
+      "site nicsim/drop p=nan\n",        // NaN passes no range
+      "site nicsim/spike p=1 factor=nan\n",
       "site nicsim/drop every=0\n",      // zero period
       "seed banana\n",                   // bad seed
       "derate-unit npu0 250\n",          // pct out of range
@@ -928,6 +935,84 @@ TEST(ParserFuzzTest, MutatedP4CorpusNeverCrashes) {
       }
     }
   }
+}
+
+// Structure-aware spec fuzz: every workload-spec key (read off the
+// default echo, so a key added to the list is fuzzed too) with each
+// hostile value, plus the sweep's load points, which share the pps
+// range, through the service at jobs=1/2/8. Every answer is ok or kParse
+// naming its key, byte-identical at every jobs level, and an accepted
+// echo re-parses to the request's digest.
+TEST(SpecFuzzTest, HostileValuesAreTypedAndIdenticalAcrossJobs) {
+  const auto started = std::chrono::steady_clock::now();
+  const char* values[] = {"0",   "-1",  "2147483648", "4294967296", "4294967297",
+                          "9007199254740992", "18446744073709551616", "nan", "inf",
+                          "-inf", "1e308", "", "x"};
+  struct Case {
+    core::Request request;
+    std::string names;  // what a kParse answer must quote
+  };
+  std::vector<Case> cases;
+  for (const std::string& token : split(workload::WorkloadProfile{}.serialize(), ' ')) {
+    const std::string key = token.substr(0, token.find('='));
+    for (const char* value : values) {
+      Case c;
+      c.request.id = key + "=" + value;
+      c.request.nf = "lpm";
+      c.request.workload = "packets=500 " + key + "=" + value;
+      c.names = key + "=";
+      cases.push_back(std::move(c));
+    }
+  }
+  ASSERT_EQ(cases.size(), 8 * std::size(values));
+  for (const char* value : values) {
+    Case c;
+    c.request.id = std::string("sweep_pps=") + value;
+    c.request.kind = core::RequestKind::kSweep;
+    c.request.nf = "lpm";
+    c.request.workload = "packets=500";
+    c.request.sweep_pps = {std::strtod(value, nullptr)};  // nan and inf included
+    c.names = "sweep_pps point";
+    cases.push_back(std::move(c));
+  }
+
+  std::vector<std::string> reference;
+  std::size_t accepted = 0;
+  for (const std::size_t jobs : {1u, 2u, 8u}) {
+    parallel::set_jobs(jobs);
+    core::analysis_cache().clear();
+    serve::Service service(serve::ServiceOptions{0});
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const Case& c = cases[i];
+      const core::Response response = service.handle(c.request);
+      const std::string tag = c.request.id + " jobs=" + std::to_string(jobs);
+      if (response.ok) {
+        accepted += jobs == 1 ? 1 : 0;
+        const auto echoed = workload::parse_profile(response.workload);
+        ASSERT_TRUE(echoed.ok()) << tag << ": " << echoed.error().message;
+        EXPECT_EQ(echoed.value().digest(),
+                  workload::parse_profile(c.request.workload).value().digest())
+            << tag;
+        EXPECT_EQ(echoed.value().serialize(), response.workload) << tag;
+      } else {
+        EXPECT_EQ(response.error_code, ErrorCode::kParse) << tag << ": " << response.error;
+        EXPECT_NE(response.error.find(c.names), std::string::npos) << tag << ": " << response.error;
+      }
+      const std::string line = response.to_json();
+      if (jobs == 1) {
+        reference.push_back(line);
+      } else {
+        EXPECT_EQ(line, reference[i]) << tag;
+      }
+    }
+  }
+  parallel::set_jobs(0);
+  core::analysis_cache().clear();
+  // tcp=0, zipf=0, payload=0 and five in-range seeds.
+  EXPECT_EQ(accepted, 8u);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+  EXPECT_LT(seconds, 5.0);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
 // Serve subsystem tests (ctest label `serve`): Request/Response JSON
 // round-trips are byte-identical, unknown fields are rejected with a
 // typed kParse error and a did-you-mean suggestion, so is a field of the
-// wrong type, docs/api.md lists every wire key, the Service answers
+// wrong type, docs/api.md lists every wire key and docs/workloads.md
+// every workload-spec key, the Service answers
 // identical requests with byte-identical payloads at every jobs level,
 // a warm daemon answers repeated analyses without re-solving the ILP,
 // a warm one answers spec workloads from the summary stage without
 // generating a trace, every request kind answers byte-identically with
-// the cache on or off, trace files are re-read on every request,
-// deadline expiry degrades instead of erroring, and the admission gate
+// the cache on or off, trace files are re-read on every request and
+// priced at their own rate, hostile spec values and trace headers get
+// one typed error each from a daemon that keeps serving, deadline
+// expiry degrades instead of erroring, and the admission gate
 // rejects overload with typed responses rather than dropped
 // connections. The resilience half (docs/robustness.md "Serve
 // resilience"): a seeded mutation-fuzz corpus over the wire parser,
@@ -48,6 +51,7 @@
 #include "serve/daemon.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/service.hpp"
+#include "workload/profile.hpp"
 #include "workload/trace_io.hpp"
 #include "workload/tracegen.hpp"
 
@@ -450,6 +454,20 @@ TEST(ServeWireTest, ApiDocListsEveryWireField) {
   }
 }
 
+TEST(ServeWireTest, WorkloadDocListsEverySpecKey) {
+  std::ifstream file(CLARA_WORKLOADS_DOC);
+  ASSERT_TRUE(file) << CLARA_WORKLOADS_DOC;
+  const std::string doc{std::istreambuf_iterator<char>(file), std::istreambuf_iterator<char>()};
+  const auto begin = doc.find("## Profiles");
+  ASSERT_NE(begin, std::string::npos);
+  const std::string section = doc.substr(begin, doc.find("\n## ", begin + 1) - begin);
+  for (const std::string& token : split(workload::WorkloadProfile{}.serialize(), ' ')) {
+    const std::string key = token.substr(0, token.find('='));
+    EXPECT_NE(section.find("| `" + key + "` |"), std::string::npos)
+        << "docs/workloads.md's key table omits `" << key << "`";
+  }
+}
+
 TEST(ServeWireTest, ForeignProtocolRejected) {
   auto parsed = Request::from_json(R"({"proto":"clara-serve/2","id":"x","kind":"analyze"})");
   ASSERT_FALSE(parsed.ok());
@@ -613,6 +631,39 @@ TEST(ServeServiceTest, RewrittenTraceFileAnswersFromItsNewContent) {
   EXPECT_EQ(after.to_json(), expected.to_json());
   EXPECT_EQ(hits.value() + misses.value(), lookups_before)
       << "trace files never reach the summary stage";
+}
+
+TEST(ServeServiceTest, TraceFileIsPricedLikeTheSpecThatWroteIt) {
+  CacheGuard cache;
+  Service service(ServiceOptions{0});
+  const std::string path = strf("/tmp/clara-serve-test-rate-%d.cltr", static_cast<int>(::getpid()));
+  const struct {
+    const char* nf;
+    const char* spec;
+  } cases[] = {
+      {"nat", "tcp=0.8 flows=2000 payload=800 pps=3000000 packets=20000 seed=7"},
+      {"lpm", "tcp=0.8 flows=2000 payload=64:1500 pps=1500000 packets=20000 seed=7"},
+  };
+  for (const auto& c : cases) {
+    Request spec = small_analyze(c.nf);
+    spec.workload = c.spec;
+    Request file = spec;
+    file.workload.clear();
+    file.trace_file = path;
+    const auto trace = workload::generate_trace(workload::parse_profile(c.spec).value());
+    ASSERT_TRUE(workload::write_trace(trace, path).ok());
+    const Response from_spec = service.handle(spec);
+    const Response from_file = service.handle(file);
+    ::unlink(path.c_str());
+    ASSERT_TRUE(from_spec.ok) << from_spec.error;
+    ASSERT_TRUE(from_file.ok) << from_file.error;
+    // The file's offered rate is the one its arrivals show, not a default.
+    const auto echoed = workload::parse_profile(from_file.workload);
+    ASSERT_TRUE(echoed.ok()) << from_file.workload;
+    EXPECT_NEAR(echoed.value().pps / trace.profile.pps, 1.0, 1e-3) << from_file.workload;
+    EXPECT_EQ(strf("%.0f", from_file.mean_latency_cycles), strf("%.0f", from_spec.mean_latency_cycles))
+        << c.nf << " " << c.spec;
+  }
 }
 
 TEST(ServeServiceTest, SpecsDifferingOnlyInSeedOrSeventhDigitDoNotShareASummary) {
@@ -828,6 +879,52 @@ TEST(ServeDaemonTest, DeadlineExceededIsDegradedNotConnectionError) {
   auto second = client.value().call(next);
   ASSERT_TRUE(second.ok()) << second.error().message;
   EXPECT_TRUE(second.value().ok);
+  daemon.stop();
+}
+
+TEST(ServeDaemonTest, HostileSpecValuesAndTraceHeadersGetOneParseErrorEach) {
+  CacheGuard cache;
+  // A 16-byte trace whose header declares 2^60 packets.
+  const std::string huge = strf("/tmp/clara-serve-test-huge-%d.cltr", static_cast<int>(::getpid()));
+  {
+    std::ofstream out(huge, std::ios::binary);
+    const unsigned char header[16] = {'C', 'L', 'T', 'R', 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10};
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+  }
+  DaemonOptions options;
+  options.socket_path = temp_socket("hostile");
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.start().ok());
+  auto client = Client::connect(options.socket_path);
+  ASSERT_TRUE(client.ok()) << client.error().message;
+
+  const struct {
+    const char* workload;
+    std::string trace_file;
+    std::string names;
+  } hostile[] = {
+      {"flows=4294967296", "", "flows=4294967296"},
+      {"packets=1000000000000000", "", "packets=1000000000000000"},
+      {"", huge, huge},
+  };
+  for (const auto& h : hostile) {
+    Request request = small_analyze();
+    request.id = h.names;
+    request.workload = h.workload;
+    request.trace_file = h.trace_file;
+    auto response = client.value().call(request);
+    ASSERT_TRUE(response.ok()) << h.names << ": " << response.error().message;
+    EXPECT_FALSE(response.value().ok) << h.names;
+    EXPECT_EQ(response.value().error_code, ErrorCode::kParse) << h.names;
+    EXPECT_NE(response.value().error.find(h.names), std::string::npos) << response.value().error;
+  }
+  ::unlink(huge.c_str());
+
+  Request next = small_analyze();
+  next.id = "after-hostile";
+  auto answered = client.value().call(next);
+  ASSERT_TRUE(answered.ok()) << answered.error().message;
+  EXPECT_TRUE(answered.value().ok) << answered.value().error;
   daemon.stop();
 }
 
