@@ -1,10 +1,10 @@
 #include "core/request.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <concepts>
 #include <cstring>
+#include <optional>
 #include <type_traits>
 
 #include "common/json.hpp"
@@ -148,32 +148,36 @@ void fields(auto& v, Is<Response> auto& r) {
 
 /// Emits every field of a list, always, in list order, with json_number's
 /// round-trip formatting, so serialize→parse→serialize is byte-identical.
+/// The whole line, its '\n' included, is written into one buffer.
 class Writer {
  public:
   static std::string line(const Struct auto& message) {
     Writer writer;
-    writer.out_.reserve(1024);
+    writer.out_.reserve(4096);
     writer.encode(message);
+    writer.out_ += '\n';
     return std::move(writer.out_);
   }
 
   void operator()(const char* key, const auto& member, auto... codec) {
-    out_ += first_ ? "\"" : ",\"";
+    out_.append(first_ ? "\"" : ",\"").append(key).append("\":");
     first_ = false;
-    out_ += key;
-    out_ += "\":";
     encode(member, codec...);
   }
 
  private:
-  void encode(const char* constant) { out_ += json_quote(constant); }
-  void encode(const std::string& text) { out_ += json_quote(text); }
+  void encode(const char* constant) { json_quote(out_, constant); }
+  void encode(const std::string& text) { json_quote(out_, text); }
   void encode(bool flag) { out_ += flag ? "true" : "false"; }
-  void encode(double number) { out_ += json_number(number); }
+  void encode(double number) { json_number(out_, number); }
   void encode(std::uint32_t mask, Bit bit) { encode((mask & bit.flag) != 0); }
-  void encode(std::uint64_t count, Count) { out_ += std::to_string(count); }
-  void encode(std::uint64_t number, Decimal) { out_ += '"' + std::to_string(number) + '"'; }
-  void encode(Enum auto value, Required = {}) { out_ += json_quote(to_string(value)); }
+  void encode(std::uint64_t count, Count) { digits(count); }
+  void encode(std::uint64_t number, Decimal) {
+    out_ += '"';
+    digits(number);
+    out_ += '"';
+  }
+  void encode(Enum auto value, Required = {}) { json_quote(out_, to_string(value)); }
   template <class T>
   void encode(const std::vector<T>& items) {
     out_ += '[';
@@ -190,6 +194,10 @@ class Writer {
     out_ += '}';
     first_ = false;
   }
+  void digits(std::uint64_t number) {
+    char text[20];
+    out_.append(text, std::to_chars(text, text + sizeof text, number).ptr);
+  }
 
   std::string out_;
   bool first_ = true;
@@ -204,132 +212,169 @@ std::string did_you_mean(std::string message, const std::string& word,
   return message;
 }
 
-/// Parses one JSON value by its list, checking in a fixed order so a line
-/// with several faults always gets the same error: the proto, unknown keys,
-/// the kind, then the other fields in list order. A wrong JSON type or an
-/// out-of-range count is kParse naming the field's dotted path
-/// (`map.time_budget_ms`); an absent field keeps the struct's default.
+/// Decodes one JSON object of a scanned line by its list, checking in a
+/// fixed order so a line with several faults always gets the same error:
+/// the proto, unknown keys, the kind, then the other fields in list order.
+/// A wrong JSON type or an out-of-range count is kParse naming the field's
+/// dotted path (`map.time_budget_ms`); an absent field keeps the struct's
+/// default. A duplicate key's last value is the one read, and of several
+/// unknown keys the first in sorted order is the one named.
 class Reader {
  public:
-  /// `key` names the value: the message at the top, else its field.
-  Reader(const Json& json, const char* key, const Reader* parent = nullptr, int index = -1)
-      : json_(json), key_(key), parent_(parent), index_(index) {}
+  /// One field of a list: its key and its member's value node, or kAbsent.
+  struct Row {
+    std::string_view key;
+    std::uint32_t node;
+  };
+
+  /// Reads object node `node` of `view`; `key` names the value: the
+  /// message at the top, else its field. `rows` holds every open
+  /// Reader's rows, one per field.
+  Reader(const JsonView& view, std::uint32_t node, const char* key, std::vector<Row>& rows,
+         const Reader* parent = nullptr, int index = -1)
+      : view_(view), node_(node), key_(key), parent_(parent), index_(index), rows_(rows),
+        base_(rows.size()) {}
 
   Status read(Struct auto& message) {
-    if (!json_.is_object()) fail(strf("\"%s\" must be an object", where().c_str()));
+    if (view_[node_].kind != Json::Kind::kObject) fail(strf("\"%s\" must be an object", where().c_str()));
+    if (status_) match(message);
     for (const Pass pass : {kProtocol, kRequired, kOptional}) {
       if (!status_) break;
       pass_ = pass;
       row_ = 0;
       fields(*this, message);
-      if (pass == kProtocol) reject_unknown(message);
+      if (pass == kProtocol && unknown_) {
+        std::vector<std::string> keys;
+        for (std::size_t row = base_; row < rows_.size(); ++row) keys.emplace_back(rows_[row].key);
+        fail(did_you_mean(strf("unknown field \"%s\" in %s", unknown_->c_str(), where().c_str()), *unknown_,
+                          keys));
+      }
     }
+    rows_.resize(base_);
     return status_;
   }
 
   void operator()(const char* key, const char* constant) {
-    const Json* json = take(key, kProtocol);
+    const std::uint32_t node = take(key, kProtocol);
     if (pass_ != kProtocol || !status_) return;
-    const std::string value = json != nullptr ? json->as_string() : "";  // "" unless a string
-    if (value == constant) return;
+    const bool string = node != kAbsent && view_[node].kind == Json::Kind::kString;
+    if (string && view_.equals(node, constant)) return;
+    std::string value;  // "" unless a string
+    if (string) view_.string(node, value);
     fail(strf("%s %s \"%s\" unsupported (this server speaks %s)", where().c_str(), key,
               value.c_str(), constant));
   }
   void operator()(const char* key, auto& member, Required) {
-    if (const Json* json = take(key, kRequired)) decode(key, *json, member);
+    if (const std::uint32_t node = take(key, kRequired); node != kAbsent) decode(key, node, member);
   }
   void operator()(const char* key, auto& member, auto... codec) {
-    if (const Json* json = take(key, kOptional)) decode(key, *json, member, codec...);
+    if (const std::uint32_t node = take(key, kOptional); node != kAbsent) decode(key, node, member, codec...);
   }
 
  private:
   enum Pass { kProtocol, kRequired, kOptional };
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
 
-  /// Row `key`'s value when this pass decodes it, else nullptr. The first
-  /// pass looks every row up once and counts the keys it knows.
-  const Json* take(const char* key, Pass pass) {
-    const std::size_t row = row_++;
-    if (pass_ == kProtocol && found_.emplace_back(json_.get(key)) != nullptr) ++present_;
-    if (pass != pass_ || !status_) return nullptr;
-    if (found_[row] == nullptr && pass == kRequired) fail(strf("missing %s", path(key).c_str()));
-    return found_[row];
+  /// Row `key`'s value node when this pass decodes it, else kAbsent.
+  std::uint32_t take(const char* key, Pass pass) {
+    const std::uint32_t node = rows_[base_ + row_++].node;
+    if (pass != pass_ || !status_) return kAbsent;
+    if (node == kAbsent && pass == kRequired) fail(strf("missing %s", path(key).c_str()));
+    return node;
   }
 
-  void reject_unknown(Struct auto& message) {
-    if (!status_ || present_ == json_.as_object().size()) return;
-    std::vector<std::string> names;
-    auto collect = [&names](const char* key, const auto&...) { names.emplace_back(key); };
-    fields(collect, message);
-    for (const auto& member : json_.as_object()) {
-      const std::string& key = member.first;
-      if (std::find(names.begin(), names.end(), key) != names.end()) continue;
-      return fail(did_you_mean(strf("unknown field \"%s\" in %s", key.c_str(), where().c_str()),
-                               key, names));
+  /// Points each row at its member in one walk over the object. Clara
+  /// writes members in list order, so the row after the last one matched
+  /// is tried first, then every row. A repeated key's last member wins,
+  /// and of the keys no row names the first in sorted order is kept.
+  void match(Struct auto& message) {
+    auto add = [this](const char* key, const auto&...) { rows_.push_back({key, kAbsent}); };
+    fields(add, message);
+    const std::size_t count = rows_.size() - base_;
+    std::size_t next = 0;
+    std::string key;
+    for (std::uint32_t member = node_ + 1; member < view_[node_].end; member = view_[member].end) {
+      std::size_t row = next;
+      if (row >= count || !view_.equals(member, rows_[base_ + row].key)) {
+        row = 0;
+        while (row < count && !view_.equals(member, rows_[base_ + row].key)) ++row;
+      }
+      if (row < count) {
+        rows_[base_ + row].node = member + 1;
+        next = row + 1;
+        continue;
+      }
+      view_.string(member, key);
+      if (!unknown_ || key < *unknown_) unknown_ = key;
     }
   }
 
-  void decode(const char* key, const Json& json, std::string& text) {
-    if (!json.is_string()) return mistyped(key, "a string");
-    text = json.as_string();
+  [[nodiscard]] Json::Kind kind(std::uint32_t node) const { return view_[node].kind; }
+
+  void decode(const char* key, std::uint32_t node, std::string& text) {
+    if (kind(node) != Json::Kind::kString) return mistyped(key, "a string");
+    view_.string(node, text);
   }
-  void decode(const char* key, const Json& json, bool& flag) {
-    if (!json.is_bool()) return mistyped(key, "true or false");
-    flag = json.as_bool();
+  void decode(const char* key, std::uint32_t node, bool& flag) {
+    if (kind(node) != Json::Kind::kBool) return mistyped(key, "true or false");
+    flag = view_[node].text == "true";
   }
-  void decode(const char* key, const Json& json, double& number) {
-    if (!json.is_number()) return mistyped(key, "a number");
-    number = json.as_double();
+  void decode(const char* key, std::uint32_t node, double& number) {
+    if (kind(node) != Json::Kind::kNumber) return mistyped(key, "a number");
+    number = view_[node].number;
   }
-  void decode(const char* key, const Json& json, std::uint32_t& mask, Bit bit) {
-    if (!json.is_bool()) return mistyped(key, "true or false");
-    mask = json.as_bool() ? mask | bit.flag : mask & ~bit.flag;
+  void decode(const char* key, std::uint32_t node, std::uint32_t& mask, Bit bit) {
+    if (kind(node) != Json::Kind::kBool) return mistyped(key, "true or false");
+    mask = view_[node].text == "true" ? mask | bit.flag : mask & ~bit.flag;
   }
   template <std::unsigned_integral N>
-  void decode(const char* key, const Json& json, N& count, Count range) {
-    const double value = json.as_double();
-    if (!json.is_number() || !(value >= range.lo && value <= range.hi) ||
+  void decode(const char* key, std::uint32_t node, N& count, Count range) {
+    const double value = view_[node].number;
+    if (kind(node) != Json::Kind::kNumber || !(value >= range.lo && value <= range.hi) ||
         value != std::floor(value)) {
       return mistyped(key, strf("an integer in [%.0f, %.0f]", range.lo, range.hi).c_str());
     }
     count = static_cast<N>(value);
   }
-  void decode(const char* key, const Json& json, std::unsigned_integral auto& number, Decimal) {
-    const std::string& text = json.as_string();
+  void decode(const char* key, std::uint32_t node, std::unsigned_integral auto& number, Decimal) {
+    std::string text;
+    if (kind(node) == Json::Kind::kString) view_.string(node, text);
     const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), number);
-    if (!json.is_string() || error != std::errc() || end != text.data() + text.size()) {
+    if (kind(node) != Json::Kind::kString || error != std::errc() || end != text.data() + text.size()) {
       mistyped(key, "a string of decimal digits");
     }
   }
   template <Enum E>
-  void decode(const char* key, const Json& json, E& value) {
-    if (!json.is_string()) return mistyped(key, "a string");
+  void decode(const char* key, std::uint32_t node, E& value) {
+    if (kind(node) != Json::Kind::kString) return mistyped(key, "a string");
     // to_string spells every enumerator and answers "?" past the last.
     std::vector<std::string> names;
     for (int i = 0; std::strcmp(to_string(static_cast<E>(i)), "?") != 0; ++i) {
-      if (json.as_string() == to_string(static_cast<E>(i))) {
+      if (view_.equals(node, to_string(static_cast<E>(i)))) {
         value = static_cast<E>(i);
         return;
       }
       names.emplace_back(to_string(static_cast<E>(i)));
     }
-    fail(did_you_mean(strf("unknown %s \"%s\"", path(key).c_str(), json.as_string().c_str()),
-                      json.as_string(), names));
+    std::string text;
+    view_.string(node, text);
+    fail(did_you_mean(strf("unknown %s \"%s\"", path(key).c_str(), text.c_str()), text, names));
   }
   template <class T>
-  void decode(const char* key, const Json& json, std::vector<T>& items) {
-    if (!json.is_array()) return mistyped(key, "an array");
+  void decode(const char* key, std::uint32_t node, std::vector<T>& items) {
+    if (kind(node) != Json::Kind::kArray) return mistyped(key, "an array");
     items.clear();
-    const Json::Array& array = json.as_array();
-    for (int i = 0; i < static_cast<int>(array.size()) && status_; ++i) {
+    int i = 0;
+    for (std::uint32_t item = node + 1; item < view_[node].end && status_; item = view_[item].end, ++i) {
       if constexpr (std::is_class_v<T>) {
-        status_ = Reader(array[i], key, this, i).read(items.emplace_back());
+        status_ = Reader(view_, item, key, rows_, this, i).read(items.emplace_back());
       } else {
-        decode(key, array[i], items.emplace_back());
+        decode(key, item, items.emplace_back());
       }
     }
   }
-  void decode(const char* key, const Json& json, Struct auto& message) {
-    status_ = Reader(json, key, this).read(message);
+  void decode(const char* key, std::uint32_t node, Struct auto& message) {
+    status_ = Reader(view_, node, key, rows_, this).read(message);
   }
 
   /// The path of this value (`map`, `classes[0]`) or of its field `key`.
@@ -347,14 +392,16 @@ class Reader {
     if (status_) status_ = make_error(ErrorCode::kParse, std::move(message));
   }
 
-  const Json& json_;
+  const JsonView& view_;
+  std::uint32_t node_;
   const char* key_;
   const Reader* parent_;
   int index_;
+  std::vector<Row>& rows_;
+  std::size_t base_;  // this Reader's first row in rows_
   Pass pass_ = kProtocol;
   std::size_t row_ = 0;
-  std::size_t present_ = 0;
-  std::vector<const Json*> found_;
+  std::optional<std::string> unknown_;  // the first unknown key in sorted order
   Status status_;
 };
 
@@ -364,22 +411,33 @@ Result<M> read_line(std::string_view text, const char* what) {
     return make_error(ErrorCode::kParse, strf("%s line too large (%zu bytes, limit %zu)", what,
                                               text.size(), kMaxWireBytes));
   }
-  auto parsed = Json::parse(text);
-  if (!parsed) return parsed.error();
+  auto view = JsonView::scan(text);
+  if (!view) return view.error();
+  std::vector<Reader::Row> rows;
+  rows.reserve(64);
   M message;
-  if (auto status = Reader(parsed.value(), what).read(message); !status) return status.error();
+  if (auto status = Reader(view.value(), 0, what, rows).read(message); !status) return status.error();
   return message;
+}
+
+std::string without_newline(std::string line) {
+  line.pop_back();
+  return line;
 }
 
 }  // namespace
 
-std::string Request::to_json() const { return Writer::line(*this); }
+std::string Request::to_json() const { return without_newline(to_line()); }
+
+std::string Request::to_line() const { return Writer::line(*this); }
 
 Result<Request> Request::from_json(std::string_view text) {
   return read_line<Request>(text, "request");
 }
 
-std::string Response::to_json() const { return Writer::line(*this); }
+std::string Response::to_json() const { return without_newline(to_line()); }
+
+std::string Response::to_line() const { return Writer::line(*this); }
 
 Result<Response> Response::from_json(std::string_view text) {
   return read_line<Response>(text, "response");

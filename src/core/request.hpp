@@ -83,6 +83,8 @@ struct Request {
 
   /// One JSON line (no trailing newline), fixed field order.
   [[nodiscard]] std::string to_json() const;
+  /// to_json() and its '\n': the line as written to a socket.
+  [[nodiscard]] std::string to_line() const;
   /// Strict parse: unknown fields are a kParse error with a
   /// did-you-mean suggestion, a wrong-typed or out-of-range value one
   /// naming its dotted path; a missing/foreign proto is rejected.
@@ -166,6 +168,8 @@ struct Response {
   std::string validation_text;
 
   [[nodiscard]] std::string to_json() const;
+  /// to_json() and its '\n': the line as written to a socket.
+  [[nodiscard]] std::string to_line() const;
   static Result<Response> from_json(std::string_view text);
 };
 

@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -165,39 +166,39 @@ Status Client::send_bytes(std::string_view data) {
   return {};
 }
 
-Status Client::send(const core::Request& request) {
-  return send_bytes(request.to_json() + "\n");
-}
+Status Client::send(const core::Request& request) { return send_bytes(request.to_line()); }
 
-Result<std::string> Client::read_line() {
+Result<std::size_t> Client::read_line() {
   if (fd_ < 0) return make_error(ErrorCode::kInternal, "client is not connected");
+  std::size_t scanned = 0;  // leading bytes known to hold no '\n'
   while (true) {
-    if (const auto nl = buffer_.find('\n'); nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (const auto nl = buffer_.find('\n', scanned); nl != std::string::npos) return nl;
+    scanned = buffer_.size();
+    constexpr std::size_t kChunk = 4096;
+    buffer_.resize(scanned + kChunk);
+    const ssize_t n = ::recv(fd_, buffer_.data() + scanned, kChunk, 0);
+    const int err = errno;
+    buffer_.resize(scanned + static_cast<std::size_t>(std::max<ssize_t>(n, 0)));
     if (n < 0) {
-      if (errno == EINTR) continue;
-      if (is_timeout_errno(errno)) {
+      if (err == EINTR) continue;
+      if (is_timeout_errno(err)) {
         return make_error(ErrorCode::kInternal,
                           strf("recv: timed out after %.0f ms", options_.recv_timeout_ms));
       }
-      return make_error(ErrorCode::kInternal, strf("recv: %s", std::strerror(errno)));
+      return make_error(ErrorCode::kInternal, strf("recv: %s", std::strerror(err)));
     }
     if (n == 0) {
       return make_error(ErrorCode::kInternal, "server closed the connection");
     }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
   }
 }
 
 Result<core::Response> Client::read_response() {
-  auto line = read_line();
-  if (!line) return line.error();
-  return core::Response::from_json(line.value());
+  const auto length = read_line();
+  if (!length) return length.error();
+  auto response = core::Response::from_json(std::string_view(buffer_).substr(0, length.value()));
+  buffer_.erase(0, length.value() + 1);
+  return response;
 }
 
 Result<core::Response> Client::call(const core::Request& request) {
@@ -238,7 +239,7 @@ Result<core::Response> Client::call_with_retry(const core::Request& request,
       obs::metrics().counter("serve_client/reconnects").inc();
     }
 
-    const std::string line = wire.to_json() + "\n";
+    const std::string line = wire.to_line();
     Status sent;
     if (fault::active() && fault::inject("serve/slow_read", Fnv1a().mix(wire.id).digest())) {
       // Chaos: stall mid-line past the server's read deadline (the stall

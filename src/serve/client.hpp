@@ -99,7 +99,9 @@ class Client {
   void close();
 
  private:
-  Result<std::string> read_line();
+  /// The length of the next response line, received into buffer_ until
+  /// its '\n' is there; the line starts at buffer_[0].
+  Result<std::size_t> read_line();
   Status send_bytes(std::string_view data);
 
   int fd_ = -1;

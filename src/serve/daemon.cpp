@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "common/hash.hpp"
@@ -34,7 +35,7 @@ double elapsed_ms(Clock::time_point since) {
 /// not as a process-wide SIGPIPE. With deadline_ms > 0 each stalled
 /// send polls for writability and gives up once the budget is spent,
 /// so a peer that stopped reading cannot pin the thread forever.
-bool send_all(int fd, const std::string& data, double deadline_ms) {
+bool send_all(int fd, std::string_view data, double deadline_ms) {
   const auto start = Clock::now();
   std::size_t sent = 0;
   while (sent < data.size()) {
@@ -283,7 +284,7 @@ void Daemon::accept_loop() {
       reject.error_code = ErrorCode::kOverloaded;
       reject.error = strf("connection limit reached (%zu); retry", options_.max_connections);
       reject.retry_after_ms = options_.retry_after_ms;
-      send_all(fd, reject.to_json() + "\n", 1000.0);
+      send_all(fd, reject.to_line(), 1000.0);
       ::close(fd);
       obs::metrics().counter("serve/conn_limit_rejects").inc();
       continue;
@@ -307,7 +308,7 @@ void Daemon::serve_connection(Conn* conn) {
   shared->fd = fd;
   {
     const std::lock_guard<std::mutex> lock(shared->write_mu);
-    send_all(fd, hello_response().to_json() + "\n", write_deadline);
+    send_all(fd, hello_response().to_line(), write_deadline);
   }
 
   // Serializes a response onto the wire under the connection's write
@@ -317,16 +318,16 @@ void Daemon::serve_connection(Conn* conn) {
   // a broken pipe.
   auto write_response = [this, shared, write_deadline](const core::Response& response,
                                                        std::uint64_t key) {
-    const std::string out = response.to_json() + "\n";
+    const std::string out = response.to_line();
     const std::lock_guard<std::mutex> lock(shared->write_mu);
     if (shared->dead.load(std::memory_order_acquire)) return;
     bool sent = false;
     if (out.size() >= 2 && fault::active() && fault::inject("serve/torn_write", key)) {
       const std::size_t half = out.size() / 2;
-      sent = send_all(shared->fd, out.substr(0, half), write_deadline);
+      sent = send_all(shared->fd, std::string_view(out).substr(0, half), write_deadline);
       if (sent) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        sent = send_all(shared->fd, out.substr(half), write_deadline);
+        sent = send_all(shared->fd, std::string_view(out).substr(half), write_deadline);
       }
     } else {
       sent = send_all(shared->fd, out, write_deadline);

@@ -425,6 +425,15 @@ int cmd_analyze(const Args& args) {
       loads.push_back(*pps);
     }
   }
+  // --max-rel-err=0.15: checked before any request is sent.
+  std::optional<double> max_rel_err;
+  if (args.has("max-rel-err")) {
+    max_rel_err = parse_double(args.get("max-rel-err"));
+    if (!max_rel_err || *max_rel_err <= 0.0) {
+      std::fprintf(stderr, "--max-rel-err must be a positive fraction (e.g. 0.15)\n");
+      return 2;
+    }
+  }
   RequestRunner runner(args);
 
   core::Request first = *base;
@@ -471,21 +480,16 @@ int cmd_analyze(const Args& args) {
   if (args.has("validate")) {
     std::printf("\npredicted-vs-simulated validation (workload seed %s):\n%s",
                 spec_value(a.workload, "seed").c_str(), a.validation_text.c_str());
-    if (args.has("max-rel-err")) {
-      const auto limit = parse_double(args.get("max-rel-err"));
-      if (!limit || *limit <= 0.0) {
-        std::fprintf(stderr, "--max-rel-err must be a positive fraction (e.g. 0.15)\n");
-        return 2;
-      }
-      if (a.rel_err > *limit) {
+    if (max_rel_err) {
+      if (a.rel_err > *max_rel_err) {
         const std::string dump = obs::recorder().auto_dump("accuracy");
         std::fprintf(stderr, "FAIL: relative error %.2f%% exceeds --max-rel-err=%.2f%%%s%s\n",
-                     a.rel_err * 100.0, *limit * 100.0,
+                     a.rel_err * 100.0, *max_rel_err * 100.0,
                      dump.empty() ? "" : "; flight recorder dumped to ", dump.c_str());
         return 1;
       }
       std::printf("validation PASS: relative error %.2f%% within --max-rel-err=%.2f%%\n",
-                  a.rel_err * 100.0, *limit * 100.0);
+                  a.rel_err * 100.0, *max_rel_err * 100.0);
     }
   }
 

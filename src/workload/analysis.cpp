@@ -115,10 +115,13 @@ WorkloadProfile profile_from_trace(const Trace& trace) {
   WorkloadProfile profile;
   profile.tcp_fraction = analysis.tcp_fraction;
   profile.flows = std::max<std::uint32_t>(1, analysis.distinct_flows);
-  profile.zipf_alpha = analysis.zipf_alpha;
+  // The skew and the rate are estimates, so a trace generated at a range's
+  // edge can measure past it (a fitted zipf=8 slope, a Poisson count over its
+  // span); each is held to its spec range.
+  profile.zipf_alpha = std::min(analysis.zipf_alpha, kMaxZipf);
   profile.payload_min = analysis.min_payload;
   profile.payload_max = analysis.max_payload;
-  if (analysis.observed_pps > 0.0) profile.pps = analysis.observed_pps;
+  if (analysis.observed_pps > 0.0) profile.pps = std::clamp(analysis.observed_pps, kMinPps, kMaxPps);
   profile.packets = analysis.packets;
   profile.arrivals = analysis.arrival_cv > 0.5 ? ArrivalProcess::kPoisson : ArrivalProcess::kDeterministic;
   return profile;

@@ -37,7 +37,7 @@ constexpr const char* kArrivals[] = {"deterministic", "poisson"};
 void fields(auto&& v, auto& p) {
   v("tcp", p.tcp_fraction, Real{0.0, 1.0});
   v("flows", p.flows, Count{1, std::uint64_t{1} << 24});
-  v("zipf", p.zipf_alpha, Real{0.0, 8.0});
+  v("zipf", p.zipf_alpha, Real{0.0, kMaxZipf});
   v("payload", Span{p.payload_min, p.payload_max}, Count{0, 9000});
   v("pps", p.pps, Real{kMinPps, kMaxPps});
   v("packets", p.packets, Count{1, kMaxPackets});

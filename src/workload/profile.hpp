@@ -17,8 +17,10 @@
 
 namespace clara::workload {
 
-/// The `pps` range, shared by sweep points, and the `packets` cap, shared by trace files.
+/// Spec limits shared outside the field list: the `pps` range (sweep points
+/// and trace files), and the `zipf` and `packets` caps (trace files).
 inline constexpr double kMinPps = 1.0, kMaxPps = 1e9;
+inline constexpr double kMaxZipf = 8.0;
 inline constexpr std::uint64_t kMaxPackets = std::uint64_t{1} << 24;
 
 enum class ArrivalProcess {

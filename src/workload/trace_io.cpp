@@ -121,7 +121,13 @@ Result<Trace> read_trace(const std::string& path) {
     p.arrival_ns = get_u64(rec + 20);
     trace.packets.push_back(p);
   }
-  trace.profile = profile_from_trace(trace);
+  // The profile the packets show must be a spec the parser takes, since a
+  // response echoes it as one. Its estimates are held to their ranges, so
+  // what is refused is what the file fixes: no packets, or a payload above
+  // the spec's.
+  auto profile = parse_profile(profile_from_trace(trace).serialize());
+  if (!profile) return fail(profile.error().message);
+  trace.profile = profile.value();
   return trace;
 }
 

@@ -21,8 +21,10 @@ namespace clara::workload {
 /// Serializes packets only; the generating profile is not persisted.
 Status write_trace(const Trace& trace, const std::string& path);
 
-/// The trace's profile is what its packets show (profile_from_trace). Errors are
-/// kParse naming the file; a count beyond the file or kMaxPackets is refused unread.
+/// The trace's profile is what its packets show (profile_from_trace), checked
+/// against the spec ranges. Errors are kParse naming the file; a count beyond the
+/// file or kMaxPackets is refused unread, and an empty file or a payload above the
+/// spec's names the key and its range.
 Result<Trace> read_trace(const std::string& path);
 
 }  // namespace clara::workload

@@ -1,10 +1,18 @@
 // Tests for the common substrate: RNG, Zipf sampling, statistics,
-// strings, tables, Result.
+// strings, tables, Result, JSON number spelling.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string_view>
+#include <tuple>
+#include <vector>
 
+#include "common/json.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -264,6 +272,110 @@ TEST(Strings, ParseDouble) {
   for (const char* non_finite : {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "1e309"}) {
     EXPECT_FALSE(parse_double(non_finite).has_value()) << non_finite;
   }
+}
+
+/// json_number's rule spelled with printf: the first of %.15g, %.16g and
+/// %.17g that strtod reads back equal.
+std::string printf_number(double value) {
+  if (!std::isfinite(value)) return "0";
+  for (const int precision : {15, 16}) {
+    std::string text = strf("%.*g", precision, value);
+    if (std::strtod(text.c_str(), nullptr) == value) return text;
+  }
+  return strf("%.17g", value);
+}
+
+std::uint64_t bits(double value) {
+  std::uint64_t out = 0;
+  std::memcpy(&out, &value, sizeof out);
+  return out;
+}
+
+double from_bits(std::uint64_t pattern) {
+  double out = 0.0;
+  std::memcpy(&out, &pattern, sizeof out);
+  return out;
+}
+
+// Seeded doubles of every kind the wire carries — random bit patterns,
+// integers, tenths, powers of ten across the whole range, denormals and
+// the extremes — spelled by json_number exactly as printf spells them,
+// and read back by the JSON parser to the same bits.
+TEST(JsonNumber, SpellsAsPrintfAndReadsBackBitExact) {
+  Rng rng(0x4A534F4E);
+  std::vector<double> values = {0.0, -0.0, DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN,
+                                DBL_EPSILON, 1.0, -1.0, 0.1, 1e-5, 1e5, 1e15, 1e16, 1e17, 9007199254740993.0};
+  for (int k = -320; k <= 308; ++k) values.push_back(std::strtod(strf("1e%d", k).c_str(), nullptr));
+  for (int i = 0; i < 100'000; ++i) values.push_back(from_bits(rng.next_u64()));
+  for (int i = 0; i < 30'000; ++i) {
+    values.push_back(static_cast<double>(rng.next_below(std::uint64_t{1} << 53)));
+    values.push_back(-static_cast<double>(rng.next_below(100'000)));
+  }
+  for (int i = 0; i < 30'000; ++i) values.push_back(static_cast<double>(rng.next_below(10'000'000)) / 10.0);
+  for (int i = 0; i < 20'000; ++i) values.push_back(from_bits(rng.next_below(std::uint64_t{1} << 52)));
+  for (int i = 0; i < 20'000; ++i) values.push_back(rng.next_double() * std::pow(10.0, rng.uniform(0, 40) - 20.0));
+  ASSERT_GE(values.size(), 200'000u);
+
+  std::size_t finite = 0, spelled_wrong = 0, read_wrong = 0;
+  for (const double value : values) {
+    const std::string text = json_number(value);
+    if (text != printf_number(value) && spelled_wrong++ < 5) {
+      ADD_FAILURE() << strf("%a", value) << ": json_number " << text << ", printf " << printf_number(value);
+    }
+    if (!std::isfinite(value)) continue;
+    ++finite;
+    const auto parsed = Json::parse(text);
+    if ((!parsed.ok() || !parsed.value().is_number() || bits(parsed.value().as_double()) != bits(value)) &&
+        read_wrong++ < 5) {
+      ADD_FAILURE() << strf("%a", value) << ": " << text << " does not read back";
+    }
+  }
+  EXPECT_EQ(spelled_wrong, 0u);
+  EXPECT_EQ(read_wrong, 0u);
+  EXPECT_GE(finite, 199'000u);
+
+  // No JSON spelling for these; the writer emits 0.
+  for (const double special : {std::numeric_limits<double>::quiet_NaN(), -std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(), -std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(json_number(special), "0");
+  }
+}
+
+// The scanned view's layout: one node per value in document order, a
+// container before its members, an object key's end at the end of its
+// value, and string text kept as written until it is decoded.
+TEST(JsonView, NodesListValuesInDocumentOrder) {
+  const std::string text = R"({"a":[1,true,null],"b\u0021":{"c":"x\ny"},"d":-2.5e1})";
+  const auto scanned = JsonView::scan(text);
+  ASSERT_TRUE(scanned.ok()) << scanned.error().message;
+  const JsonView& view = scanned.value();
+  using K = Json::Kind;
+  const std::vector<std::tuple<K, std::string_view, std::uint32_t>> expected = {
+      {K::kObject, "{", 12}, {K::kString, "a", 6},       {K::kArray, "[", 6},          {K::kNumber, "1", 4},
+      {K::kBool, "true", 5}, {K::kNull, "null", 6},      {K::kString, "b\\u0021", 10}, {K::kObject, "{", 10},
+      {K::kString, "c", 10}, {K::kString, "x\\ny", 10}, {K::kString, "d", 12},         {K::kNumber, "-2.5e1", 12},
+  };
+  for (std::uint32_t i = 0; i < expected.size(); ++i) {
+    const auto& [kind, span, end] = expected[i];
+    EXPECT_EQ(view[i].kind, kind) << i;
+    EXPECT_EQ(view[i].text, span) << i;
+    EXPECT_EQ(view[i].end, end) << i;
+  }
+  EXPECT_EQ(view[11].number, -25.0);
+  EXPECT_FALSE(view[1].escaped);
+  EXPECT_TRUE(view[6].escaped);
+  EXPECT_TRUE(view.equals(6, "b!"));
+  EXPECT_FALSE(view.equals(6, "b\\u0021"));
+  std::string value;
+  view.string(9, value);
+  EXPECT_EQ(value, "x\ny");
+  // Members of the root: keys a, b!, d, each found at the last one's end.
+  std::vector<std::string> keys;
+  for (std::uint32_t key = 1; key < view[0].end; key = view[key].end) {
+    view.string(key, value);
+    keys.push_back(value);
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b!", "d"}));
 }
 
 TEST(Strings, Strf) { EXPECT_EQ(strf("%d-%s", 3, "x"), "3-x"); }

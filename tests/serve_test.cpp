@@ -40,7 +40,6 @@
 #include "cir/printer.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
-#include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "core/cache.hpp"
 #include "core/request.hpp"
@@ -54,6 +53,7 @@
 #include "workload/profile.hpp"
 #include "workload/trace_io.hpp"
 #include "workload/tracegen.hpp"
+#include "wire_corpus.hpp"
 
 namespace clara::serve {
 namespace {
@@ -1054,80 +1054,27 @@ TEST(ServeWireTest, RetryAfterMsRoundTrips) {
 // parses — never a crash, hang, or abort. Deterministic: the mutation
 // stream derives from fixed seeds, so a failure reproduces.
 TEST(ServeWireFuzzTest, MutatedWireCorpusNeverCrashes) {
-  std::vector<std::string> corpus;
-  {
-    Request r = small_analyze();
-    r.id = "fuzz-analyze";
-    r.nic = "netronome-agilio-cx";
-    r.energy = true;
-    r.breakdown = true;
-    corpus.push_back(r.to_json());
-  }
-  {
-    Request r = small_analyze("nat");
-    r.id = "fuzz-sweep";
-    r.kind = RequestKind::kSweep;
-    r.sweep_pps = {10'000.0, 60'000.0};
-    corpus.push_back(r.to_json());
-  }
-  {
-    Request r = small_analyze("nat");
-    r.id = "fuzz-repair";
-    r.kind = RequestKind::kRepair;
-    r.fault_plan = "fail-unit csum\n";
-    corpus.push_back(r.to_json());
-  }
-  {
-    Request r = small_analyze();
-    r.id = "fuzz-counts";
-    r.options.predict.payload_buckets = 65536;
-    r.options.map.max_ilp_nodes = 0;
-    corpus.push_back(r.to_json());
-  }
-  // Out-of-range counts, so mutations land next to a rejected value.
-  corpus.push_back(
-      R"({"proto":"clara-serve/1","id":"fuzz-bad-counts","kind":"analyze",)"
-      R"("map":{"max_ilp_nodes":-1},"predict":{"payload_buckets":65537}})");
-  {
-    Response response = core::error_response(small_analyze(), ErrorCode::kOverloaded, "busy");
-    response.retry_after_ms = 5.0;
-    corpus.push_back(response.to_json());
-  }
-
+  const auto corpus = wire_corpus::corpus();
   std::size_t parsed_ok = 0, rejected = 0;
   for (std::size_t c = 0; c < corpus.size(); ++c) {
-    const bool is_response = c == corpus.size() - 1;
-    for (std::uint64_t round = 0; round < 80; ++round) {
-      Rng rng(parallel::shard_seed(0x5E44Eu + c, round));
-      std::string mutated = corpus[c];
-      const std::size_t flips = 1 + rng.next_below(8);
-      for (std::size_t f = 0; f < flips && !mutated.empty(); ++f) {
-        mutated[rng.next_below(mutated.size())] = static_cast<char>(rng.next_below(256));
-      }
-      if (is_response) {
-        auto parsed = Response::from_json(mutated);
-        if (parsed.ok()) {
-          ++parsed_ok;
-        } else {
-          ++rejected;
-          EXPECT_EQ(parsed.error().code, ErrorCode::kParse);
-          EXPECT_FALSE(parsed.error().message.empty());
-        }
+    for (std::uint64_t round = 0; round < wire_corpus::kRounds; ++round) {
+      const std::string mutated = wire_corpus::mutate(corpus[c].text, c, round);
+      const auto tally = [&](const auto& parsed) {
+        if (parsed.ok()) return void(++parsed_ok);
+        ++rejected;
+        EXPECT_EQ(parsed.error().code, ErrorCode::kParse);
+        EXPECT_FALSE(parsed.error().message.empty());
+      };
+      if (corpus[c].is_response) {
+        tally(Response::from_json(mutated));
       } else {
-        auto parsed = Request::from_json(mutated);
-        if (parsed.ok()) {
-          ++parsed_ok;
-        } else {
-          ++rejected;
-          EXPECT_EQ(parsed.error().code, ErrorCode::kParse);
-          EXPECT_FALSE(parsed.error().message.empty());
-        }
+        tally(Request::from_json(mutated));
       }
     }
   }
   // The corpus is strict JSON, so most mutations must be caught.
   EXPECT_GT(rejected, 0u);
-  EXPECT_EQ(parsed_ok + rejected, corpus.size() * 80);
+  EXPECT_EQ(parsed_ok + rejected, corpus.size() * wire_corpus::kRounds);
 }
 
 TEST(ServeWireFuzzTest, TruncatedLinesRejectedAtEveryPrefix) {

@@ -4,10 +4,13 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "workload/analysis.hpp"
 #include "workload/profile.hpp"
 #include "workload/trace_io.hpp"
 #include "workload/tracegen.hpp"
@@ -267,6 +270,100 @@ TEST(TraceIo, RefusesHeaderCountsBeyondTheFileOrTheCap) {
     EXPECT_EQ(loaded.error().code, ErrorCode::kParse);
     EXPECT_NE(loaded.error().message.find(path), std::string::npos) << loaded.error().message;
   }
+  std::remove(path.c_str());
+}
+
+// A trace file's profile is echoed on every response as a workload spec,
+// so it must be one the parser takes. What the file fixes is checked: an
+// empty file and a 9,001-byte payload are refused. What its packets only
+// estimate is held to the spec range: three packets 1 ns apart read 10^9
+// pps, not 1.5x10^9.
+TEST(TraceIo, ProfileIsAlwaysASpecTheParserTakes) {
+  const std::string path = "/tmp/clara_out_of_range.cltr";
+  // Writes the CLTR bytes by hand: a header, then one 28-byte record per
+  // (arrival_ns, payload) pair, each packet a TCP flow of its own.
+  const auto write = [&path](const std::vector<std::pair<std::uint64_t, std::uint16_t>>& packets) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    if (f == nullptr) return false;
+    unsigned char header[16] = {'C', 'L', 'T', 'R', 1};
+    header[8] = static_cast<unsigned char>(packets.size());
+    bool ok = std::fwrite(header, 1, sizeof(header), f) == sizeof(header);
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      unsigned char record[28] = {static_cast<unsigned char>(i)};
+      record[16] = 6;
+      record[18] = static_cast<unsigned char>(packets[i].second & 0xff);
+      record[19] = static_cast<unsigned char>(packets[i].second >> 8);
+      for (int b = 0; b < 8; ++b) record[20 + b] = static_cast<unsigned char>(packets[i].first >> (8 * b));
+      ok = ok && std::fwrite(record, 1, sizeof(record), f) == sizeof(record);
+    }
+    return std::fclose(f) == 0 && ok;
+  };
+  const struct {
+    std::vector<std::pair<std::uint64_t, std::uint16_t>> packets;
+    const char* refusal;
+  } refused[] = {
+      {{}, "packets=0 must be an integer in [1, 16777216]"},
+      {{{0, 9001}}, "payload=9001 must be n or lo:hi with lo <= hi, each an integer in [0, 9000]"},
+  };
+  for (const auto& c : refused) {
+    ASSERT_TRUE(write(c.packets));
+    const auto loaded = read_trace(path);
+    ASSERT_FALSE(loaded.ok()) << c.refusal;
+    EXPECT_EQ(loaded.error().code, ErrorCode::kParse);
+    EXPECT_NE(loaded.error().message.find(path), std::string::npos) << loaded.error().message;
+    EXPECT_NE(loaded.error().message.find(c.refusal), std::string::npos) << loaded.error().message;
+  }
+  const struct {
+    std::vector<std::pair<std::uint64_t, std::uint16_t>> packets;
+    double pps;
+  } read[] = {
+      {{{0, 300}, {1, 300}, {2, 300}}, kMaxPps},
+      {{{0, 9000}, {1'000'000, 9000}, {2'000'000, 9000}}, 1500.0},
+  };
+  for (const auto& c : read) {
+    ASSERT_TRUE(write(c.packets));
+    const auto loaded = read_trace(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+    const WorkloadProfile& profile = loaded.value().profile;
+    EXPECT_EQ(profile.pps, c.pps);
+    EXPECT_EQ(profile.payload_max, c.packets.front().second);
+    EXPECT_TRUE(parse_profile(profile.serialize()).ok()) << profile.serialize();
+  }
+  std::remove(path.c_str());
+}
+
+// `clara trace-gen` output at a range's edge reads back, though what its
+// packets measure can land past the range: some zipf=8 files fit a slope
+// above 8, and a Poisson trace just under the rate cap can count more
+// packets over its span than the cap allows.
+TEST(TraceIo, GeneratedTracesAtARangesEdgeReadBack) {
+  const std::string path = "/tmp/clara_range_edge.cltr";
+  std::vector<std::string> specs;
+  for (int seed = 1; seed <= 8; ++seed) {
+    for (const char* flows : {"100", "5000"}) {
+      specs.push_back(std::string("zipf=8 packets=20000 flows=") + flows + " seed=" + std::to_string(seed));
+    }
+  }
+  for (int seed = 1; seed <= 4; ++seed) {
+    specs.push_back("arrivals=poisson pps=999999999 packets=3000 seed=" + std::to_string(seed));
+  }
+  int past_zipf = 0, past_pps = 0;
+  for (const auto& spec : specs) {
+    const auto trace = generate_trace(parse_profile(spec).value());
+    const auto measured = analyze_trace(trace, 0);
+    past_zipf += measured.zipf_alpha > kMaxZipf ? 1 : 0;
+    past_pps += measured.observed_pps > kMaxPps ? 1 : 0;
+    ASSERT_TRUE(write_trace(trace, path).ok()) << spec;
+    const auto loaded = read_trace(path);
+    ASSERT_TRUE(loaded.ok()) << spec << ": " << loaded.error().message;
+    const WorkloadProfile& profile = loaded.value().profile;
+    EXPECT_LE(profile.zipf_alpha, kMaxZipf) << spec;
+    EXPECT_LE(profile.pps, kMaxPps) << spec;
+    EXPECT_TRUE(parse_profile(profile.serialize()).ok()) << spec << " -> " << profile.serialize();
+  }
+  // The specs reach past both ranges, so the clamps above were exercised.
+  EXPECT_GT(past_zipf, 0);
+  EXPECT_GT(past_pps, 0);
   std::remove(path.c_str());
 }
 
