@@ -25,12 +25,14 @@
 #include "common/rng.hpp"
 #include "core/cache.hpp"
 #include "core/clara.hpp"
+#include "core/predict.hpp"
 #include "core/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "ilp/instances.hpp"
 #include "ilp/simplex.hpp"
 #include "ilp/solver.hpp"
+#include "lnic/profiles.hpp"
 #include "nf/nf_cir.hpp"
 #include "nf/nf_ported.hpp"
 #include "nicsim/sim.hpp"
@@ -99,6 +101,19 @@ std::vector<MicroResult> run_micros() {
       volatile auto n = workload::generate_trace(profile).size();
       (void)n;
     }, 10'000));
+  }
+  {
+    // What a cold request pays for its workload: perfbench's cold spec
+    // generated and summarized, a fresh seed each time, as a summary-cache
+    // miss does.
+    auto profile = workload::parse_profile("tcp=0.8 flows=2000 payload=64:1500 pps=60000 packets=2000").value();
+    const auto nic = lnic::netronome_agilio_cx();
+    const core::PredictOptions predict;
+    out.push_back(run_micro("workload_summary", [&] {
+      profile.seed++;
+      volatile auto n = core::summarize(workload::generate_trace(profile), nic, predict.payload_buckets).classes.size();
+      (void)n;
+    }, 2'000));
   }
   {
     // A representative mapping-LP shape: 30 binaries, 10 rows.

@@ -289,18 +289,33 @@ void JsonView::string(std::uint32_t index, std::string& out) const {
       case 'r': out += '\r'; break;
       case 't': out += '\t'; break;
       case 'u': {
-        unsigned code = 0;
-        std::from_chars(text.data() + i + 1, text.data() + i + 5, code, 16);
+        const auto hex4 = [&text](std::size_t at) {
+          unsigned code = 0;
+          std::from_chars(text.data() + at, text.data() + at + 4, code, 16);
+          return code;
+        };
+        unsigned code = hex4(i + 1);
         i += 4;
-        // UTF-8 encode the BMP code point (surrogate pairs are rare in
-        // our own output; a lone surrogate encodes as-is).
+        // A high surrogate escaped right before a low one is one code
+        // point past the BMP; a lone surrogate encodes as-is.
+        if (code >= 0xD800 && code < 0xDC00 && text.substr(i + 1, 2) == "\\u") {
+          if (const unsigned low = hex4(i + 3); low >= 0xDC00 && low < 0xE000) {
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            i += 6;
+          }
+        }
         if (code < 0x80) {
           out += static_cast<char>(code);
         } else if (code < 0x800) {
           out += static_cast<char>(0xC0 | (code >> 6));
           out += static_cast<char>(0x80 | (code & 0x3F));
-        } else {
+        } else if (code < 0x10000) {
           out += static_cast<char>(0xE0 | (code >> 12));
+          out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          out += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          out += static_cast<char>(0xF0 | (code >> 18));
+          out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
           out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
           out += static_cast<char>(0x80 | (code & 0x3F));
         }

@@ -1,8 +1,10 @@
 #include "common/rng.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace clara {
 
@@ -16,8 +18,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -26,44 +26,6 @@ Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  assert(bound > 0);
-  // Lemire-style rejection: retry while in the biased zone.
-  const std::uint64_t threshold = -bound % bound;
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
-  }
-}
-
-double Rng::next_double() {
-  // 53 high bits -> [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t Rng::uniform(std::uint64_t lo, std::uint64_t hi) {
-  assert(lo <= hi);
-  return lo + next_below(hi - lo + 1);
-}
-
-bool Rng::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 double Rng::exponential(double mean) {
@@ -84,12 +46,27 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha) {
   }
   for (auto& v : cdf_) v /= total;
   cdf_.back() = 1.0;  // defend against accumulated rounding
+
+  // K is a power of two, so each edge k/K and each u*K is exact: a u in
+  // slice j = floor(u*K) has j/K <= u < (j+1)/K, so its rank lies in
+  // [guide_[j], guide_[j+1]] and no rounding can put it outside.
+  assert(n <= std::numeric_limits<std::uint32_t>::max());
+  const std::size_t slices = std::bit_ceil(std::min<std::size_t>(n, std::size_t{1} << 20));
+  guide_.resize(slices + 1);
+  std::uint32_t rank = 0;
+  for (std::size_t k = 0; k <= slices; ++k) {
+    const double edge = static_cast<double>(k) / static_cast<double>(slices);
+    while (cdf_[rank] < edge) ++rank;  // cdf_.back() == 1.0 bounds the walk
+    guide_[k] = rank;
+  }
 }
 
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
+std::size_t ZipfSampler::rank(double u) const {
+  assert(0.0 <= u && u < 1.0);
+  const auto slice = static_cast<std::size_t>(u * static_cast<double>(guide_.size() - 1));
+  const auto* first = cdf_.data() + guide_[slice];
+  const auto* last = cdf_.data() + guide_[slice + 1];
+  return static_cast<std::size_t>(std::lower_bound(first, last, u) - cdf_.data());
 }
 
 double ZipfSampler::pmf(std::size_t rank) const {

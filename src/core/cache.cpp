@@ -165,10 +165,10 @@ AnalysisCache& analysis_cache() {
 std::uint64_t hash_profile(const lnic::NicProfile& profile) {
   Fnv1a h;
   h.mix(std::string_view(profile.name));
-  // The parameter store's canonical text form covers every Π/Γ/Θ scalar
-  // and curve; the graph loop covers structural edits (units, regions,
-  // capacities, NUMA weights).
-  h.mix(std::string_view(profile.params.serialize()));
+  // The parameter store's digest covers every Π/Γ/Θ scalar and curve;
+  // the graph loop covers structural edits (units, regions, capacities,
+  // NUMA weights).
+  h.mix(profile.params.digest());
   h.mix(static_cast<std::uint64_t>(profile.graph.nodes().size()));
   for (const auto& node : profile.graph.nodes()) {
     h.mix(static_cast<std::uint64_t>(node.id));

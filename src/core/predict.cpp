@@ -1,10 +1,9 @@
 #include "core/predict.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
-#include <iterator>
-#include <unordered_map>
 #include <utility>
 
 #include "cir/builder.hpp"
@@ -67,6 +66,56 @@ class ModelHandler final : public cir::VCallHandler {
   const cir::Function& fn_;
 };
 
+/// Dense indices for u32 keys in first-seen order, so a count per key is
+/// a flat vector. Open addressing with linear probing; any u32 is a key
+/// (trace files carry arbitrary flow ids), and the table doubles when half
+/// full, so `expected` sizes it but does not bound it.
+class KeyIndex {
+ public:
+  explicit KeyIndex(std::size_t expected) { resize(std::bit_ceil(std::max<std::size_t>(16, 2 * expected))); }
+
+  /// The index of `key`; a key not seen before takes the next one, size() - 1.
+  std::uint32_t operator()(std::uint32_t key) {
+    for (std::size_t slot = home(key);; slot = (slot + 1) & mask_) {
+      if (slots_[slot].index == 0) {
+        slots_[slot] = {key, ++size_};
+        if (2 * size_ > slots_.size()) resize(2 * slots_.size());
+        return size_ - 1;
+      }
+      if (slots_[slot].key == key) return slots_[slot].index - 1;
+    }
+  }
+  [[nodiscard]] std::uint32_t size() const { return size_; }
+
+ private:
+  struct Slot {
+    std::uint32_t key = 0;
+    std::uint32_t index = 0;  // the key's index + 1; 0 marks an empty slot
+  };
+
+  /// Fibonacci hashing: the top bits of key × 2^64/φ.
+  [[nodiscard]] std::size_t home(std::uint32_t key) const {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+  void resize(std::size_t capacity) {
+    std::vector<Slot> old(capacity);
+    old.swap(slots_);
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Slot& s : old) {
+      if (s.index == 0) continue;
+      std::size_t slot = home(s.key);
+      while (slots_[slot].index != 0) slot = (slot + 1) & mask_;
+      slots_[slot] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  int shift_ = 0;
+  std::uint32_t size_ = 0;
+};
+
 }  // namespace
 
 std::string PacketClass::name() const {
@@ -115,17 +164,21 @@ WorkloadSummary summarize(const workload::Trace& trace, const lnic::NicProfile& 
   // flow — in packet order, so every sum matches a plain scan.
   std::uint16_t lo = 0xffff, hi = 0;
   double payload_sum = 0.0;
-  std::unordered_map<std::uint32_t, std::uint64_t> flow_packets;
-  flow_packets.reserve(std::min<std::size_t>(trace.packets.size(), trace.profile.flows));
+  const std::size_t max_flows = std::min<std::size_t>(trace.packets.size(), trace.profile.flows);
+  KeyIndex flow_index(max_flows);
+  std::vector<std::uint64_t> flow_packets;  // by flow index
+  flow_packets.reserve(max_flows);
   std::vector<bool> opens_flow(trace.packets.size());
   for (std::size_t i = 0; i < trace.packets.size(); ++i) {
     const auto& p = trace.packets[i];
     lo = std::min(lo, p.payload_len);
     hi = std::max(hi, p.payload_len);
     payload_sum += p.payload_len;
-    opens_flow[i] = flow_packets[p.flow_id]++ == 0;
+    const std::uint32_t flow = flow_index(p.flow_id);
+    if (flow == flow_packets.size()) flow_packets.push_back(0);
+    opens_flow[i] = flow_packets[flow]++ == 0;
   }
-  out.distinct_flows = static_cast<std::uint32_t>(flow_packets.size());
+  out.distinct_flows = flow_index.size();
   if (out.packets > 0) out.mean_payload = payload_sum / static_cast<double>(out.packets);
 
   CostHints& hints = out.hints;
@@ -137,14 +190,12 @@ WorkloadSummary summarize(const workload::Trace& trace, const lnic::NicProfile& 
   // compulsory miss per cached flow.
   const double capacity = out.flow_cache_capacity;
   if (capacity > 0.0 && out.packets > 0) {
-    std::vector<std::uint64_t> counts;
-    counts.reserve(flow_packets.size());
-    for (const auto& [flow, count] : flow_packets) counts.push_back(count);
-    const auto top = std::min<std::size_t>(static_cast<std::size_t>(capacity), counts.size());
-    std::nth_element(counts.begin(), counts.begin() + static_cast<std::ptrdiff_t>(top), counts.end(),
-                     std::greater<>());
+    // The sum of the top counts does not depend on their order.
+    const auto top = std::min<std::size_t>(static_cast<std::size_t>(capacity), flow_packets.size());
+    std::nth_element(flow_packets.begin(), flow_packets.begin() + static_cast<std::ptrdiff_t>(top),
+                     flow_packets.end(), std::greater<>());
     std::uint64_t covered = 0;
-    for (std::size_t i = 0; i < top; ++i) covered += counts[i];
+    for (std::size_t i = 0; i < top; ++i) covered += flow_packets[i];
     const double total = static_cast<double>(out.packets);
     hints.flow_cache_hit_rate = std::max(0.0, (static_cast<double>(covered) - static_cast<double>(top)) / total);
   } else {
@@ -153,30 +204,30 @@ WorkloadSummary summarize(const workload::Trace& trace, const lnic::NicProfile& 
 
   // Packet classes: protocol, SYN, flow novelty, payload bucket.
   const double width = hi > lo ? static_cast<double>(hi - lo) / static_cast<double>(payload_buckets) : 1.0;
-  std::unordered_map<std::uint32_t, PacketClass> classes;
+  // Two protocols, SYN and flow novelty per bucket, in a generated trace.
+  const std::size_t max_classes = std::min(trace.packets.size(), 8 * payload_buckets);
+  KeyIndex class_index(max_classes);
+  std::vector<std::pair<std::uint32_t, PacketClass>> classes;  // by class index
+  classes.reserve(max_classes);
   for (std::size_t i = 0; i < trace.packets.size(); ++i) {
     const auto& p = trace.packets[i];
     const bool new_flow = opens_flow[i];
     auto bucket = static_cast<std::uint32_t>((p.payload_len - lo) / width);
     if (bucket >= payload_buckets) bucket = static_cast<std::uint32_t>(payload_buckets) - 1;
     const std::uint32_t key = p.proto | (p.is_syn() ? 1u << 8 : 0) | (new_flow ? 1u << 9 : 0) | (bucket << 16);
-    auto& cls = classes[key];
-    if (cls.count == 0) {
-      cls.proto = p.proto;
-      cls.syn = p.is_syn();
-      cls.new_flow = new_flow;
-      cls.bucket = bucket;
-      cls.rep = p;
+    const std::uint32_t index = class_index(key);
+    if (index == classes.size()) {
+      classes.emplace_back(
+          key, PacketClass{.proto = p.proto, .syn = p.is_syn(), .new_flow = new_flow, .bucket = bucket, .rep = p});
     }
+    PacketClass& cls = classes[index].second;
     ++cls.count;
     cls.payload_sum += p.payload_len;
   }
   // Ascending class key, as a consumer iterating the summary expects.
-  std::vector<std::pair<std::uint32_t, PacketClass>> sorted(std::make_move_iterator(classes.begin()),
-                                                            std::make_move_iterator(classes.end()));
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.classes.reserve(sorted.size());
-  for (auto& [key, cls] : sorted) out.classes.push_back(std::move(cls));
+  std::sort(classes.begin(), classes.end(), [](const auto& a, const auto& b) { return a.first < b.first; });
+  out.classes.reserve(classes.size());
+  for (auto& [key, cls] : classes) out.classes.push_back(std::move(cls));
   return out;
 }
 

@@ -9,6 +9,7 @@
 
 #include "common/json.hpp"
 #include "common/strings.hpp"
+#include "workload/profile.hpp"
 
 namespace clara::core {
 
@@ -27,6 +28,11 @@ struct Count {
 };
 /// Up to 2^53, where every integer is still a distinct double.
 constexpr Count kCount{0.0, 9007199254740992.0};
+/// A JSON number in the closed range [lo, hi]. JSON has no infinity, but a
+/// spelling past the double range (1e400) reads as one.
+struct Range {
+  double lo, hi;
+};
 /// A u64 as a string of decimal digits (a double loses it above 2^53).
 struct Decimal {};
 /// One PipelineStages flag, as a bool.
@@ -51,10 +57,10 @@ void fields(auto& v, Is<PipelineStages> auto& stages) {
 }
 
 void fields(auto& v, Is<mapping::MapOptions> auto& map) {
-  v("pps", map.pps);
-  v("ctm_state_fraction", map.ctm_state_fraction);
+  v("pps", map.pps, Range{workload::kMinPps, workload::kMaxPps});
+  v("ctm_state_fraction", map.ctm_state_fraction, Range{0.0, 1.0});
   v("max_ilp_nodes", map.max_ilp_nodes, kCount);
-  v("time_budget_ms", map.time_budget_ms);
+  v("time_budget_ms", map.time_budget_ms, Range{0.0, 1e9});
 }
 
 void fields(auto& v, Is<PredictOptions> auto& predict) {
@@ -62,8 +68,8 @@ void fields(auto& v, Is<PredictOptions> auto& predict) {
   v("payload_buckets", predict.payload_buckets, Count{1.0, 65536.0});
   v("model_emem_cache", predict.model_emem_cache);
   v("model_queueing", predict.model_queueing);
-  v("nic_share", predict.nic_share);
-  v("foreign_cache_pressure_bytes", predict.foreign_cache_pressure_bytes);
+  v("nic_share", predict.nic_share, Range{0.05, 1.0});  // predict's clamp
+  v("foreign_cache_pressure_bytes", predict.foreign_cache_pressure_bytes, Range{0.0, kCount.hi});
 }
 
 void fields(auto& v, Is<Request> auto& r) {
@@ -169,7 +175,7 @@ class Writer {
   void encode(const char* constant) { json_quote(out_, constant); }
   void encode(const std::string& text) { json_quote(out_, text); }
   void encode(bool flag) { out_ += flag ? "true" : "false"; }
-  void encode(double number) { json_number(out_, number); }
+  void encode(double number, Range = {}) { json_number(out_, number); }
   void encode(std::uint32_t mask, Bit bit) { encode((mask & bit.flag) != 0); }
   void encode(std::uint64_t count, Count) { digits(count); }
   void encode(std::uint64_t number, Decimal) {
@@ -326,6 +332,13 @@ class Reader {
   void decode(const char* key, std::uint32_t node, std::uint32_t& mask, Bit bit) {
     if (kind(node) != Json::Kind::kBool) return mistyped(key, "true or false");
     mask = view_[node].text == "true" ? mask | bit.flag : mask & ~bit.flag;
+  }
+  void decode(const char* key, std::uint32_t node, double& number, Range range) {
+    const double value = view_[node].number;
+    if (kind(node) != Json::Kind::kNumber || !(value >= range.lo && value <= range.hi)) {
+      return mistyped(key, ("a number in [" + json_number(range.lo) + ", " + json_number(range.hi) + "]").c_str());
+    }
+    number = value;
   }
   template <std::unsigned_integral N>
   void decode(const char* key, std::uint32_t node, N& count, Count range) {

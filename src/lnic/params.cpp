@@ -4,6 +4,7 @@
 #include <cassert>
 #include <sstream>
 
+#include "common/hash.hpp"
 #include "common/strings.hpp"
 
 namespace clara::lnic {
@@ -82,6 +83,18 @@ std::string ParameterStore::serialize() const {
     os << "]\n";
   }
   return os.str();
+}
+
+std::uint64_t ParameterStore::digest() const {
+  Fnv1a h;
+  h.mix(static_cast<std::uint64_t>(scalars_.size()));
+  for (const auto& [k, v] : scalars_) h.mix(std::string_view(k)).mix(v);
+  h.mix(static_cast<std::uint64_t>(curves_.size()));
+  for (const auto& [k, curve] : curves_) {
+    h.mix(std::string_view(k)).mix(static_cast<std::uint64_t>(curve.points().size()));
+    for (const auto& [x, y] : curve.points()) h.mix(x).mix(y);
+  }
+  return h.digest();
 }
 
 Result<ParameterStore> ParameterStore::parse(const std::string& text) {

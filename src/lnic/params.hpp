@@ -14,6 +14,7 @@
 //             used where cost is a function of data size or table size.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -72,6 +73,10 @@ class ParameterStore {
   /// parameters.
   [[nodiscard]] std::string serialize() const;
   static Result<ParameterStore> parse(const std::string& text);
+
+  /// FNV-1a over every scalar's key and bit pattern and every curve's key
+  /// and points, without the text form: equal stores, equal digests.
+  [[nodiscard]] std::uint64_t digest() const;
 
  private:
   std::map<std::string, double, std::less<>> scalars_;

@@ -44,9 +44,10 @@ TraceAnalysis analyze_trace(const Trace& trace, std::size_t top_k) {
   out.mean_payload = payload_sum / total;
   if (inter_arrival.count() > 1 && inter_arrival.mean() > 0.0) {
     out.arrival_cv = inter_arrival.stddev() / inter_arrival.mean();
-    const double span_s = static_cast<double>(trace.packets.back().arrival_ns) / 1e9;
-    if (span_s > 0.0) out.observed_pps = total / span_s;
   }
+  // The rate needs only a last arrival after 0, however few gaps precede it.
+  const double span_s = static_cast<double>(trace.packets.back().arrival_ns) / 1e9;
+  if (span_s > 0.0) out.observed_pps = total / span_s;
 
   // Rank flows by packet count.
   std::vector<FlowSummary> ranked;

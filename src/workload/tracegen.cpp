@@ -1,12 +1,42 @@
 #include "workload/tracegen.hpp"
 
-#include <set>
+#include <bit>
+#include <memory>
+#include <mutex>
 #include <unordered_set>
 
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 
 namespace clara::workload {
+
+namespace {
+
+/// Largest flow count whose Zipf table the memo keeps, so no request can
+/// pin a large table (132 MiB at the 2^24-flow cap).
+constexpr std::uint32_t kMemoFlows = 65'536;
+
+/// The Zipf table of (flows, alpha). A table depends on those two values
+/// only, and most clients vary only the seed, so the last table small
+/// enough to keep is shared, immutable, by every later trace of its pair.
+std::shared_ptr<const ZipfSampler> zipf_table(std::uint32_t flows, double alpha) {
+  static std::mutex mutex;
+  static std::shared_ptr<const ZipfSampler> last;
+  if (flows > kMemoFlows) return std::make_shared<const ZipfSampler>(flows, alpha);
+  {
+    const std::lock_guard lock(mutex);
+    if (last && last->size() == flows && std::bit_cast<std::uint64_t>(last->alpha()) ==
+                                             std::bit_cast<std::uint64_t>(alpha)) {
+      return last;
+    }
+  }
+  auto table = std::make_shared<const ZipfSampler>(flows, alpha);
+  const std::lock_guard lock(mutex);
+  last = table;
+  return table;
+}
+
+}  // namespace
 
 std::uint32_t Trace::distinct_flows() const {
   std::unordered_set<std::uint32_t> seen;
@@ -36,7 +66,8 @@ Trace generate_trace(const WorkloadProfile& profile) {
   trace.packets.reserve(profile.packets);
 
   Rng rng(profile.seed);
-  const ZipfSampler zipf(profile.flows, profile.zipf_alpha);
+  const auto table = zipf_table(profile.flows, profile.zipf_alpha);
+  const ZipfSampler& zipf = *table;
 
   // Per-flow invariants: 5-tuple and protocol are properties of the
   // flow, not the packet.

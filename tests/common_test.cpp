@@ -2,6 +2,8 @@
 // strings, tables, Result, JSON number spelling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdlib>
@@ -118,6 +120,46 @@ TEST(Zipf, SingleElement) {
   ZipfSampler z(1, 1.5);
   EXPECT_EQ(z.sample(rng), 0u);
   EXPECT_NEAR(z.pmf(0), 1.0, 1e-12);
+}
+
+// The guide table changes how a rank is found, never which: every draw,
+// and every u at a slice edge and one ulp either side, selects the rank
+// a binary search over the whole cumulative table selects.
+TEST(Zipf, GuideTableMatchesLowerBound) {
+  std::size_t draws = 0;
+  for (const std::size_t n : {1, 2, 10, 2000, 100000, (1 << 20) + 1}) {
+    for (const double alpha : {0.0, 0.5, 1.0, 1.1, 8.0}) {
+      // The cumulative table as the sampler built it before the guide table.
+      std::vector<double> cdf(n);
+      double total = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        total += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+        cdf[i] = total;
+      }
+      for (auto& v : cdf) v /= total;
+      cdf.back() = 1.0;
+      const auto expected = [&cdf](double u) {
+        return static_cast<std::size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      };
+
+      const ZipfSampler z(n, alpha);
+      Rng rng(n * 31 + static_cast<std::size_t>(alpha * 10));
+      Rng reference = rng;
+      for (int i = 0; i < 40'000; ++i, ++draws) {
+        const std::size_t rank = z.sample(rng);
+        ASSERT_EQ(rank, expected(reference.next_double())) << "n=" << n << " alpha=" << alpha << " draw " << i;
+      }
+      const std::size_t slices = std::bit_ceil(std::min<std::size_t>(n, std::size_t{1} << 20));
+      for (std::size_t k = 0; k < slices; ++k) {
+        const double edge = static_cast<double>(k) / static_cast<double>(slices);
+        for (const double u : {std::nextafter(edge, 0.0), edge, std::nextafter(edge, 1.0)}) {
+          if (u < 0.0 || u >= 1.0) continue;
+          ASSERT_EQ(z.rank(u), expected(u)) << "n=" << n << " alpha=" << alpha << " u=" << u;
+        }
+      }
+    }
+  }
+  EXPECT_GE(draws, 1'000'000u);
 }
 
 TEST(Accumulator, BasicMoments) {
@@ -376,6 +418,30 @@ TEST(JsonView, NodesListValuesInDocumentOrder) {
     keys.push_back(value);
   }
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "b!", "d"}));
+}
+
+// An escaped surrogate pair is one astral code point in 4-byte UTF-8; a
+// surrogate without its partner keeps its 3-byte encoding.
+TEST(JsonView, SurrogatePairDecodesToOneCodePoint) {
+  const struct {
+    const char* json;
+    std::string_view bytes;
+  } cases[] = {
+      {R"(["\ud83d\ude00"])", "\xF0\x9F\x98\x80"},
+      {R"(["a\ud800\udc00b"])", "a\xF0\x90\x80\x80" "b"},
+      {R"(["\udbff\udfff"])", "\xF4\x8F\xBF\xBF"},
+      {R"(["\ud83d"])", "\xED\xA0\xBD"},
+      {R"(["\ude00\ud83d"])", "\xED\xB8\x80\xED\xA0\xBD"},
+      {R"(["\ud83dA"])", "\xED\xA0\xBD" "A"},
+      {R"(["\ud83d\n"])", "\xED\xA0\xBD\n"},
+  };
+  for (const auto& c : cases) {
+    const auto scanned = JsonView::scan(c.json);
+    ASSERT_TRUE(scanned.ok()) << c.json;
+    std::string value;
+    scanned.value().string(1, value);
+    EXPECT_EQ(value, c.bytes) << c.json;
+  }
 }
 
 TEST(Strings, Strf) { EXPECT_EQ(strf("%d-%s", 3, "x"), "3-x"); }

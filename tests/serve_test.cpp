@@ -29,6 +29,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -396,6 +397,42 @@ TEST(ServeWireTest, CountFieldsRejectNonIntegralAndOutOfRangeValues) {
   auto zero_nodes = Request::from_json(line("map", "max_ilp_nodes", "0"));
   ASSERT_TRUE(zero_nodes.ok()) << zero_nodes.error().message;
   EXPECT_EQ(zero_nodes.value().options.map.max_ilp_nodes, 0u);
+
+  // Each double option has a closed range; a value past it, or one that
+  // reads as infinity, is kParse naming the field and the range. Both
+  // ends are taken as written.
+  const struct {
+    const char* section;
+    const char* field;
+    const char* below;
+    const char* above;
+    const char* lo;
+    const char* hi;
+    const char* range;
+  } ranged[] = {
+      {"map", "pps", "0.5", "1000000001", "1", "1e9", "[1, 1000000000]"},
+      {"map", "ctm_state_fraction", "-0.01", "1.01", "0", "1", "[0, 1]"},
+      {"map", "time_budget_ms", "-1", "1e10", "0", "1e9", "[0, 1000000000]"},
+      {"predict", "nic_share", "0.04", "1.5", "0.05", "1", "[0.05, 1]"},
+      {"predict", "foreign_cache_pressure_bytes", "-1", "9007199254740994", "0", "9007199254740992",
+       "[0, 9007199254740992]"},
+  };
+  for (const auto& f : ranged) {
+    const std::string path = std::string(f.section) + "." + f.field;
+    for (const std::string value : {f.below, f.above, "1e400", "-1e400"}) {
+      auto parsed = Request::from_json(line(f.section, f.field, value));
+      ASSERT_FALSE(parsed.ok()) << path << "=" << value;
+      EXPECT_EQ(parsed.error().code, ErrorCode::kParse) << path << "=" << value;
+      EXPECT_EQ(parsed.error().message, "\"" + path + "\" must be a number in " + f.range) << value;
+    }
+    for (const std::string value : {f.lo, f.hi}) {
+      auto parsed = Request::from_json(line(f.section, f.field, value));
+      ASSERT_TRUE(parsed.ok()) << path << "=" << value << ": " << parsed.error().message;
+      EXPECT_EQ(Json::parse(parsed.value().to_json()).value().get(f.section)->number_at(f.field),
+                std::strtod(value.c_str(), nullptr))
+          << path << "=" << value;
+    }
+  }
 
   // Every field's type is checked: each key of a default request and of
   // a response with one row of each kind, nested keys included, given

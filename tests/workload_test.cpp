@@ -367,6 +367,22 @@ TEST(TraceIo, GeneratedTracesAtARangesEdgeReadBack) {
   std::remove(path.c_str());
 }
 
+// A trace's rate is its packets over its last arrival, however few gaps
+// it has: one- and two-packet files read back at the rate they were
+// generated at, not the profile's default 60,000 pps.
+TEST(TraceIo, ShortTracesReadBackTheirRate) {
+  const std::string path = "/tmp/clara_short_trace.cltr";
+  for (const char* packets : {"1", "2", "3"}) {
+    const auto trace = generate_trace(parse_profile(std::string("pps=1000 packets=") + packets).value());
+    ASSERT_TRUE(write_trace(trace, path).ok()) << packets;
+    const auto loaded = read_trace(path);
+    ASSERT_TRUE(loaded.ok()) << packets << ": " << loaded.error().message;
+    EXPECT_EQ(loaded.value().profile.pps, 1000.0) << "packets=" << packets;
+    EXPECT_EQ(analyze_trace(loaded.value(), 0).observed_pps, 1000.0) << "packets=" << packets;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TraceStats, DistinctFlows) {
   const auto trace = generate_trace(parse_profile("packets=10000 flows=300 zipf=0.5").value());
   EXPECT_LE(trace.distinct_flows(), 300u);
