@@ -236,20 +236,27 @@ class JsonScanner {
     return fail("unterminated string");
   }
 
+  /// RFC 8259's number: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?.
+  /// The token runs over every sign, digit, dot and exponent in that
+  /// order, and one that breaks the grammar is malformed at its end.
   Status scan_number() {
     const std::size_t start = pos_;
     const auto digits = [this] {
+      const std::size_t from = pos_;
       while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) ++pos_;
+      return pos_ - from;
     };
     consume('-');
-    digits();
-    if (consume('.')) digits();
+    const bool leading_zero = pos_ < text_.size() && text_[pos_] == '0';
+    const std::size_t integer = digits();
+    bool grammatical = integer == 1 || (integer > 1 && !leading_zero);
+    if (consume('.')) grammatical = digits() > 0 && grammatical;
     if (consume('e') || consume('E')) {
       if (!consume('+')) consume('-');
-      digits();
+      grammatical = digits() > 0 && grammatical;
     }
     if (pos_ == start) return fail("expected a value");
-    const auto value = read_number(text_.substr(start, pos_ - start));
+    const auto value = grammatical ? read_number(text_.substr(start, pos_ - start)) : std::nullopt;
     if (!value) return fail("malformed number");
     nodes_[add(Json::Kind::kNumber, start)].number = *value;
     return {};

@@ -7,16 +7,6 @@
 
 namespace clara {
 
-void Accumulator::add(double x) {
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 double Accumulator::variance() const {
   return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
 }

@@ -1,6 +1,7 @@
 // Streaming statistics and histograms for latency series.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -13,7 +14,19 @@ namespace clara {
 /// O(1) memory; used when percentiles are not needed.
 class Accumulator {
  public:
-  void add(double x);
+  void add(double x) {
+    ++count_;
+    sum_ += x;
+    const double delta = x - mean_;
+    // A zero delta would add a signed zero to mean_ and m2_, which never
+    // hold -0.0, so skipping those updates is exact; NaN is not zero.
+    if (delta != 0.0) {
+      mean_ += delta / static_cast<double>(count_);
+      m2_ += delta * (x - mean_);
+    }
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }

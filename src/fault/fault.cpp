@@ -18,9 +18,8 @@ namespace {
 // set_plan publishes a fresh heap plan with release semantics and parks
 // the previous one in a retire list (never freed while the process
 // lives) so a reader mid-injection can never observe a dangling plan.
-// g_active mirrors !plan->empty() so the no-fault hot path is a single
-// relaxed load.
-std::atomic<bool> g_active{false};
+// detail::g_active mirrors !plan->empty() so the no-fault hot path is a
+// single relaxed load.
 std::atomic<const FaultPlan*> g_plan{nullptr};
 std::mutex g_install_mu;
 std::vector<std::unique_ptr<const FaultPlan>>& retired_plans() {
@@ -37,6 +36,8 @@ const FaultPlan& empty_plan() {
 double to_unit_interval(std::uint64_t v) { return static_cast<double>(v >> 11) * 0x1.0p-53; }
 
 }  // namespace
+
+std::atomic<bool> detail::g_active{false};
 
 const SiteSpec* FaultPlan::find(std::string_view site) const {
   for (const auto& s : sites)
@@ -172,7 +173,7 @@ void set_plan(FaultPlan plan) {
   std::lock_guard<std::mutex> lock(g_install_mu);
   retired_plans().push_back(std::move(owned));
   g_plan.store(raw, std::memory_order_release);
-  g_active.store(active, std::memory_order_release);
+  detail::g_active.store(active, std::memory_order_release);
 }
 
 void clear_plan() { set_plan(FaultPlan{}); }
@@ -182,10 +183,7 @@ const FaultPlan& plan() {
   return p != nullptr ? *p : empty_plan();
 }
 
-bool active() { return g_active.load(std::memory_order_relaxed); }
-
-bool inject(std::string_view site, std::uint64_t key) {
-  if (!active()) return false;
+bool detail::inject_armed(std::string_view site, std::uint64_t key) {
   if (!plan().should_fire(site, key)) return false;
   obs::metrics().counter("fault/injected", "site=" + std::string(site)).inc();
   // A firing site is exactly the "something just went wrong" moment the

@@ -19,6 +19,7 @@
 // path rather than per-invocation injection.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -91,14 +92,24 @@ void clear_plan();
 /// The currently installed plan (an empty static plan when none is set).
 const FaultPlan& plan();
 
+namespace detail {
+/// Mirrors !plan().empty(); set_plan() stores it after the plan.
+extern std::atomic<bool> g_active;
+/// inject() once a plan is installed: the trigger decision and the fire.
+bool inject_armed(std::string_view site, std::uint64_t key);
+}  // namespace detail
+
 /// True when a non-empty plan is installed. Single relaxed atomic load —
 /// the hot-path guard inlined into every injection site.
-bool active();
+inline bool active() { return detail::g_active.load(std::memory_order_relaxed); }
 
 /// The injection-site hook: true when the installed plan fires `site`
 /// for invocation `key`. Bumps the `fault/injected` counter (labelled
-/// site=...) on fire. Near-free when no plan is installed.
-bool inject(std::string_view site, std::uint64_t key);
+/// site=...) on fire. With no plan installed it is the inline guard
+/// alone, no call.
+inline bool inject(std::string_view site, std::uint64_t key) {
+  return active() && detail::inject_armed(site, key);
+}
 
 /// Payload factor for `site` from the installed plan (e.g. the latency
 /// multiplier of a contention spike), or `fallback`.

@@ -120,7 +120,7 @@ Result<Port> port(std::string_view nf, const cir::Function& fn, nicsim::NicSim& 
 
 Result<nicsim::RunStats> simulate(std::string_view nf, const cir::Function& fn, std::span<const MemLevel> levels,
                                   const workload::Trace& trace, const PortTuning& tuning) {
-  nicsim::NicSim sim;
+  nicsim::NicSim& sim = nicsim::reset_thread_sim();  // no pool wait before run() returns
   const auto ported = port(nf, fn, sim, levels, tuning);
   if (!ported) return ported.error();
   return sim.run(*ported.value().program, trace);

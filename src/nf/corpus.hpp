@@ -60,7 +60,8 @@ struct Port {
 Result<Port> port(std::string_view nf, const cir::Function& fn, nicsim::NicSim& sim,
                   std::span<const nicsim::MemLevel> levels, const PortTuning& tuning = {});
 
-/// Replays `trace` through that port on a fresh simulator.
+/// Replays `trace` through that port on the calling thread's simulator,
+/// reset first (nicsim::reset_thread_sim).
 Result<nicsim::RunStats> simulate(std::string_view nf, const cir::Function& fn,
                                   std::span<const nicsim::MemLevel> levels, const workload::Trace& trace,
                                   const PortTuning& tuning = {});

@@ -26,28 +26,30 @@ bool SetAssocCache::access(std::uint64_t addr) {
 
   Line* base = &lines_[static_cast<std::size_t>(set) * ways_];
   Line* victim = base;
+  // The victim is the last invalid way, else the least recently used.
   for (std::uint32_t w = 0; w < ways_; ++w) {
     Line& line = base[w];
-    if (line.valid && line.tag == tag) {
+    const bool valid = line.epoch == epoch_;
+    if (valid && line.tag == tag) {
       line.last_use = clock_;
       ++hits_;
       return true;
     }
-    if (!line.valid) {
+    if (!valid) {
       victim = &line;
-    } else if (victim->valid && line.last_use < victim->last_use) {
+    } else if (victim->epoch == epoch_ && line.last_use < victim->last_use) {
       victim = &line;
     }
   }
   ++misses_;
-  victim->valid = true;
+  victim->epoch = epoch_;
   victim->tag = tag;
   victim->last_use = clock_;
   return false;
 }
 
 void SetAssocCache::flush() {
-  for (auto& line : lines_) line = Line{};
+  ++epoch_;
   clock_ = hits_ = misses_ = 0;
 }
 

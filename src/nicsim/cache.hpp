@@ -19,6 +19,9 @@ class SetAssocCache {
   /// fills the line (evicting LRU).
   bool access(std::uint64_t addr);
 
+  /// Invalidates every line and zeroes the counters in O(1): the cache
+  /// moves to a new epoch, and a line is valid only in the epoch that
+  /// filled it.
   void flush();
 
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
@@ -34,13 +37,16 @@ class SetAssocCache {
   struct Line {
     std::uint64_t tag = ~0ULL;
     std::uint64_t last_use = 0;
-    bool valid = false;
+    std::uint64_t epoch = 0;  // valid iff equal to the cache's epoch_
   };
 
   std::uint32_t line_bytes_;
   std::uint32_t sets_;
   std::uint32_t ways_;
   std::vector<Line> lines_;  // sets_ * ways_, row-major by set
+  /// Starts past every line's 0, and a 64-bit count of flushes never
+  /// wraps back to an epoch a line still holds.
+  std::uint64_t epoch_ = 1;
   std::uint64_t clock_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

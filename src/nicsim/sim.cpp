@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
+#include <iterator>
+#include <numeric>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -274,6 +276,21 @@ void NicSim::reset_timeline() {
   arrivals_ = accel_requests_ = 0;
 }
 
+void NicSim::reset() {
+  reset_timeline();
+  tables_.clear();
+  lpm_tables_.clear();
+  std::fill(std::begin(next_base_per_level_), std::end(next_base_per_level_), std::uint64_t{0});
+  pkt_counter_ = 0;
+  timeline_dirty_ = false;
+}
+
+NicSim& reset_thread_sim() {
+  thread_local NicSim sim;
+  sim.reset();
+  return sim;
+}
+
 NicSim::RunSnapshot NicSim::snapshot_counters() const {
   RunSnapshot snap;
   snap.cache_hits = emem_cache_.hits();
@@ -327,8 +344,7 @@ void NicSim::finalize_stats(RunStats& stats, const RunSnapshot& before, Cycles f
   auto& registry = obs::metrics();
   registry.counter("nicsim/packets").inc(stats.packets);
   registry.counter("nicsim/drops").inc(stats.drops);
-  auto& hist = registry.histogram("nicsim/latency_cycles");
-  for (const auto v : stats.latency.samples()) hist.observe(v);
+  registry.histogram("nicsim/latency_cycles").observe_all(stats.latency.samples());
 }
 
 Cycles NicSim::dma_cycles(std::uint32_t frame) const {
@@ -351,13 +367,22 @@ RunStats NicSim::run(NicProgram& program, const workload::Trace& trace) {
   const RunSnapshot before = snapshot_counters();
   timeline_dirty_ = true;
 
-  // Earliest-available-thread heap, (free_at, thread) min order, so ties
-  // go to the lowest thread index. Entries go stale when a thread is
-  // rebound; stale tops are discarded lazily by comparing against
-  // thread_free_ (the authoritative value).
-  thread_heap_.clear();
-  for (std::uint32_t t = 0; t < thread_free_.size(); ++t) thread_heap_.emplace_back(thread_free_[t], t);
-  std::make_heap(thread_heap_.begin(), thread_heap_.end(), std::greater<>{});
+  // Threads by (free_at, index), earliest first: the earliest-available
+  // thread without a scan over every thread, ties to the lowest index.
+  // The order is the window [head, head + threads) of twice as many
+  // slots, so it moves up one slot per packet and is copied back down
+  // once every `threads` packets.
+  const std::size_t threads = thread_free_.size();
+  const auto earlier = [this](std::uint32_t a, std::uint32_t b) {
+    return thread_free_[a] != thread_free_[b] ? thread_free_[a] < thread_free_[b] : a < b;
+  };
+  thread_order_.resize(2 * threads);
+  const auto order = thread_order_.begin();
+  std::iota(order, order + static_cast<std::ptrdiff_t>(threads), 0u);
+  if (!std::is_sorted(order, order + static_cast<std::ptrdiff_t>(threads), earlier)) {
+    std::sort(order, order + static_cast<std::ptrdiff_t>(threads), earlier);
+  }
+  std::size_t head = 0;
 
   // Ring of the dispatch times of packets still queued at ingress,
   // oldest first. Admission keeps at most ingress_queue_capacity.
@@ -400,13 +425,7 @@ RunStats NicSim::run(NicProgram& program, const workload::Trace& trace) {
     }
 
     // Bind to the earliest-available hardware thread.
-    std::pair<Cycles, std::uint32_t> top;
-    do {
-      std::pop_heap(thread_heap_.begin(), thread_heap_.end(), std::greater<>{});
-      top = thread_heap_.back();
-      thread_heap_.pop_back();
-    } while (top.first != thread_free_[top.second]);
-    const std::uint32_t thread = top.second;
+    const std::uint32_t thread = thread_order_[head];
     const Cycles start = std::max(ready, thread_free_[thread]);
     inflight_[(inflight_head + inflight_size) % ring] = start;
     ++inflight_size;
@@ -416,9 +435,21 @@ RunStats NicSim::run(NicProgram& program, const workload::Trace& trace) {
     program.handle(api);
     if (!api.done_) api.emit();  // programs that fall off the end emit
 
+    // Requeue: its free time only grew, so it goes behind every thread
+    // that frees sooner. That is the back when packets cost about the
+    // same, and a binary search otherwise.
     thread_free_[thread] = api.now_;
-    thread_heap_.emplace_back(api.now_, thread);
-    std::push_heap(thread_heap_.begin(), thread_heap_.end(), std::greater<>{});
+    if (++head > threads) {
+      std::copy(order + static_cast<std::ptrdiff_t>(head), order + static_cast<std::ptrdiff_t>(head + threads - 1),
+                order);
+      head = 0;
+    }
+    const auto first = order + static_cast<std::ptrdiff_t>(head);
+    const auto last = first + static_cast<std::ptrdiff_t>(threads - 1);
+    const auto at =
+        first == last || earlier(*(last - 1), thread) ? last : std::upper_bound(first, last, thread, earlier);
+    std::move_backward(at, last, last + 1);
+    *at = thread;
     last_completion = std::max(last_completion, api.now_);
 
     // Attribution: on-ramp (hub + DMA) and scheduling wait are charged

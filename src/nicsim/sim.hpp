@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cir/vcalls.hpp"
@@ -195,6 +194,13 @@ class NicSim {
   /// *contents* persist — call create_table again for a cold table).
   void reset_timeline();
 
+  /// Returns the simulator to its freshly constructed state: what
+  /// reset_timeline() clears, every table dropped, table addresses and
+  /// packet ordinals from zero. Keeps the configuration and the storage
+  /// (the cache's lines, run()'s scratch), so it costs O(1) in the cache
+  /// size.
+  void reset();
+
   [[nodiscard]] const NicConfig& config() const { return config_; }
   [[nodiscard]] const SetAssocCache& emem_cache() const { return emem_cache_; }
   /// Busy cycles per NPU core, accumulated since the last reset: which
@@ -232,9 +238,9 @@ class NicSim {
   std::vector<Cycles> core_busy_;
   std::vector<Cycles> thread_free_;
   /// run()'s scheduling state, kept on the sim so its capacity survives
-  /// across runs. Min-heap of (free_at, thread), lazily invalidated: the
-  /// earliest-available thread without a scan over every thread.
-  std::vector<std::pair<Cycles, std::uint32_t>> thread_heap_;
+  /// across runs: every thread in (free_at, thread) order, in a sliding
+  /// window of twice as many slots.
+  std::vector<std::uint32_t> thread_order_;
   /// Ring of dispatch times of packets queued at ingress.
   std::vector<Cycles> inflight_;
   /// True when run() has dirtied thread availability; lets measure_one
@@ -259,5 +265,13 @@ class NicSim {
   std::uint64_t emem_accesses_ = 0;
   std::uint64_t dma_bytes_ = 0;
 };
+
+/// The calling thread's simulator on netronome_config(), reset(): a fresh
+/// NicSim without building its cache model per call. It stays the
+/// caller's until the thread calls this again, which resets it. The pool
+/// runs other tasks on a thread that waits on it, and one of those may
+/// call this, so a caller must not wait on the pool between this call
+/// and its last use of the simulator or of anything made on it.
+NicSim& reset_thread_sim();
 
 }  // namespace clara::nicsim

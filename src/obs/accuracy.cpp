@@ -55,7 +55,9 @@ Result<ScenarioResult, Error> validate_prediction(const core::Analyzer& analyzer
                            "netronome-agilio-cx",
                            nic.c_str()));
   }
-  nicsim::NicSim sim;
+  // Nothing from here to the end of run() waits on the pool
+  // (reset_thread_sim's contract).
+  nicsim::NicSim& sim = nicsim::reset_thread_sim();
   auto ported = nf::port(scenario.nf, analysis.lowered, sim,
                          nf::mapped_levels(analyzer.profile(), analysis.mapping.state_region),
                          {.flow_cache = scenario.lpm_flow_cache});

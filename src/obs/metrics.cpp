@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/strings.hpp"
@@ -63,6 +64,22 @@ void LatencyHistogram::observe(double x) {
   std::lock_guard<std::mutex> lock(mu_);
   acc_.add(x);
   ++buckets_[bucket_index(x)];
+}
+
+void LatencyHistogram::observe_all(std::span<const double> xs) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // A run of equal samples (a fixed-cost NF's latencies) looks up its
+  // bucket once; NaN equals nothing, so it is looked up every time.
+  double last = std::numeric_limits<double>::quiet_NaN();
+  std::size_t bucket = 0;
+  for (const double x : xs) {
+    acc_.add(x);
+    if (x != last) {
+      last = x;
+      bucket = bucket_index(x);
+    }
+    ++buckets_[bucket];
+  }
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,6 +67,8 @@ class LatencyHistogram {
   static constexpr std::size_t kBuckets = 64;
 
   void observe(double x);
+  /// observe() of each of `xs` in order, under one lock.
+  void observe_all(std::span<const double> xs);
   /// Merge another histogram into this one (parallel reduction).
   void merge(const LatencyHistogram& other);
 

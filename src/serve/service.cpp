@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -60,8 +61,41 @@ Result<cir::Function> resolve_nf(const Request& request) {
 /// for validate the packets the simulator replays.
 struct Workload {
   std::shared_ptr<const core::WorkloadSummary> summary;
-  std::optional<workload::Trace> trace;
+  std::shared_ptr<const workload::Trace> trace;
 };
+
+/// Longest trace the validate memo keeps (2 MiB of packets), so no
+/// request can pin a large one: the Zipf memo's bound.
+constexpr std::uint64_t kMemoPackets = 65'536;
+
+/// The last trace generated for a validate, by its profile's digest.
+/// Traces are immutable and shared, so every worker reads one copy; a
+/// repeated validate, whose summary hits, replays it instead of
+/// generating its packets again.
+class TraceMemo {
+ public:
+  std::shared_ptr<const workload::Trace> find(std::uint64_t digest) const {
+    const std::lock_guard lock(mutex_);
+    return digest == digest_ ? trace_ : nullptr;
+  }
+
+  void keep(std::uint64_t digest, std::shared_ptr<const workload::Trace> trace) {
+    if (trace->size() > kMemoPackets) return;
+    const std::lock_guard lock(mutex_);
+    digest_ = digest;
+    trace_ = std::move(trace);
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::uint64_t digest_ = 0;
+  std::shared_ptr<const workload::Trace> trace_;
+};
+
+TraceMemo& trace_memo() {
+  static TraceMemo memo;
+  return memo;
+}
 
 Result<Workload> resolve_workload(const Request& request, const core::Analyzer& analyzer) {
   Workload out;
@@ -72,18 +106,31 @@ Result<Workload> resolve_workload(const Request& request, const core::Analyzer& 
     // afresh and never memoized.
     out.summary = std::make_shared<const core::WorkloadSummary>(core::summarize(
         trace.value(), analyzer.profile(), request.options.predict.payload_buckets));
-    if (request.kind == RequestKind::kValidate) out.trace = std::move(trace).value();
+    if (request.kind == RequestKind::kValidate) {
+      out.trace = std::make_shared<const workload::Trace>(std::move(trace).value());
+    }
     return out;
   }
   const std::string spec = request.workload.empty() ? kDefaultWorkload : request.workload;
   auto profile = workload::parse_profile(spec);
   if (!profile) return profile.error();
+  if (request.kind != RequestKind::kValidate) {
+    out.summary = analyzer.summarize(profile.value(), request.options);
+    return out;
+  }
   // Validate replays the packets too: take the trace a summary miss
-  // generated, and generate one only on a hit.
-  std::optional<workload::Trace>* generated =
-      request.kind == RequestKind::kValidate ? &out.trace : nullptr;
-  out.summary = analyzer.summarize(profile.value(), request.options, generated);
-  if (generated != nullptr && !out.trace) out.trace = workload::generate_trace(profile.value());
+  // generated; on a hit, the memo's, or generate one when it holds
+  // another spec's. Either way the memo keeps the trace generated here.
+  std::optional<workload::Trace> generated;
+  out.summary = analyzer.summarize(profile.value(), request.options, &generated);
+  const std::uint64_t digest = profile.value().digest();
+  if (!generated) {
+    out.trace = trace_memo().find(digest);
+    if (out.trace) return out;
+    generated = workload::generate_trace(profile.value());
+  }
+  out.trace = std::make_shared<const workload::Trace>(std::move(*generated));
+  trace_memo().keep(digest, out.trace);
   return out;
 }
 

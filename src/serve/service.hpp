@@ -6,8 +6,9 @@
 // deterministic analysis summary. The built-in profiles and their
 // Analyzers are built once per Service; a spec workload resolves
 // through the analysis cache's summary stage, so a warm request
-// generates no trace (validate still generates one for the simulator,
-// and a trace file is summarized afresh on every request). The CLI
+// generates no trace (a warm validate replays the last validate trace
+// the service kept, and a trace file is read and summarized afresh on
+// every request). The CLI
 // calls handle() in-process; the daemon (serve/daemon) calls it from
 // pool tasks, one per request line, so the Service must be safe to call
 // concurrently — it keeps no per-request mutable state and never

@@ -205,6 +205,75 @@ TEST(Accumulator, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 5.0);
 }
 
+/// Welford as Accumulator::add was before it skipped zero deltas: every
+/// update on every sample.
+struct ReferenceWelford {
+  std::size_t count = 0;
+  double mean = 0.0;
+  double m2 = 0.0;
+  double sum = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+
+  void add(double x) {
+    ++count;
+    sum += x;
+    const double delta = x - mean;
+    mean += delta / static_cast<double>(count);
+    m2 += delta * (x - mean);
+    min = std::min(min, x);
+    max = std::max(max, x);
+  }
+};
+
+/// Equal bits, or both NaN: IEEE leaves a NaN's payload to operand order.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) || (std::isnan(a) && std::isnan(b));
+}
+
+// A zero delta leaves the mean and M2 alone, and that must be exactly
+// what the full update would have left, sample by sample, including on
+// signed zeros, infinities and NaN.
+TEST(Accumulator, ZeroDeltaSkipMatchesFullWelfordBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::vector<double>> sequences = {
+      {5, 5, 5, 5},
+      {0, 0, 0},
+      {-0.0, -0.0, 0.0, -0.0},
+      {0.0, -0.0, 3, 3, -0.0, 0.0},
+      {1, 2, 2, 2, 1e300, 1e300, -1e300, -1e300},
+      {0.1, 0.1, 0.30000000000000004, 0.1, 0.1},
+      {inf, inf, 1, -inf, -inf},
+      {-inf, -inf, 0.0},
+      {3, nan, 3, 3, nan},
+      {nan, 0.0, -0.0},
+  };
+  // Seeded draws from a small pool, so repeats (zero deltas) are common.
+  const double pool[] = {0.0, -0.0, 1.0, 2.5, 12.0, 12.0, 1e-300, 96.0};
+  Rng rng(31);
+  std::vector<double> drawn;
+  for (int i = 0; i < 2'000; ++i) drawn.push_back(pool[rng.next_below(std::size(pool))]);
+  sequences.push_back(drawn);
+
+  for (std::size_t s = 0; s < sequences.size(); ++s) {
+    Accumulator acc;
+    ReferenceWelford ref;
+    for (std::size_t i = 0; i < sequences[s].size(); ++i) {
+      acc.add(sequences[s][i]);
+      ref.add(sequences[s][i]);
+      const double variance = ref.count > 1 ? ref.m2 / static_cast<double>(ref.count - 1) : 0.0;
+      const std::string at = strf("sequence %zu sample %zu", s, i);
+      EXPECT_EQ(acc.count(), ref.count) << at;
+      EXPECT_TRUE(same_bits(acc.sum(), ref.sum)) << at;
+      EXPECT_TRUE(same_bits(acc.mean(), ref.mean)) << at << ": " << acc.mean() << " vs " << ref.mean;
+      EXPECT_TRUE(same_bits(acc.variance(), variance)) << at << ": " << acc.variance() << " vs " << variance;
+      EXPECT_TRUE(same_bits(acc.min(), ref.min)) << at;
+      EXPECT_TRUE(same_bits(acc.max(), ref.max)) << at;
+    }
+  }
+}
+
 TEST(Series, Percentiles) {
   Series s;
   for (int i = 1; i <= 100; ++i) s.add(i);
@@ -380,6 +449,28 @@ TEST(JsonNumber, SpellsAsPrintfAndReadsBackBitExact) {
   for (const double special : {std::numeric_limits<double>::quiet_NaN(), -std::numeric_limits<double>::quiet_NaN(),
                                std::numeric_limits<double>::infinity(), -std::numeric_limits<double>::infinity()}) {
     EXPECT_EQ(json_number(special), "0");
+  }
+}
+
+// RFC 8259's number grammar: no leading zeros, no bare or leading dot.
+TEST(JsonNumber, RefusesSpellingsOutsideTheRfcGrammar) {
+  for (const char* text : {"01", "00.5", "1.", "1.e5", ".5", "-.5"}) {
+    for (const std::string& document : {std::string(text), strf(R"({"n":%s})", text)}) {
+      const auto parsed = Json::parse(document);
+      ASSERT_FALSE(parsed.ok()) << document;
+      EXPECT_EQ(parsed.error().code, ErrorCode::kParse) << document;
+      EXPECT_NE(parsed.error().message.find("malformed number"), std::string::npos)
+          << document << ": " << parsed.error().message;
+    }
+  }
+  const struct {
+    const char* text;
+    double value;
+  } valid[] = {{"0", 0.0}, {"-0", -0.0}, {"0.1", 0.1}, {"1E5", 1e5}, {"1e+2", 100.0}, {"-0.0e-0", -0.0}};
+  for (const auto& [text, value] : valid) {
+    const auto parsed = Json::parse(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.error().message;
+    EXPECT_EQ(bits(parsed.value().as_double()), bits(value)) << text;
   }
 }
 

@@ -15,7 +15,9 @@
 // over — packets, drops, a bit digest of the latency samples, the
 // latency and queue-wait accumulators, both hit rates, achieved pps,
 // energy, every breakdown component, and a digest of per-NPU busy
-// cycles (which NPU ran each packet).
+// cycles (which NPU ran each packet). The first round of each simulator
+// case is also replayed on the one simulator nicsim::reset_thread_sim()
+// hands a thread, reset between scenarios, and must match the same line.
 //
 // tests/data/engine_golden.txt holds one line per case: three key
 // fields, then the outcome. A case whose line is missing or differs
@@ -246,6 +248,31 @@ TEST(SoaEquiv, BatchedRunMatchesScalarOnLedgerScenarios) {
 
 TEST(SoaEquiv, BatchedRunMatchesScalarAcrossRepeatedRunsOnOneSim) {
   EXPECT_EQ(check_rounds({"nat", "repeat", "tcp=0.8 flows=2000 payload=300 pps=80000 packets=5000"}), 3u);
+}
+
+// The simulator validate and simulate share per thread: one instance,
+// reset before each scenario, must replay every scenario's first round
+// exactly as a freshly built simulator does, whatever ran on it before.
+TEST(SoaEquiv, ResetThreadSimMatchesAFreshSimOnEveryScenario) {
+  auto scenarios = obs::AccuracyLedger::default_matrix();
+  scenarios.push_back({"nat", "repeat", "tcp=0.8 flows=2000 payload=300 pps=80000 packets=5000"});
+  ASSERT_EQ(scenarios.size(), 19u);
+  const nicsim::NicSim* first = nullptr;
+  std::size_t cases = 0;
+  for (const bool reverse : {false, true}) {
+    for (std::size_t k = 0; k < scenarios.size(); ++k) {
+      const auto& scenario = scenarios[reverse ? scenarios.size() - 1 - k : k];
+      const auto trace = workload::generate_trace(workload::parse_profile(scenario.workload).value());
+      nicsim::NicSim& sim = nicsim::reset_thread_sim();
+      if (first == nullptr) first = &sim;
+      EXPECT_EQ(&sim, first) << "one simulator per thread";
+      auto port = make_scenario_port(scenario, sim);
+      ASSERT_TRUE(port.ok()) << scenario.name() << ": " << port.error().message;
+      const auto stats = sim.run(*port.value().program, trace);
+      cases += check(strf("sim %s round=0", scenario.name().c_str()), outcome(stats, sim));
+    }
+  }
+  EXPECT_EQ(cases, 38u);
 }
 
 TEST(EngineGoldenTest, GoldenFileHasNoStaleCases) {

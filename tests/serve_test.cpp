@@ -33,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -592,20 +593,42 @@ TEST(ServeServiceTest, ValidateGeneratesItsTraceOnce) {
   const Request validate = every_kind()[3];
   Request uncached = validate;
   uncached.options.use_cache = false;
+  Request reseeded = validate;
+  reseeded.workload += " seed=1";
+  const std::string path = strf("/tmp/clara-serve-test-validate-%d.cltr", static_cast<int>(::getpid()));
+  ASSERT_TRUE(workload::write_trace(workload::generate_trace(workload::parse_profile(kSmallWorkload).value()), path)
+                  .ok());
+  Request from_file = validate;
+  from_file.workload.clear();
+  from_file.trace_file = path;
 
   // Cold: the summary miss generates the trace, and the simulator replays
-  // that same trace. Warm: the summary hits, so the packets are generated
-  // once for the simulator. Cache off: the one trace serves both.
-  std::string reference;
-  for (const auto& [what, request] : {std::pair{"cold", validate}, std::pair{"warm", validate},
-                                      std::pair{"cache off", uncached}}) {
+  // that same trace. Warm: the summary hits, and the simulator replays the
+  // trace the cold request kept. Cache off: the one trace serves both. A
+  // new seed generates its own, which its repeat replays in turn. A trace
+  // file is read, not generated, and replays the same packets.
+  const struct {
+    const char* what;
+    const Request& request;
+    std::uint64_t generated;
+  } cases[] = {{"cold", validate, 1},    {"warm", validate, 0},         {"cache off", uncached, 1},
+               {"seed=1", reseeded, 1}, {"seed=1 warm", reseeded, 0}, {"trace file", from_file, 0}};
+  std::map<std::string, std::string> first;  // workload spec -> its first response
+  double simulated_cycles = 0.0;
+  for (const auto& c : cases) {
     const std::uint64_t before = traces.value();
-    const Response response = service.handle(request);
-    ASSERT_TRUE(response.ok) << what << ": " << response.error;
-    EXPECT_EQ(traces.value() - before, 1u) << what;
-    if (reference.empty()) reference = response.to_json();
-    EXPECT_EQ(response.to_json(), reference) << what;
+    const Response response = service.handle(c.request);
+    ASSERT_TRUE(response.ok) << c.what << ": " << response.error;
+    EXPECT_EQ(traces.value() - before, c.generated) << c.what;
+    const auto [it, inserted] = first.emplace(c.request.workload, response.to_json());
+    EXPECT_EQ(response.to_json(), it->second) << c.what;
+    if (c.request.trace_file.empty()) {
+      if (c.request.workload == validate.workload) simulated_cycles = response.simulated_cycles;
+    } else {
+      EXPECT_EQ(response.simulated_cycles, simulated_cycles) << c.what;
+    }
   }
+  ::unlink(path.c_str());
 }
 
 TEST(ServeServiceTest, EveryKindIsByteIdenticalCacheOnOrOffAcrossJobsLevels) {
