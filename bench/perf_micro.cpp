@@ -201,10 +201,10 @@ std::vector<MicroResult> run_micros() {
     const auto summary = analyzer.summarize(profile);
     const auto analysis = analyzer.analyze(nf::build_nat_nf(), *summary).value();
     const auto graph = passes::DataflowGraph::build(analysis.lowered, summary->hints);
-    const mapping::Mapper mapper(analyzer.profile());
     std::printf("  (predict_nat_mixed: %zu classes)\n", summary->classes.size());
     out.push_back(run_micro("predict_nat_mixed", [&] {
-      volatile bool ok = core::predict(analysis.lowered, graph, analysis.mapping, mapper, *summary).ok();
+      volatile bool ok =
+          core::predict(analysis.lowered, graph, analysis.mapping, analyzer.mapper(), *summary).ok();
       (void)ok;
     }, summary->classes.size()));
   }
@@ -237,6 +237,44 @@ std::vector<MicroResult> run_micros() {
       volatile auto n = service.handle(*validate).to_line().size();
       (void)n;
     }));
+  }
+  {
+    // A cold clarad request as perfbench's loadgen_cold sends it: each
+    // request of the serve mix on 64:1500-byte payloads under a trace seed
+    // no request used before, so every one generates its trace, misses
+    // the graph and mapping caches and solves its ILP. Handled and written
+    // as its response line at jobs=1; the row is the median over rounds of
+    // the mix of a round's time per request.
+    const std::size_t saved_jobs = parallel::jobs();
+    parallel::set_jobs(1);
+    serve::Service service(serve::ServiceOptions{0});
+    auto mix = serve::build_mix();
+    std::uint64_t seed = 1'000'000;
+    const auto round_ns_per_request = [&] {
+      for (auto& request : mix) {
+        request.workload = "tcp=0.8 flows=2000 payload=64:1500 pps=60000 packets=2000 seed=" + std::to_string(seed++);
+      }
+      const auto t0 = Clock::now();
+      for (const auto& request : mix) {
+        volatile auto n = service.handle(request).to_line().size();
+        (void)n;
+      }
+      return ms_since(t0) * 1e6 / static_cast<double>(mix.size());
+    };
+    for (int i = 0; i < 3; ++i) (void)round_ns_per_request();
+    constexpr std::size_t kRounds = 101;
+    std::vector<double> rounds(kRounds);
+    for (auto& ns : rounds) ns = round_ns_per_request();
+    std::nth_element(rounds.begin(), rounds.begin() + kRounds / 2, rounds.end());
+    MicroResult r;
+    r.name = "serve_cold_request";
+    r.ns_per_iter = rounds[kRounds / 2];
+    r.iterations = kRounds * mix.size();
+    r.items_per_sec = 1e9 / r.ns_per_iter;
+    std::printf("  %-28s %12.0f ns/request (median of %zu rounds of %zu requests)\n", r.name.c_str(),
+                r.ns_per_iter, kRounds, mix.size());
+    out.push_back(r);
+    parallel::set_jobs(saved_jobs);
   }
   {
     nicsim::NicSim sim;

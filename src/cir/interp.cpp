@@ -1,7 +1,5 @@
 #include "cir/interp.hpp"
 
-#include <unordered_map>
-
 #include "common/strings.hpp"
 
 namespace clara::cir {
@@ -28,25 +26,42 @@ std::uint64_t synth_byte(std::uint64_t addr) {
 
 }  // namespace
 
-Result<ExecTrace> Interpreter::run(std::uint64_t max_steps) {
-  ExecTrace trace;
-  trace.block_counts.assign(fn_.blocks.size(), 0);
-
-  std::vector<std::uint64_t> regs(fn_.num_regs, 0);
-  std::unordered_map<std::uint64_t, std::uint64_t> scratch;
-  std::unordered_map<std::uint64_t, std::uint64_t> header_mem;
-  std::unordered_map<std::uint64_t, std::uint64_t> packet_mem;
-  // One value map per state object.
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> state_mem(fn_.state_objects.size());
-
-  auto eval = [&](const Value& v) -> std::uint64_t {
-    switch (v.kind) {
-      case Value::Kind::kReg: return regs[v.reg];
-      case Value::Kind::kImm: return static_cast<std::uint64_t>(v.imm);
-      case Value::Kind::kNone: return 0;
+Interpreter::Interpreter(const Function& fn, VCallHandler& handler)
+    : fn_(fn), handler_(handler), state_mem_(fn.state_objects.size()) {
+  block_base_.reserve(fn_.blocks.size());
+  for (const BasicBlock& bb : fn_.blocks) {
+    block_base_.push_back(callee_.size());
+    for (const Instr& instr : bb.instrs) {
+      callee_.push_back(instr.op == Opcode::kCall ? parse_vcall(instr.callee) : std::nullopt);
     }
-    return 0;
-  };
+  }
+}
+
+std::uint64_t Interpreter::eval(const Value& v) const {
+  switch (v.kind) {
+    case Value::Kind::kReg: return regs_[v.reg];
+    case Value::Kind::kImm: return static_cast<std::uint64_t>(v.imm);
+    case Value::Kind::kNone: return 0;
+  }
+  return 0;
+}
+
+Result<ExecTrace> Interpreter::run(std::uint64_t max_steps) {
+  if (auto status = execute(max_steps); !status) return status.error();
+  return trace_;
+}
+
+Status Interpreter::execute(std::uint64_t max_steps) {
+  ExecTrace& trace = trace_;
+  trace.block_counts.assign(fn_.blocks.size(), 0);
+  trace.vcalls.clear();
+  trace.args.clear();
+  trace.steps = 0;
+  regs_.assign(fn_.num_regs, 0);
+  scratch_.clear();
+  header_mem_.clear();
+  packet_mem_.clear();
+  for (auto& mem : state_mem_) mem.clear();
 
   std::uint32_t block = 0;
   std::uint32_t prev_block = ~0u;
@@ -57,21 +72,21 @@ Result<ExecTrace> Interpreter::run(std::uint64_t max_steps) {
     const BasicBlock& bb = fn_.blocks[block];
 
     // Phis execute in parallel at block entry.
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> phi_writes;
+    phi_writes_.clear();
     std::size_t i = 0;
     for (; i < bb.instrs.size() && bb.instrs[i].op == Opcode::kPhi; ++i) {
       const Instr& phi = bb.instrs[i];
       bool matched = false;
       for (std::size_t a = 0; a < phi.phi_preds.size(); ++a) {
         if (phi.phi_preds[a] == prev_block) {
-          phi_writes.emplace_back(phi.dst, eval(phi.args[a]) & type_mask(phi.type));
+          phi_writes_.emplace_back(phi.dst, eval(phi.args[a]) & type_mask(phi.type));
           matched = true;
           break;
         }
       }
       if (!matched) return make_error(strf("interpreter: phi in '%s' has no edge from predecessor", bb.label.c_str()));
     }
-    for (const auto& [dst, val] : phi_writes) regs[dst] = val;
+    for (const auto& [dst, val] : phi_writes_) regs_[dst] = val;
 
     for (; i < bb.instrs.size(); ++i) {
       const Instr& instr = bb.instrs[i];
@@ -79,78 +94,79 @@ Result<ExecTrace> Interpreter::run(std::uint64_t max_steps) {
       const std::uint64_t mask = type_mask(instr.type);
 
       switch (instr.op) {
-        case Opcode::kAdd: regs[instr.dst] = (eval(instr.args[0]) + eval(instr.args[1])) & mask; break;
-        case Opcode::kSub: regs[instr.dst] = (eval(instr.args[0]) - eval(instr.args[1])) & mask; break;
-        case Opcode::kMul: regs[instr.dst] = (eval(instr.args[0]) * eval(instr.args[1])) & mask; break;
-        case Opcode::kFAdd: regs[instr.dst] = (eval(instr.args[0]) + eval(instr.args[1])) & mask; break;
-        case Opcode::kFMul: regs[instr.dst] = (eval(instr.args[0]) * eval(instr.args[1])) & mask; break;
+        case Opcode::kAdd: regs_[instr.dst] = (eval(instr.args[0]) + eval(instr.args[1])) & mask; break;
+        case Opcode::kSub: regs_[instr.dst] = (eval(instr.args[0]) - eval(instr.args[1])) & mask; break;
+        case Opcode::kMul: regs_[instr.dst] = (eval(instr.args[0]) * eval(instr.args[1])) & mask; break;
+        case Opcode::kFAdd: regs_[instr.dst] = (eval(instr.args[0]) + eval(instr.args[1])) & mask; break;
+        case Opcode::kFMul: regs_[instr.dst] = (eval(instr.args[0]) * eval(instr.args[1])) & mask; break;
         case Opcode::kDiv: {
           const std::uint64_t d = eval(instr.args[1]);
           if (d == 0) return make_error("interpreter: division by zero");
-          regs[instr.dst] = (eval(instr.args[0]) / d) & mask;
+          regs_[instr.dst] = (eval(instr.args[0]) / d) & mask;
           break;
         }
         case Opcode::kRem: {
           const std::uint64_t d = eval(instr.args[1]);
           if (d == 0) return make_error("interpreter: remainder by zero");
-          regs[instr.dst] = (eval(instr.args[0]) % d) & mask;
+          regs_[instr.dst] = (eval(instr.args[0]) % d) & mask;
           break;
         }
-        case Opcode::kAnd: regs[instr.dst] = (eval(instr.args[0]) & eval(instr.args[1])) & mask; break;
-        case Opcode::kOr: regs[instr.dst] = (eval(instr.args[0]) | eval(instr.args[1])) & mask; break;
-        case Opcode::kXor: regs[instr.dst] = (eval(instr.args[0]) ^ eval(instr.args[1])) & mask; break;
-        case Opcode::kShl: regs[instr.dst] = (eval(instr.args[0]) << (eval(instr.args[1]) & 63)) & mask; break;
-        case Opcode::kShr: regs[instr.dst] = (eval(instr.args[0]) >> (eval(instr.args[1]) & 63)) & mask; break;
-        case Opcode::kEq: regs[instr.dst] = eval(instr.args[0]) == eval(instr.args[1]) ? 1 : 0; break;
-        case Opcode::kNe: regs[instr.dst] = eval(instr.args[0]) != eval(instr.args[1]) ? 1 : 0; break;
-        case Opcode::kLt: regs[instr.dst] = eval(instr.args[0]) < eval(instr.args[1]) ? 1 : 0; break;
-        case Opcode::kLe: regs[instr.dst] = eval(instr.args[0]) <= eval(instr.args[1]) ? 1 : 0; break;
-        case Opcode::kGt: regs[instr.dst] = eval(instr.args[0]) > eval(instr.args[1]) ? 1 : 0; break;
-        case Opcode::kGe: regs[instr.dst] = eval(instr.args[0]) >= eval(instr.args[1]) ? 1 : 0; break;
+        case Opcode::kAnd: regs_[instr.dst] = (eval(instr.args[0]) & eval(instr.args[1])) & mask; break;
+        case Opcode::kOr: regs_[instr.dst] = (eval(instr.args[0]) | eval(instr.args[1])) & mask; break;
+        case Opcode::kXor: regs_[instr.dst] = (eval(instr.args[0]) ^ eval(instr.args[1])) & mask; break;
+        case Opcode::kShl: regs_[instr.dst] = (eval(instr.args[0]) << (eval(instr.args[1]) & 63)) & mask; break;
+        case Opcode::kShr: regs_[instr.dst] = (eval(instr.args[0]) >> (eval(instr.args[1]) & 63)) & mask; break;
+        case Opcode::kEq: regs_[instr.dst] = eval(instr.args[0]) == eval(instr.args[1]) ? 1 : 0; break;
+        case Opcode::kNe: regs_[instr.dst] = eval(instr.args[0]) != eval(instr.args[1]) ? 1 : 0; break;
+        case Opcode::kLt: regs_[instr.dst] = eval(instr.args[0]) < eval(instr.args[1]) ? 1 : 0; break;
+        case Opcode::kLe: regs_[instr.dst] = eval(instr.args[0]) <= eval(instr.args[1]) ? 1 : 0; break;
+        case Opcode::kGt: regs_[instr.dst] = eval(instr.args[0]) > eval(instr.args[1]) ? 1 : 0; break;
+        case Opcode::kGe: regs_[instr.dst] = eval(instr.args[0]) >= eval(instr.args[1]) ? 1 : 0; break;
         case Opcode::kSelect:
-          regs[instr.dst] = (eval(instr.args[0]) != 0 ? eval(instr.args[1]) : eval(instr.args[2])) & mask;
+          regs_[instr.dst] = (eval(instr.args[0]) != 0 ? eval(instr.args[1]) : eval(instr.args[2])) & mask;
           break;
         case Opcode::kLoad: {
           const std::uint64_t addr = eval(instr.args[0]);
           std::uint64_t value = 0;
           switch (instr.space) {
             case MemSpace::kPacket: {
-              const auto it = packet_mem.find(addr);
-              value = it != packet_mem.end() ? it->second : synth_byte(addr);
+              const auto it = packet_mem_.find(addr);
+              value = it != packet_mem_.end() ? it->second : synth_byte(addr);
               break;
             }
             case MemSpace::kHeader: {
-              const auto it = header_mem.find(addr);
-              value = it != header_mem.end() ? it->second : 0;
+              const auto it = header_mem_.find(addr);
+              value = it != header_mem_.end() ? it->second : 0;
               break;
             }
             case MemSpace::kScratch: {
-              const auto it = scratch.find(addr);
-              value = it != scratch.end() ? it->second : 0;
+              const auto it = scratch_.find(addr);
+              value = it != scratch_.end() ? it->second : 0;
               break;
             }
             case MemSpace::kState: {
-              const auto it = state_mem[instr.state].find(addr);
-              value = it != state_mem[instr.state].end() ? it->second : 0;
+              const auto& mem = state_mem_[instr.state];
+              const auto it = mem.find(addr);
+              value = it != mem.end() ? it->second : 0;
               break;
             }
           }
-          regs[instr.dst] = value & mask;
+          regs_[instr.dst] = value & mask;
           break;
         }
         case Opcode::kStore: {
           const std::uint64_t addr = eval(instr.args[0]);
           const std::uint64_t value = eval(instr.args[1]) & mask;
           switch (instr.space) {
-            case MemSpace::kPacket: packet_mem[addr] = value; break;
-            case MemSpace::kHeader: header_mem[addr] = value; break;
-            case MemSpace::kScratch: scratch[addr] = value; break;
-            case MemSpace::kState: state_mem[instr.state][addr] = value; break;
+            case MemSpace::kPacket: packet_mem_[addr] = value; break;
+            case MemSpace::kHeader: header_mem_[addr] = value; break;
+            case MemSpace::kScratch: scratch_[addr] = value; break;
+            case MemSpace::kState: state_mem_[instr.state][addr] = value; break;
           }
           break;
         }
         case Opcode::kCall: {
-          const auto v = parse_vcall(instr.callee);
+          const auto v = callee_[block_base_[block] + i];
           if (!v) {
             return make_error(strf("interpreter: unsubstituted call '%s' (run the API substitution pass first)",
                                    instr.callee.c_str()));
@@ -159,11 +175,12 @@ Result<ExecTrace> Interpreter::run(std::uint64_t max_steps) {
           event.block = block;
           event.instr = static_cast<std::uint32_t>(i);
           event.v = *v;
-          event.args.reserve(instr.args.size());
-          for (const auto& arg : instr.args) event.args.push_back(eval(arg));
-          event.result = handler_.handle(*v, event.args);
-          if (instr.dst != kNoReg) regs[instr.dst] = event.result;
-          trace.vcalls.push_back(std::move(event));
+          event.first_arg = static_cast<std::uint32_t>(trace.args.size());
+          event.num_args = static_cast<std::uint32_t>(instr.args.size());
+          for (const auto& arg : instr.args) trace.args.push_back(eval(arg));
+          event.result = handler_.handle(*v, trace.args_of(event));
+          if (instr.dst != kNoReg) regs_[instr.dst] = event.result;
+          trace.vcalls.push_back(event);
           break;
         }
         case Opcode::kBr:
@@ -175,7 +192,7 @@ Result<ExecTrace> Interpreter::run(std::uint64_t max_steps) {
           block = eval(instr.args[0]) != 0 ? instr.target0 : instr.target1;
           goto next_block;
         case Opcode::kRet:
-          return trace;
+          return {};
         case Opcode::kPhi:
           return make_error("interpreter: phi after non-phi instruction");
       }

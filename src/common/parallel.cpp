@@ -463,4 +463,37 @@ std::uint64_t shard_seed(std::uint64_t base, std::uint64_t index) {
   return z ^ (z >> 31);
 }
 
+double effective_cores(std::size_t threads) {
+  threads = std::max<std::size_t>(1, threads);
+  // A dependent xorshift chain: pure core time, no memory traffic, and
+  // no closed form the optimizer could fold.
+  constexpr std::uint64_t kSteps = 1u << 23;
+  std::atomic<std::uint64_t> sink{0};
+  const auto spin = [&sink] {
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL ^ sink.load(std::memory_order_relaxed);
+    for (std::uint64_t i = 0; i < kSteps; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    sink.fetch_add(x, std::memory_order_relaxed);
+  };
+  const auto wall_ns = [&](std::size_t n) {
+    double best = 1e300;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      const auto t0 = std::chrono::steady_clock::now();
+      {
+        std::vector<std::jthread> spinners;  // joined as the block ends
+        spinners.reserve(n);
+        for (std::size_t t = 0; t < n; ++t) spinners.emplace_back(spin);
+      }
+      best = std::min(best, std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0).count());
+    }
+    return best;
+  };
+  const double one = wall_ns(1);
+  const double all = wall_ns(threads);
+  return static_cast<double>(threads) * one / all;
+}
+
 }  // namespace clara::parallel

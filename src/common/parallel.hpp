@@ -187,4 +187,14 @@ auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
 /// small integers).
 std::uint64_t shard_seed(std::uint64_t base, std::uint64_t index);
 
+/// How many cores the host gives `threads` busy threads right now:
+/// `threads` × the time one thread takes for a fixed spin loop ÷ the wall
+/// time of `threads` threads each running it at once (the best of two
+/// tries of each). Reads about `threads` on an idle host with that many
+/// cores, and less on a smaller or busier one. Runs its own std::threads,
+/// not the pool, and takes a few tens of milliseconds. A wall-clock
+/// speedup at `threads` jobs is only measurable when this is close to
+/// `threads`.
+double effective_cores(std::size_t threads);
+
 }  // namespace clara::parallel

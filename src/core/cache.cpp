@@ -33,7 +33,7 @@ std::uint64_t approx_bytes(const MappingEntry& entry) {
   return 128 + entry.mapping.node_pool.size() * sizeof(std::uint32_t) +
          entry.mapping.state_region.size() * sizeof(NodeId) +
          entry.mapping.ilp_incumbents.size() * sizeof(ilp::IncumbentStep) +
-         entry.mapping.ilp_basis.size() * sizeof(std::size_t);
+         entry.mapping.ilp_basis.size() * sizeof(std::size_t) + entry.report.size();
 }
 
 void count_lookup(std::atomic<std::uint64_t>& counter, bool hit, const char* stage,

@@ -87,6 +87,14 @@ struct GraphEntry {
 
 struct MappingEntry {
   mapping::Mapping mapping;
+  /// mapping::describe_mapping's porting report of `mapping`, rendered
+  /// when the entry is made. Everything the report reads is in the
+  /// mapping key: the lowered function's name, block labels (the node
+  /// labels) and state names through cir::hash_function, the profile's
+  /// name and node names (pool and region names) through hash_profile,
+  /// the hints (node weights) through hash_hints, and the mapping, so a
+  /// hit may reuse it.
+  std::string report;
 };
 
 /// Sharded LRU keyed by a 64-bit content digest. Values are shared

@@ -110,7 +110,7 @@ Result<Prefix> lower_and_build_graph(const cir::Function& nf, const WorkloadSumm
   return prefix;
 }
 
-/// Prices the mapped analysis and writes its porting report.
+/// Prices the mapped analysis, whose report the caller has filled in.
 Result<Analysis> finish(Analysis analysis, const passes::DataflowGraph& graph,
                         const mapping::Mapper& mapper, const WorkloadSummary& workload,
                         const PredictOptions& options) {
@@ -119,14 +119,13 @@ Result<Analysis> finish(Analysis analysis, const passes::DataflowGraph& graph,
   auto prediction = predict(analysis.lowered, graph, analysis.mapping, mapper, workload, options);
   if (!prediction) return dump_on_failure(prediction.error());
   analysis.prediction = std::move(prediction).value();
-  analysis.report = mapping::describe_mapping(analysis.mapping, graph, mapper, analysis.lowered);
   return analysis;
 }
 
 }  // namespace
 
 Analyzer::Analyzer(lnic::NicProfile profile)
-    : profile_(std::move(profile)), profile_hash_(hash_profile(profile_)) {}
+    : profile_(std::move(profile)), profile_hash_(hash_profile(profile_)), mapper_(profile_) {}
 
 std::shared_ptr<const WorkloadSummary> Analyzer::summarize(const workload::WorkloadProfile& workload,
                                                            const AnalyzeOptions& options,
@@ -159,7 +158,6 @@ Result<Analysis> Analyzer::analyze(const cir::Function& nf, const WorkloadSummar
 
   // Stage 3: the mapping solve — the expensive stage the cache exists
   // for. A hit skips the ILP entirely.
-  const mapping::Mapper mapper(profile_);
   std::uint64_t mkey = 0;
   std::shared_ptr<const MappingEntry> mapping_entry;
   if (use_cache) {
@@ -167,16 +165,18 @@ Result<Analysis> Analyzer::analyze(const cir::Function& nf, const WorkloadSummar
     mapping_entry = cache.find_mapping(mkey);
   }
   if (!mapping_entry) {
-    auto mapped = options.stages.ilp() ? mapper.map(graph, hints, p.map)
-                                       : mapper.map_greedy(graph, hints, p.map);
+    auto mapped = options.stages.ilp() ? mapper_.map(graph, hints, p.map)
+                                       : mapper_.map_greedy(graph, hints, p.map);
     if (!mapped) return dump_on_failure(mapped.error());
     auto entry = std::make_shared<MappingEntry>();
     entry->mapping = std::move(mapped).value();
+    entry->report = mapping::describe_mapping(entry->mapping, graph, mapper_, p.analysis.lowered);
     if (use_cache) cache.insert_mapping(mkey, entry);
     mapping_entry = std::move(entry);
   }
   p.analysis.mapping = mapping_entry->mapping;
-  return finish(std::move(p.analysis), graph, mapper, workload, options.predict);
+  p.analysis.report = mapping_entry->report;
+  return finish(std::move(p.analysis), graph, mapper_, workload, options.predict);
 }
 
 Result<Analysis> Analyzer::analyze(const cir::Function& nf, const workload::Trace& trace,
@@ -195,10 +195,9 @@ Result<Analysis> Analyzer::repair(const cir::Function& nf, const WorkloadSummary
   const passes::DataflowGraph& graph = *p.analysis.graph;
 
   // Incremental repair instead of a cold solve, deliberately NOT inserted into the mapping cache.
-  const mapping::Mapper mapper(profile_);
   auto repaired = options.stages.ilp()
-                      ? mapper.repair(graph, workload.hints, previous.mapping, p.map)
-                      : mapper.map_greedy(graph, workload.hints, p.map);
+                      ? mapper_.repair(graph, workload.hints, previous.mapping, p.map)
+                      : mapper_.map_greedy(graph, workload.hints, p.map);
   if (!repaired) return dump_on_failure(repaired.error());
   p.analysis.mapping = std::move(repaired).value();
   if (!options.stages.ilp()) {
@@ -206,7 +205,8 @@ Result<Analysis> Analyzer::repair(const cir::Function& nf, const WorkloadSummary
     p.analysis.mapping.repaired = true;
     p.analysis.mapping.repair_displaced = p.analysis.mapping.node_pool.size();
   }
-  return finish(std::move(p.analysis), graph, mapper, workload, options.predict);
+  p.analysis.report = mapping::describe_mapping(p.analysis.mapping, graph, mapper_, p.analysis.lowered);
+  return finish(std::move(p.analysis), graph, mapper_, workload, options.predict);
 }
 
 Result<Analysis> Analyzer::repair(const cir::Function& nf, const workload::Trace& trace,

@@ -112,6 +112,9 @@ struct CoResident {
 class Analyzer {
  public:
   explicit Analyzer(lnic::NicProfile profile);
+  // The Mapper points at profile_, so an Analyzer stays where it was built.
+  Analyzer(const Analyzer&) = delete;
+  Analyzer& operator=(const Analyzer&) = delete;
 
   /// The summary of the trace `workload` generates, for this NIC and
   /// options.predict.payload_buckets. Looked up in (and added to) the
@@ -168,9 +171,15 @@ class Analyzer {
   /// Content digest of the profile (cache-key component, computed once).
   [[nodiscard]] std::uint64_t profile_hash() const { return profile_hash_; }
 
+  /// The NIC's pools and price table, built once: every analysis, repair,
+  /// load sweep and energy or partial-offload plan on this analyzer maps
+  /// and prices against it. Immutable, so concurrent analyses share it.
+  [[nodiscard]] const mapping::Mapper& mapper() const { return mapper_; }
+
  private:
   lnic::NicProfile profile_;
   std::uint64_t profile_hash_ = 0;
+  mapping::Mapper mapper_;
 };
 
 }  // namespace clara::core

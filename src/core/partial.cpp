@@ -57,7 +57,7 @@ Result<PartialResult> plan_partial_offload(const cir::Function& fn, const passes
   const std::size_t n = nodes.size();
 
   const passes::CostHints& hints = workload.hints;
-  const double nic_clock = mapper.profile().params.scalar(lnic::keys::kClockHz);
+  const double nic_clock = mapper.prices().clock_hz;
   const double frame = workload.mean_payload + 54.0;
 
   // Valid cuts: no dataflow edge may run from the host side back to the
@@ -107,8 +107,7 @@ Result<PartialResult> plan_partial_offload(const cir::Function& fn, const passes
 
     // Datapath constants: the NIC always receives the packet; a pure
     // host plan just forwards it.
-    nic_cycles += mapper.profile().params.scalar(lnic::keys::kIngressDmaBase) +
-                  mapper.profile().params.scalar(lnic::keys::kIngressDmaPerByte) * frame;
+    nic_cycles += mapper.prices().ingress_base + mapper.prices().ingress_per_byte * frame;
 
     if (cut < n) {
       // Packets cross to the host only if the NIC-side prefix did not

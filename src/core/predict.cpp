@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <functional>
 #include <utility>
 
 #include "cir/builder.hpp"
 #include "cir/interp.hpp"
-#include "common/strings.hpp"
 #include "obs/trace.hpp"
 #include "passes/costmodel.hpp"
 
@@ -26,30 +26,34 @@ namespace {
 /// the set of packets").
 class ModelHandler final : public cir::VCallHandler {
  public:
-  ModelHandler(const PacketClass& cls, const cir::Function& fn) : cls_(cls), fn_(fn) {}
+  explicit ModelHandler(const cir::Function& fn) : fn_(fn) {}
+
+  /// Points the model at the class the next run replays.
+  void set_class(const PacketClass& cls) { cls_ = &cls; }
 
   std::uint64_t handle(cir::VCall v, std::span<const std::uint64_t> args) override {
     using cir::VCall;
+    const PacketClass& cls = *cls_;
     switch (v) {
       case VCall::kGetHdr: {
         const auto field = static_cast<cir::HdrField>(args[0]);
         using cir::HdrField;
         switch (field) {
-          case HdrField::kProto: return cls_.proto;
-          case HdrField::kSrcIp: return cls_.rep.src_ip;
-          case HdrField::kDstIp: return cls_.rep.dst_ip;
-          case HdrField::kSrcPort: return cls_.rep.src_port;
-          case HdrField::kDstPort: return cls_.rep.dst_port;
-          case HdrField::kTcpFlags: return cls_.syn ? cir::kTcpFlagSyn : 0;
-          case HdrField::kPayloadLen: return static_cast<std::uint64_t>(cls_.payload());
-          case HdrField::kPktLen: return static_cast<std::uint64_t>(cls_.frame_len());
-          case HdrField::kFlowHash: return cls_.rep.flow_hash();
+          case HdrField::kProto: return cls.proto;
+          case HdrField::kSrcIp: return cls.rep.src_ip;
+          case HdrField::kDstIp: return cls.rep.dst_ip;
+          case HdrField::kSrcPort: return cls.rep.src_port;
+          case HdrField::kDstPort: return cls.rep.dst_port;
+          case HdrField::kTcpFlags: return cls.syn ? cir::kTcpFlagSyn : 0;
+          case HdrField::kPayloadLen: return static_cast<std::uint64_t>(cls.payload());
+          case HdrField::kPktLen: return static_cast<std::uint64_t>(cls.frame_len());
+          case HdrField::kFlowHash: return cls.rep.flow_hash();
         }
         return 0;
       }
       case VCall::kTableLookup: {
         const auto& state = fn_.state_objects[args[0]];
-        if (state.pattern == cir::StatePattern::kHashTable) return cls_.new_flow ? 0 : 1;
+        if (state.pattern == cir::StatePattern::kHashTable) return cls.new_flow ? 0 : 1;
         return 1;
       }
       case VCall::kMeter:
@@ -62,8 +66,8 @@ class ModelHandler final : public cir::VCallHandler {
   }
 
  private:
-  const PacketClass& cls_;
   const cir::Function& fn_;
+  const PacketClass* cls_ = nullptr;
 };
 
 /// Dense indices for u32 keys in first-seen order, so a count per key is
@@ -119,8 +123,17 @@ class KeyIndex {
 }  // namespace
 
 std::string PacketClass::name() const {
-  return strf("%s%s%s/p%.0f", proto == 6 ? "tcp" : "udp", syn ? "+syn" : "", new_flow ? "+new" : "",
-              payload());
+  // The payload as printf's %.0f spells it: to_chars with fixed format
+  // and precision 0 is defined as that conversion in the C locale, ties
+  // to even included.
+  std::string out = proto == 6 ? "tcp" : "udp";
+  if (syn) out += "+syn";
+  if (new_flow) out += "+new";
+  out += "/p";
+  char digits[32];
+  const auto end = std::to_chars(digits, digits + sizeof digits, payload(), std::chars_format::fixed, 0).ptr;
+  out.append(digits, end);
+  return out;
 }
 
 double flow_cache_capacity(const lnic::NicProfile& nic) {
@@ -242,7 +255,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
     return make_error(ErrorCode::kInternal,
                       "predict: workload summarized for another flow cache or payload bucket count");
   }
-  const auto& params = profile.params;
+  const passes::Prices& prices = mapper.prices();
   const CostHints& hints = workload.hints;
 
   // --- EMEM cache hit-rate estimate (working set vs. capacity) ----------
@@ -274,14 +287,14 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
 
   // --- Class-independent prices -------------------------------------------
   // Everything here depends only on the NIC, the mapping and the summary,
-  // so it is looked up or computed once per call. The class loop below
-  // reads these values back with every floating-point operation's
-  // operands and order unchanged.
+  // so it is read from the mapper's price table or computed once per
+  // call. The class loop below reads these values back with every
+  // floating-point operation's operands and order unchanged.
   const auto& pools = mapper.pools();
-  const double residency = params.scalar(keys::kCtmPacketResidency);
-  const double ctm = params.scalar(keys::kMemReadCtm);
-  const double emem_hit = params.scalar(keys::kEmemCacheHit);
-  const double emem_read = params.scalar(keys::kMemReadEmem);
+  const double residency = prices.ctm_packet_residency;
+  const double ctm = prices.mem_read_ctm;
+  const double emem_hit = prices.emem_cache_hit;
+  const double emem_read = prices.mem_read_emem;
   const double tail_lat = hr_tail * emem_hit + (1.0 - hr_tail) * emem_read;
 
   // Packet-byte access price with the cache-aware tail model: bytes in
@@ -323,7 +336,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   // Each node's instruction-mix cycles on its assigned pool.
   std::vector<double> mix_cycles(graph.size());
   for (const auto& node : graph.nodes()) {
-    mix_cycles[node.id] = passes::mix_compute_cycles(node.mix, pools[mapping.node_pool[node.id]].kind, params);
+    mix_cycles[node.id] = passes::mix_compute_cycles(node.mix, pools[mapping.node_pool[node.id]].kind, prices);
   }
 
   // Worst case: the flow cache misses too.
@@ -379,6 +392,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   // --- Per-class costing --------------------------------------------------
   // Only class-dependent terms are computed here: block and vcall counts
   // from the interpreter, and the class's frame-size packet-access prices.
+  // One interpreter replays every class's representative in turn.
   const auto& classes = workload.classes;
   const double total_packets = static_cast<double>(workload.packets);
 
@@ -391,25 +405,27 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   std::vector<ClassCost> costs(classes.size());
   std::vector<double> pool_demand(pools.size(), 0.0);  // cycles/packet avg
 
-  const double hub_service = params.scalar(keys::kHubService);
-  const double ingress_base = params.scalar(keys::kIngressDmaBase);
-  const double ingress_per_byte = params.scalar(keys::kIngressDmaPerByte);
-  const double spill_per_byte = params.scalar(keys::kSpillPerByte);
-  const double flow_cache_hit = params.scalar(keys::kFlowCacheHit);
+  const double hub_service = prices.hub_service;
+  const double ingress_base = prices.ingress_base;
+  const double ingress_per_byte = prices.ingress_per_byte;
+  const double spill_per_byte = prices.spill_per_byte;
+  const double flow_cache_hit = prices.flow_cache_hit;
 
+  ModelHandler handler(fn);
+  cir::Interpreter interp(fn, handler);
+  const cir::ExecTrace& et = interp.trace();
   for (std::size_t c = 0; c < classes.size(); ++c) {
     const PacketClass& cls = classes[c];
-    ModelHandler handler(cls, fn);
-    cir::Interpreter interp(fn, handler);
-    auto exec = interp.run();
-    if (!exec) return make_error("predict: interpretation failed: " + exec.error().message);
-    const cir::ExecTrace& et = exec.value();
+    handler.set_class(cls);
+    if (auto status = interp.execute(); !status) {
+      return make_error("predict: interpretation failed: " + status.error().message);
+    }
 
     ClassCost& cost = costs[c];
     cost.pool_use.assign(pools.size(), 0.0);
     const double frame = cls.frame_len();
     const double pkt_access = pkt_access_cycles(frame);
-    const double pkt_access_worst = passes::packet_access_cycles(frame, frame - 1.0, params);
+    const double pkt_access_worst = passes::packet_access_cycles(frame, frame - 1.0, prices);
     cost.base += hub_service + ingress_base + ingress_per_byte * frame;
     if (residency > 0.0 && frame > residency) cost.base += spill_per_byte * (frame - residency);
     cost.worst = cost.base;
@@ -459,20 +475,20 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
       if (node_id == ~0u) continue;
       const std::size_t pool_idx = mapping.node_pool[node_id];
       const auto& pool = pools[pool_idx];
+      const auto args = et.args_of(event);
       const cir::StateObject* state = nullptr;
       std::uint32_t state_idx = ~0u;
-      if (cir::vcall_takes_state(event.v) && !event.args.empty()) {
-        state_idx = static_cast<std::uint32_t>(event.args[0]);
+      if (cir::vcall_takes_state(event.v) && !args.empty()) {
+        state_idx = static_cast<std::uint32_t>(args[0]);
         state = &fn.state_objects[state_idx];
       }
       double arg = hints.avg_payload;
       if (event.v == cir::VCall::kCsum || event.v == cir::VCall::kCrypto ||
           event.v == cir::VCall::kPayloadScan) {
-        arg = static_cast<double>(event.args[0]);
+        arg = static_cast<double>(args[0]);
       }
-      const bool use_fc =
-          event.v != cir::VCall::kLpmLookup || (event.args.size() >= 3 && event.args[2] != 0);
-      double service = passes::vcall_compute_cycles(event.v, pool.kind, arg, state, params, hints, use_fc);
+      const bool use_fc = event.v != cir::VCall::kLpmLookup || (args.size() >= 3 && args[2] != 0);
+      double service = passes::vcall_compute_cycles(event.v, pool.kind, arg, state, prices, hints, use_fc);
       cost.bd.add(event.v == cir::VCall::kEmit ? Component::kEgress : unit_component(pool.kind), service);
       if (event.v == cir::VCall::kPayloadScan) {
         service += std::ceil(arg / 64.0) * pkt_access;
@@ -484,7 +500,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
       }
       cost.base += service;
       double worst_service =
-          passes::vcall_compute_cycles(event.v, pool.kind, arg, state, params, worst_hints, use_fc);
+          passes::vcall_compute_cycles(event.v, pool.kind, arg, state, prices, worst_hints, use_fc);
       // Deepest match-action walk: per-key walk depth varies around the
       // microbenchmarked mean curve; allow ~15% for the worst key.
       if (event.v == cir::VCall::kLpmLookup) worst_service *= 1.15;
@@ -514,7 +530,7 @@ Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, 
   }
 
   // --- Queueing (Θ) and throughput ----------------------------------------
-  const double clock = params.scalar(keys::kClockHz);
+  const double clock = prices.clock_hz;
   const double pps = workload.profile.pps;
   const double lambda_cycles = pps / clock;  // packets per cycle
 

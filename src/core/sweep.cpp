@@ -119,7 +119,7 @@ std::vector<LoadSweepPoint> predict_load_sweep(const Analyzer& analyzer, const A
                                                const AnalyzeOptions& options, std::size_t jobs,
                                                SweepFailureSummary* failures) {
   const passes::DataflowGraph& graph = *analysis.graph;
-  const mapping::Mapper mapper(analyzer.profile());
+  const mapping::Mapper& mapper = analyzer.mapper();
 
   std::vector<LoadSweepPoint> out(loads_pps.size());
   SweepOptions sweep_options;

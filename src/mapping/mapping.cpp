@@ -54,7 +54,8 @@ std::vector<UnitPool> build_pools(const lnic::Graph& graph) {
   return pools;
 }
 
-Mapper::Mapper(const lnic::NicProfile& profile) : profile_(&profile), pools_(build_pools(profile.graph)) {}
+Mapper::Mapper(const lnic::NicProfile& profile)
+    : profile_(&profile), pools_(build_pools(profile.graph)), prices_(profile.params) {}
 
 bool Mapper::pool_feasible(const DfNode& node, const UnitPool& pool) const {
   for (const auto& site : node.vcalls) {
@@ -77,34 +78,25 @@ double Mapper::access_cycles(const UnitPool& pool, NodeId region) const {
   }
   if (reachable == 0) return 1e12;
   const double avg_weight = total / reachable;
-  const auto* mem = profile_->graph.node(region).memory();
-  const char* key = nullptr;
-  switch (mem->kind) {
-    case lnic::MemKind::kLocal: key = lnic::keys::kMemReadLocal; break;
-    case lnic::MemKind::kCtm: key = lnic::keys::kMemReadCtm; break;
-    case lnic::MemKind::kImem: key = lnic::keys::kMemReadImem; break;
-    case lnic::MemKind::kEmem: key = lnic::keys::kMemReadEmem; break;
-  }
-  return profile_->params.scalar(key) * avg_weight;
+  return prices_.mem_read(profile_->graph.node(region).memory()->kind) * avg_weight;
 }
 
 double Mapper::node_cost_on_pool(const DfNode& node, const UnitPool& pool, const cir::Function& fn,
                                  const CostHints& hints) const {
-  const auto& params = profile_->params;
-  double cycles = passes::mix_compute_cycles(node.mix, pool.kind, params);
+  double cycles = passes::mix_compute_cycles(node.mix, pool.kind, prices_);
 
   // Packet-byte accesses from explicit loads/stores in the mix.
   const double pkt_len = hints.avg_payload + 54.0;
   cycles += static_cast<double>(node.mix.packet_loads + node.mix.packet_stores) *
-            passes::packet_access_cycles(pkt_len, -1.0, params);
+            passes::packet_access_cycles(pkt_len, -1.0, prices_);
 
   for (const auto& site : node.vcalls) {
     const double arg = site.arg_hint > 0.0 ? site.arg_hint : hints.avg_payload;
     const cir::StateObject* state = site.state != ~0u ? &fn.state_objects[site.state] : nullptr;
-    cycles += passes::vcall_compute_cycles(site.v, pool.kind, arg, state, params, hints, site.use_flow_cache);
+    cycles += passes::vcall_compute_cycles(site.v, pool.kind, arg, state, prices_, hints, site.use_flow_cache);
     // Payload scans stream packet bytes in cache-line chunks.
     if (site.v == cir::VCall::kPayloadScan) {
-      cycles += std::ceil(arg / 64.0) * passes::packet_access_cycles(arg + 54.0, -1.0, params);
+      cycles += std::ceil(arg / 64.0) * passes::packet_access_cycles(arg + 54.0, -1.0, prices_);
     }
   }
   return cycles;
@@ -114,12 +106,11 @@ double Mapper::node_queueable_cost_on_pool(const DfNode& node, const UnitPool& p
                                            const CostHints& hints) const {
   double cycles = node_cost_on_pool(node, pool, fn, hints);
   if (pool.kind == lnic::UnitKind::kLpmEngine) {
-    const double front_end = profile_->params.scalar(lnic::keys::kFlowCacheHit);
+    const double front_end = prices_.flow_cache_hit;
     for (const auto& site : node.vcalls) {
       if (site.v != cir::VCall::kLpmLookup) continue;
       const cir::StateObject* state = site.state != ~0u ? &fn.state_objects[site.state] : nullptr;
-      cycles -= passes::vcall_compute_cycles(site.v, pool.kind, 0.0, state, profile_->params, hints,
-                                             site.use_flow_cache);
+      cycles -= passes::vcall_compute_cycles(site.v, pool.kind, 0.0, state, prices_, hints, site.use_flow_cache);
       cycles += front_end;
     }
   }
@@ -183,7 +174,7 @@ double access_term(const Mapper& mapper, const DfNode& node, const UnitPool& poo
 
 /// Θ: per-packet cycles `pool` can serve at the offered rate.
 double theta_budget(const Mapper& mapper, const UnitPool& pool, const MapOptions& options) {
-  return mapper.profile().params.scalar(lnic::keys::kClockHz) / options.pps * pool.parallelism;
+  return mapper.prices().clock_hz / options.pps * pool.parallelism;
 }
 
 /// Assignments a placement model takes as given: a pool index per

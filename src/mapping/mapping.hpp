@@ -23,6 +23,7 @@
 #include "ilp/simplex.hpp"
 #include "ilp/solver.hpp"
 #include "lnic/profiles.hpp"
+#include "passes/costmodel.hpp"
 #include "passes/dataflow.hpp"
 
 namespace clara::mapping {
@@ -112,6 +113,10 @@ struct MapOptions {
   [[nodiscard]] ilp::SolveOptions to_solve_options() const;
 };
 
+/// The per-NIC view the mapper and the predictor price against: the
+/// profile's unit pools and its price table, both built once here. It
+/// keeps a pointer to `profile`, which must outlive it, and is immutable
+/// after construction, so any number of threads may share one.
 class Mapper {
  public:
   explicit Mapper(const lnic::NicProfile& profile);
@@ -144,6 +149,7 @@ class Mapper {
 
   [[nodiscard]] const std::vector<UnitPool>& pools() const { return pools_; }
   [[nodiscard]] const lnic::NicProfile& profile() const { return *profile_; }
+  [[nodiscard]] const passes::Prices& prices() const { return prices_; }
 
   // -- Cost helpers shared with the predictor ------------------------------
 
@@ -179,6 +185,7 @@ class Mapper {
  private:
   const lnic::NicProfile* profile_;
   std::vector<UnitPool> pools_;
+  passes::Prices prices_;
 };
 
 /// Human-readable porting report: per-node unit bindings, state

@@ -121,14 +121,62 @@ bool unit_supports_general_compute(UnitKind kind, bool match_action, const Instr
   }
 }
 
-double mix_compute_cycles(const InstrMix& mix, UnitKind kind, const ParameterStore& params) {
-  const double alu = params.scalar(keys::kInstrAlu);
-  const double mul = params.scalar(keys::kInstrMul);
-  const double divc = params.scalar(keys::kInstrDiv);
-  const double branch = params.scalar(keys::kInstrBranch);
-  const double move = params.scalar(keys::kInstrMove);
-  const double fp = params.scalar(keys::kInstrFpEmulation);
-  const double local = params.scalar(keys::kMemReadLocal);
+namespace {
+
+lnic::PiecewiseLinear curve_price(const ParameterStore& params, const char* key) {
+  if (const auto* curve = params.try_curve(key)) return *curve;
+  return lnic::PiecewiseLinear::constant(params.scalar(key));
+}
+
+}  // namespace
+
+Prices::Prices(const ParameterStore& params)
+    : mem_read_local(params.scalar(keys::kMemReadLocal)),
+      mem_read_ctm(params.scalar(keys::kMemReadCtm)),
+      mem_read_imem(params.scalar(keys::kMemReadImem)),
+      mem_read_emem(params.scalar(keys::kMemReadEmem)),
+      emem_cache_hit(params.scalar(keys::kEmemCacheHit)),
+      instr_alu(params.scalar(keys::kInstrAlu)),
+      instr_mul(params.scalar(keys::kInstrMul)),
+      instr_div(params.scalar(keys::kInstrDiv)),
+      instr_branch(params.scalar(keys::kInstrBranch)),
+      instr_move(params.scalar(keys::kInstrMove)),
+      instr_fp_emulation(params.scalar(keys::kInstrFpEmulation)),
+      parse_base(params.scalar(keys::kParseBase)),
+      parse_per_byte(params.scalar(keys::kParsePerByte)),
+      csum_accel(curve_price(params, keys::kCsumAccel)),
+      csum_sw_extra(params.scalar(keys::kCsumSwExtra)),
+      crypto_accel(curve_price(params, keys::kCryptoAccel)),
+      crypto_sw_factor(params.scalar(keys::kCryptoSwFactor)),
+      lpm_dram(curve_price(params, keys::kLpmDram)),
+      flow_cache_hit(params.scalar(keys::kFlowCacheHit)),
+      flow_cache_capacity(params.scalar(keys::kFlowCacheCapacity)),
+      ingress_base(params.scalar(keys::kIngressDmaBase)),
+      ingress_per_byte(params.scalar(keys::kIngressDmaPerByte)),
+      egress_base(params.scalar(keys::kEgressBase)),
+      ctm_packet_residency(params.scalar(keys::kCtmPacketResidency)),
+      spill_per_byte(params.scalar(keys::kSpillPerByte)),
+      hub_service(params.scalar(keys::kHubService)),
+      clock_hz(params.scalar(keys::kClockHz)) {}
+
+double Prices::mem_read(lnic::MemKind kind) const {
+  switch (kind) {
+    case lnic::MemKind::kLocal: return mem_read_local;
+    case lnic::MemKind::kCtm: return mem_read_ctm;
+    case lnic::MemKind::kImem: return mem_read_imem;
+    case lnic::MemKind::kEmem: return mem_read_emem;
+  }
+  return 0.0;
+}
+
+double mix_compute_cycles(const InstrMix& mix, UnitKind kind, const Prices& prices) {
+  const double alu = prices.instr_alu;
+  const double mul = prices.instr_mul;
+  const double divc = prices.instr_div;
+  const double branch = prices.instr_branch;
+  const double move = prices.instr_move;
+  const double fp = prices.instr_fp_emulation;
+  const double local = prices.mem_read_local;
 
   // Header engines run header arithmetic at ~1 cycle/op regardless of
   // the NPU tables; they never execute the heavyweight classes (the
@@ -150,37 +198,37 @@ double mix_compute_cycles(const InstrMix& mix, UnitKind kind, const ParameterSto
   return cycles;
 }
 
-double vcall_compute_cycles(VCall v, UnitKind kind, double arg, const StateObject* state,
-                            const ParameterStore& params, const CostHints& hints, bool use_flow_cache) {
-  const double move = params.scalar(keys::kInstrMove);
-  const double alu = params.scalar(keys::kInstrAlu);
+double vcall_compute_cycles(VCall v, UnitKind kind, double arg, const StateObject* state, const Prices& prices,
+                            const CostHints& hints, bool use_flow_cache) {
+  const double move = prices.instr_move;
+  const double alu = prices.instr_alu;
   switch (v) {
     case VCall::kParse:
       if (kind == UnitKind::kHeaderEngine) {
         // The parser engine works at line rate; only its base fee shows.
-        return params.scalar(keys::kParseBase) * 0.2;
+        return prices.parse_base * 0.2;
       }
       // NPU software parse: base (CTM->local header copy) + per byte.
-      return params.scalar(keys::kParseBase) + params.scalar(keys::kParsePerByte) * 40.0;
+      return prices.parse_base + prices.parse_per_byte * 40.0;
     case VCall::kGetHdr:
     case VCall::kSetHdr:
       return move;  // metadata modification: 2-5 cycles (paper §3.2)
     case VCall::kCsum: {
-      const double accel = params.eval(keys::kCsumAccel, arg);
+      const double accel = prices.csum_accel.eval(arg);
       if (kind == UnitKind::kChecksumAccel) return accel;
-      return accel + params.scalar(keys::kCsumSwExtra);  // NPU emulation
+      return accel + prices.csum_sw_extra;  // NPU emulation
     }
     case VCall::kCrypto: {
-      const double accel = params.eval(keys::kCryptoAccel, arg);
+      const double accel = prices.crypto_accel.eval(arg);
       if (kind == UnitKind::kCryptoAccel) return accel;
-      return accel * std::max(1.0, params.scalar(keys::kCryptoSwFactor));
+      return accel * std::max(1.0, prices.crypto_sw_factor);
     }
     case VCall::kLpmLookup: {
       const double entries = state != nullptr ? static_cast<double>(state->entries) : 1024.0;
-      const double dram = params.eval(keys::kLpmDram, entries);
+      const double dram = prices.lpm_dram.eval(entries);
       if (kind == UnitKind::kLpmEngine) {
-        const double hit = params.scalar(keys::kFlowCacheHit);
-        const double capacity = params.scalar(keys::kFlowCacheCapacity);
+        const double hit = prices.flow_cache_hit;
+        const double capacity = prices.flow_cache_capacity;
         if (capacity <= 0.0 || !use_flow_cache) return hit + dram;  // every lookup walks DRAM
         const double hr = hints.flow_cache_hit_rate;
         return hit + (1.0 - hr) * dram;  // SRAM probe always; DRAM on miss
@@ -198,16 +246,16 @@ double vcall_compute_cycles(VCall v, UnitKind kind, double arg, const StateObjec
     case VCall::kPayloadScan: {
       // Byte-at-a-time automaton on an NPU; packet-residency costs are
       // added by the caller (they depend on the packet size).
-      return arg * (3.0 * alu + params.scalar(keys::kInstrBranch));
+      return arg * (3.0 * alu + prices.instr_branch);
     }
     case VCall::kMeter:
       return 10.0 * alu;  // token-bucket arithmetic; state accesses via Γ
     case VCall::kStatsUpdate:
       return 4.0 * alu;
     case VCall::kEmit:
-      return params.scalar(keys::kEgressBase);
+      return prices.egress_base;
     case VCall::kDrop:
-      return params.scalar(keys::kEgressBase) * 0.25;
+      return prices.egress_base * 0.25;
   }
   return 0.0;
 }
@@ -229,14 +277,14 @@ double vcall_state_accesses(VCall v, UnitKind kind, const StateObject* state) {
   }
 }
 
-double packet_access_cycles(double pkt_len, double offset_hint, const ParameterStore& params) {
-  const double residency = params.scalar(keys::kCtmPacketResidency);
-  const double ctm = params.scalar(keys::kMemReadCtm);
-  const double emem = params.scalar(keys::kMemReadEmem);
+double packet_access_cycles(double pkt_len, double offset_hint, const Prices& prices) {
+  const double residency = prices.ctm_packet_residency;
+  const double ctm = prices.mem_read_ctm;
+  const double emem = prices.mem_read_emem;
   if (residency <= 0.0) {
     // Packets live in DRAM behind a cache (SoC profile): price at the
     // cache-hit latency, the common case for streaming payload access.
-    return params.scalar(keys::kEmemCacheHit);
+    return prices.emem_cache_hit;
   }
   if (offset_hint >= 0.0) return offset_hint < residency ? ctm : emem;
   if (pkt_len <= residency) return ctm;

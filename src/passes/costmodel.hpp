@@ -72,10 +72,53 @@ bool unit_supports_vcall(lnic::UnitKind kind, bool match_action, cir::VCall v);
 /// (beyond simple header arithmetic).
 bool unit_supports_general_compute(lnic::UnitKind kind, bool match_action, const InstrMix& mix);
 
+/// Every parameter the cost model reads, looked up once from a NIC's
+/// ParameterStore so that pricing a node or a packet class does no
+/// string-keyed lookup. Each field holds exactly the value the store
+/// returns for its key, so a price computed from the table is the price
+/// computed from the store, bit for bit. A curve key the store gives a
+/// scalar becomes PiecewiseLinear::constant of it, which evaluates to
+/// that scalar at every x, as ParameterStore::eval does. The Mapper
+/// builds one per NIC.
+struct Prices {
+  explicit Prices(const lnic::ParameterStore& params);
+
+  double mem_read_local = 0.0;
+  double mem_read_ctm = 0.0;
+  double mem_read_imem = 0.0;
+  double mem_read_emem = 0.0;
+  double emem_cache_hit = 0.0;
+  double instr_alu = 0.0;
+  double instr_mul = 0.0;
+  double instr_div = 0.0;
+  double instr_branch = 0.0;
+  double instr_move = 0.0;
+  double instr_fp_emulation = 0.0;
+  double parse_base = 0.0;
+  double parse_per_byte = 0.0;
+  lnic::PiecewiseLinear csum_accel;
+  double csum_sw_extra = 0.0;
+  lnic::PiecewiseLinear crypto_accel;
+  double crypto_sw_factor = 0.0;
+  lnic::PiecewiseLinear lpm_dram;
+  double flow_cache_hit = 0.0;
+  double flow_cache_capacity = 0.0;
+  double ingress_base = 0.0;
+  double ingress_per_byte = 0.0;
+  double egress_base = 0.0;
+  double ctm_packet_residency = 0.0;
+  double spill_per_byte = 0.0;
+  double hub_service = 0.0;
+  double clock_hz = 0.0;
+
+  /// Read latency of a memory level from an on-island NPU.
+  [[nodiscard]] double mem_read(lnic::MemKind kind) const;
+};
+
 /// Cycles for one execution of `mix` on a unit of `kind` (memory costs
 /// for state accesses excluded; packet loads are priced separately by
 /// the caller because packet residency depends on packet size).
-double mix_compute_cycles(const InstrMix& mix, lnic::UnitKind kind, const lnic::ParameterStore& params);
+double mix_compute_cycles(const InstrMix& mix, lnic::UnitKind kind, const Prices& prices);
 
 /// Compute-side cycles of one vcall invocation on a unit of `kind`,
 /// given the length/size argument `arg` (bytes for csum/crypto/scan,
@@ -85,7 +128,7 @@ double mix_compute_cycles(const InstrMix& mix, lnic::UnitKind kind, const lnic::
 /// `use_flow_cache` is the kLpmLookup flag (the NF's third argument):
 /// when false, every lookup walks the DRAM match-action tables.
 double vcall_compute_cycles(cir::VCall v, lnic::UnitKind kind, double arg,
-                            const cir::StateObject* state, const lnic::ParameterStore& params,
+                            const cir::StateObject* state, const Prices& prices,
                             const CostHints& hints, bool use_flow_cache = true);
 
 /// Number of (placement-dependent) state-memory accesses one invocation
@@ -98,6 +141,6 @@ double vcall_state_accesses(cir::VCall v, lnic::UnitKind kind, const cir::StateO
 /// read at CTM latency; beyond it, the spilled tail reads at EMEM
 /// latency. `offset_hint` < 0 prices an average access for a packet of
 /// `pkt_len` bytes.
-double packet_access_cycles(double pkt_len, double offset_hint, const lnic::ParameterStore& params);
+double packet_access_cycles(double pkt_len, double offset_hint, const Prices& prices);
 
 }  // namespace clara::passes

@@ -171,7 +171,7 @@ void fill_analysis(Response& response, const Request& request, const core::Analy
   }
   if (request.energy || request.partial) {
     const passes::DataflowGraph& graph = *analysis.graph;
-    const mapping::Mapper mapper(analyzer.profile());
+    const mapping::Mapper& mapper = analyzer.mapper();
     if (request.energy) {
       const auto energy =
           core::predict_energy(analysis.lowered, graph, analysis.mapping, mapper, workload);

@@ -28,7 +28,7 @@
 
 #include <atomic>
 #include <cstddef>
-#include <vector>
+#include <deque>
 
 #include "core/clara.hpp"
 #include "core/request.hpp"
@@ -91,7 +91,9 @@ class Service {
 
   ServiceOptions options_;
   InflightGate gate_;
-  std::vector<core::Analyzer> analyzers_;  // one per built-in NIC profile
+  // One per built-in NIC profile. A deque never moves what it holds, and
+  // an Analyzer cannot move.
+  std::deque<core::Analyzer> analyzers_;
 };
 
 }  // namespace clara::serve

@@ -132,6 +132,31 @@ TEST(AnalysisCacheTest, CacheOnOffBitIdenticalAcrossJobs) {
   }
 }
 
+// A mapping hit reuses the porting report its entry keeps: for every
+// corpus NF it must read as the one a cold or an uncached analysis
+// renders.
+TEST(AnalysisCacheTest, WarmReportEqualsColdForEveryCorpusNf) {
+  CacheGuard guard;
+  Analyzer clara_tool(lnic::netronome_agilio_cx());
+  const auto trace = make_trace("tcp=0.8 flows=2000 payload=300 pps=60000 packets=2000");
+  AnalyzeOptions off;
+  off.use_cache = false;
+  for (const auto& entry : nf::corpus()) {
+    const auto fn = entry.build();
+    const auto cold = clara_tool.analyze(fn, trace);
+    ASSERT_TRUE(cold.ok()) << entry.name << ": " << cold.error().message;
+    const std::uint64_t hits_before = analysis_cache().stats().hits;
+    const auto warm = clara_tool.analyze(fn, trace);
+    ASSERT_TRUE(warm.ok()) << entry.name;
+    EXPECT_GE(analysis_cache().stats().hits, hits_before + 3) << entry.name << ": the warm pass must hit";
+    const auto uncached = clara_tool.analyze(fn, trace, off);
+    ASSERT_TRUE(uncached.ok()) << entry.name;
+    EXPECT_FALSE(cold.value().report.empty()) << entry.name;
+    EXPECT_EQ(cold.value().report, warm.value().report) << entry.name;
+    EXPECT_EQ(uncached.value().report, warm.value().report) << entry.name;
+  }
+}
+
 TEST(AnalysisCacheTest, DeadlineFallbackDeterministicAcrossJobs) {
   const auto trace = make_trace("tcp=0.8 flows=2000 payload=300 pps=60000 packets=2000");
   AnalyzeOptions options;

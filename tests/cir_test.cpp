@@ -417,6 +417,36 @@ TEST(Interp, StateMemoryDefaultsToZero) {
   EXPECT_EQ(result.value().block_counts[yes], 1u);
 }
 
+// One interpreter serves many runs; each starts from zeroed memories,
+// whatever the run before it stored, even when that run failed.
+TEST(Interp, ReusedInterpreterStartsEachRunFromEmptyMemories) {
+  FunctionBuilder b("f");
+  const auto state = b.add_state(StateObject{"s", 8, 16, StatePattern::kArray});
+  const auto entry = b.create_block("entry");
+  const auto yes = b.create_block("yes");
+  const auto no = b.create_block("no");
+  b.set_insert_point(entry);
+  const auto seen = b.bor(b.load_scratch(Value::of_imm(4)), b.load_state(state, Value::of_imm(3)));
+  b.store_scratch(Value::of_imm(4), Value::of_imm(7));
+  b.store_state(state, Value::of_imm(3), Value::of_imm(9));
+  b.cond_br(b.cmp_eq(seen, Value::of_imm(0)), yes, no);
+  b.set_insert_point(yes);
+  b.ret();
+  b.set_insert_point(no);
+  b.ret();
+  const auto fn = b.take();
+  FixedHandler handler;
+  Interpreter interp(fn, handler);
+  for (int run = 0; run < 3; ++run) {
+    if (run == 2) {
+      EXPECT_FALSE(interp.execute(/*max_steps=*/5).ok());
+    }
+    ASSERT_TRUE(interp.execute().ok()) << "run " << run;
+    EXPECT_EQ(interp.trace().block_counts[yes], 1u) << "run " << run;
+    EXPECT_EQ(interp.trace().block_counts[no], 0u) << "run " << run;
+  }
+}
+
 TEST(SymExprTest, Evaluation) {
   const auto c = SymExpr::constant(5.0);
   EXPECT_TRUE(c.is_constant());

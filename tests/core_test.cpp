@@ -4,7 +4,10 @@
 // ablations, and interference analysis.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "cir/builder.hpp"
+#include "cir/interp.hpp"
 #include "common/strings.hpp"
 #include "core/clara.hpp"
 #include "nf/corpus.hpp"
@@ -293,6 +296,115 @@ TEST(Analyzer, AllNfsAnalyzeOnNetronome) {
     if (analysis.ok()) {
       EXPECT_GT(analysis.value().prediction.mean_latency_cycles, 0.0) << fn.name;
       EXPECT_GT(analysis.value().prediction.throughput_pps, 0.0) << fn.name;
+    }
+  }
+}
+
+// The class name spells the mean payload as printf's %.0f would, ties
+// to even included: every quarter byte up to 9000 puts each .5 tie in
+// both rounding directions.
+TEST(PacketClassName, MatchesPrintfForEveryPayload) {
+  for (const std::uint8_t proto : {std::uint8_t{6}, std::uint8_t{17}}) {
+    for (const bool syn : {false, true}) {
+      for (const bool new_flow : {false, true}) {
+        PacketClass cls{.proto = proto, .syn = syn, .new_flow = new_flow, .count = 1};
+        for (int quarters = 0; quarters <= 36000; ++quarters) {
+          cls.payload_sum = quarters * 0.25;
+          ASSERT_EQ(cls.name(), strf("%s%s%s/p%.0f", proto == 6 ? "tcp" : "udp", syn ? "+syn" : "",
+                                     new_flow ? "+new" : "", cls.payload()));
+        }
+      }
+    }
+  }
+}
+
+/// Answers vcalls from a packet class as the predictor's workload model
+/// does: header fields from the representative, hash tables hit unless
+/// the flow is new.
+class ClassModel final : public cir::VCallHandler {
+ public:
+  explicit ClassModel(const cir::Function& fn) : fn_(fn) {}
+
+  const PacketClass* cls = nullptr;
+
+  std::uint64_t handle(cir::VCall v, std::span<const std::uint64_t> args) override {
+    switch (v) {
+      case cir::VCall::kGetHdr:
+        switch (static_cast<cir::HdrField>(args[0])) {
+          case cir::HdrField::kProto: return cls->proto;
+          case cir::HdrField::kSrcIp: return cls->rep.src_ip;
+          case cir::HdrField::kDstIp: return cls->rep.dst_ip;
+          case cir::HdrField::kSrcPort: return cls->rep.src_port;
+          case cir::HdrField::kDstPort: return cls->rep.dst_port;
+          case cir::HdrField::kTcpFlags: return cls->syn ? cir::kTcpFlagSyn : 0;
+          case cir::HdrField::kPayloadLen: return static_cast<std::uint64_t>(cls->payload());
+          case cir::HdrField::kPktLen: return static_cast<std::uint64_t>(cls->frame_len());
+          case cir::HdrField::kFlowHash: return cls->rep.flow_hash();
+        }
+        return 0;
+      case cir::VCall::kTableLookup:
+        return fn_.state_objects[args[0]].pattern == cir::StatePattern::kHashTable && cls->new_flow ? 0 : 1;
+      case cir::VCall::kMeter: return 1;
+      case cir::VCall::kCsum: return 0xbeef;
+      default: return 0;
+    }
+  }
+
+ private:
+  const cir::Function& fn_;
+};
+
+void expect_same_trace(const cir::ExecTrace& expected, const cir::ExecTrace& actual, const std::string& what) {
+  EXPECT_EQ(expected.block_counts, actual.block_counts) << what;
+  EXPECT_EQ(expected.steps, actual.steps) << what;
+  ASSERT_EQ(expected.vcalls.size(), actual.vcalls.size()) << what;
+  for (std::size_t e = 0; e < expected.vcalls.size(); ++e) {
+    const auto& want = expected.vcalls[e];
+    const auto& got = actual.vcalls[e];
+    EXPECT_EQ(want.block, got.block) << what << " event " << e;
+    EXPECT_EQ(want.instr, got.instr) << what << " event " << e;
+    EXPECT_EQ(want.v, got.v) << what << " event " << e;
+    EXPECT_EQ(want.result, got.result) << what << " event " << e;
+    const auto want_args = expected.args_of(want);
+    const auto got_args = actual.args_of(got);
+    EXPECT_EQ(std::vector<std::uint64_t>(want_args.begin(), want_args.end()),
+              std::vector<std::uint64_t>(got_args.begin(), got_args.end()))
+        << what << " event " << e;
+  }
+}
+
+// Prediction replays every class on one interpreter: each run must
+// record what a freshly built interpreter records, whatever ran before
+// it, a run that failed on its step bound included.
+TEST(Interpreter, OneInterpreterReplaysEveryClassLikeAFreshOne) {
+  Analyzer clara_tool(lnic::netronome_agilio_cx());
+  const auto summary = clara_tool.summarize(
+      workload::parse_profile("tcp=0.8 flows=2000 payload=64:1500 pps=60000 packets=2000").value());
+  const auto& classes = summary->classes;
+  ASSERT_EQ(classes.size(), 32u);
+  std::vector<std::size_t> order(classes.size());
+  std::iota(order.begin(), order.end(), 0);
+  order.insert(order.end(), order.rbegin(), order.rend());
+  for (const auto& entry : nf::corpus()) {
+    const auto analysis = clara_tool.analyze(entry.build(), *summary);
+    ASSERT_TRUE(analysis.ok()) << entry.name << ": " << analysis.error().message;
+    const cir::Function& fn = analysis.value().lowered;
+    ClassModel model(fn);
+    cir::Interpreter reused(fn, model);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const PacketClass& cls = classes[order[k]];
+      const std::string what = std::string(entry.name) + " " + cls.name() + " run " + std::to_string(k);
+      model.cls = &cls;
+      if (k % 2 == 1) {
+        EXPECT_FALSE(reused.execute(3).ok()) << what;
+      }
+      ASSERT_TRUE(reused.execute().ok()) << what;
+      ClassModel fresh_model(fn);
+      fresh_model.cls = &cls;
+      cir::Interpreter fresh(fn, fresh_model);
+      const auto expected = fresh.run();
+      ASSERT_TRUE(expected.ok()) << what;
+      expect_same_trace(expected.value(), reused.trace(), what);
     }
   }
 }

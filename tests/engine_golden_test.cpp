@@ -41,6 +41,7 @@
 #include "lnic/profiles.hpp"
 #include "mapping/mapping.hpp"
 #include "nf/corpus.hpp"
+#include "nf/nf_cir.hpp"
 #include "nicsim/sim.hpp"
 #include "obs/accuracy.hpp"
 #include "passes/api_subst.hpp"
@@ -212,9 +213,28 @@ TEST(SimplexEquiv, ExampleMappingsBitIdenticalAcrossEngines) {
   EXPECT_EQ(cases, 9u);
 }
 
+/// Spilled packet tails that get evicted: 1500-byte payloads spill past
+/// CTM residency into the rotating EMEM buffers the packet ordinal picks
+/// (NicApi::packet_access), and the VNF chain's meters and statistics,
+/// two 8 MiB EMEM tables under 100k flows, evict some of those lines
+/// before their buffer comes round again. Which buffer a packet gets then
+/// shows in its latency, so a simulator that kept its ordinal across
+/// reset() replays this case differently. No ledger scenario does that.
+const obs::ValidationScenario& spill_scenario() {
+  static const obs::ValidationScenario scenario{"vnf-chain", "spill",
+                                                "tcp=0.8 flows=100000 payload=1500 pps=60000 packets=12000"};
+  return scenario;
+}
+
 /// The corpus hand port for a ledger scenario with fixed placements
-/// (EMEM primary, IMEM secondary).
+/// (EMEM primary, IMEM secondary); the spill scenario's VNF chain keeps
+/// both of its tables in EMEM.
 Result<nf::Port> make_scenario_port(const obs::ValidationScenario& s, nicsim::NicSim& sim) {
+  if (s.variant == spill_scenario().variant) {
+    constexpr nicsim::MemLevel kEmemOnly[] = {nicsim::MemLevel::kEmem, nicsim::MemLevel::kEmem};
+    return nf::port(s.nf, nf::build_vnf_chain({.meter_buckets = 1 << 18, .stats_entries = 1 << 18}), sim,
+                    kEmemOnly, {});
+  }
   auto fn = obs::scenario_function(s);
   if (!fn) return fn.error();
   constexpr nicsim::MemLevel kLevels[] = {nicsim::MemLevel::kEmem, nicsim::MemLevel::kImem};
@@ -250,13 +270,16 @@ TEST(SoaEquiv, BatchedRunMatchesScalarAcrossRepeatedRunsOnOneSim) {
   EXPECT_EQ(check_rounds({"nat", "repeat", "tcp=0.8 flows=2000 payload=300 pps=80000 packets=5000"}), 3u);
 }
 
+TEST(SoaEquiv, EvictedSpilledTailsPinThePacketOrdinal) { EXPECT_EQ(check_rounds(spill_scenario()), 3u); }
+
 // The simulator validate and simulate share per thread: one instance,
 // reset before each scenario, must replay every scenario's first round
 // exactly as a freshly built simulator does, whatever ran on it before.
 TEST(SoaEquiv, ResetThreadSimMatchesAFreshSimOnEveryScenario) {
   auto scenarios = obs::AccuracyLedger::default_matrix();
   scenarios.push_back({"nat", "repeat", "tcp=0.8 flows=2000 payload=300 pps=80000 packets=5000"});
-  ASSERT_EQ(scenarios.size(), 19u);
+  scenarios.push_back(spill_scenario());
+  ASSERT_EQ(scenarios.size(), 20u);
   const nicsim::NicSim* first = nullptr;
   std::size_t cases = 0;
   for (const bool reverse : {false, true}) {
@@ -272,11 +295,11 @@ TEST(SoaEquiv, ResetThreadSimMatchesAFreshSimOnEveryScenario) {
       cases += check(strf("sim %s round=0", scenario.name().c_str()), outcome(stats, sim));
     }
   }
-  EXPECT_EQ(cases, 38u);
+  EXPECT_EQ(cases, 40u);
 }
 
 TEST(EngineGoldenTest, GoldenFileHasNoStaleCases) {
-  EXPECT_EQ(golden().size(), 6u + 3u + 4u + 9u + 54u + 3u) << "golden file has cases this test no longer runs";
+  EXPECT_EQ(golden().size(), 6u + 3u + 4u + 9u + 54u + 3u + 3u) << "golden file has cases this test no longer runs";
 }
 
 }  // namespace

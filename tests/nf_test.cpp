@@ -140,7 +140,7 @@ TEST(NfSemantics, CryptoGwEncryptsOnlyWithSa) {
     for (const auto& event : result.value().vcalls) {
       if (event.v == VCall::kCrypto) {
         saw_crypto = true;
-        EXPECT_EQ(event.args[0], 800u);  // encrypts the payload length
+        EXPECT_EQ(result.value().args_of(event)[0], 800u);  // encrypts the payload length
       }
     }
     EXPECT_EQ(saw_crypto, has_sa);

@@ -3,9 +3,13 @@
 // graph construction.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+
 #include "cir/builder.hpp"
 #include "cir/verify.hpp"
 #include "lnic/profiles.hpp"
+#include "microbench/microbench.hpp"
 #include "nf/nf_cir.hpp"
 #include "passes/api_subst.hpp"
 #include "passes/cfg.hpp"
@@ -288,40 +292,40 @@ TEST(CostModel, GeneralComputeSupport) {
 }
 
 TEST(CostModel, CsumAccelVsSoftware) {
-  const auto profile = lnic::netronome_agilio_cx();
+  const Prices prices(lnic::netronome_agilio_cx().params);
   CostHints hints;
   const double accel =
-      vcall_compute_cycles(cir::VCall::kCsum, lnic::UnitKind::kChecksumAccel, 1000.0, nullptr, profile.params, hints);
+      vcall_compute_cycles(cir::VCall::kCsum, lnic::UnitKind::kChecksumAccel, 1000.0, nullptr, prices, hints);
   const double sw =
-      vcall_compute_cycles(cir::VCall::kCsum, lnic::UnitKind::kNpuCore, 1000.0, nullptr, profile.params, hints);
+      vcall_compute_cycles(cir::VCall::kCsum, lnic::UnitKind::kNpuCore, 1000.0, nullptr, prices, hints);
   EXPECT_NEAR(accel, 300.0, 1.0);
   EXPECT_NEAR(sw - accel, 1700.0, 1.0);  // the paper's "1700 extra cycles"
 }
 
 TEST(CostModel, LpmEngineUsesFlowCacheHitRate) {
-  const auto profile = lnic::netronome_agilio_cx();
+  const Prices prices(lnic::netronome_agilio_cx().params);
   cir::StateObject table{"routes", 16, 10000, cir::StatePattern::kArray};
   CostHints all_hit;
   all_hit.flow_cache_hit_rate = 1.0;
   CostHints all_miss;
   all_miss.flow_cache_hit_rate = 0.0;
   const double hit =
-      vcall_compute_cycles(cir::VCall::kLpmLookup, lnic::UnitKind::kLpmEngine, 0, &table, profile.params, all_hit);
+      vcall_compute_cycles(cir::VCall::kLpmLookup, lnic::UnitKind::kLpmEngine, 0, &table, prices, all_hit);
   const double miss =
-      vcall_compute_cycles(cir::VCall::kLpmLookup, lnic::UnitKind::kLpmEngine, 0, &table, profile.params, all_miss);
+      vcall_compute_cycles(cir::VCall::kLpmLookup, lnic::UnitKind::kLpmEngine, 0, &table, prices, all_miss);
   EXPECT_NEAR(hit, 200.0, 1.0);
   EXPECT_GT(miss, 100000.0);  // DRAM table walk at 10k entries
 }
 
 TEST(CostModel, LpmCostGrowsWithEntries) {
-  const auto profile = lnic::netronome_agilio_cx();
+  const Prices prices(lnic::netronome_agilio_cx().params);
   CostHints miss;
   miss.flow_cache_hit_rate = 0.0;
   double prev = 0.0;
   for (std::uint64_t entries : {5000ull, 10000ull, 20000ull, 30000ull}) {
     cir::StateObject table{"routes", 16, entries, cir::StatePattern::kArray};
     const double cost =
-        vcall_compute_cycles(cir::VCall::kLpmLookup, lnic::UnitKind::kLpmEngine, 0, &table, profile.params, miss);
+        vcall_compute_cycles(cir::VCall::kLpmLookup, lnic::UnitKind::kLpmEngine, 0, &table, prices, miss);
     EXPECT_GT(cost, prev);
     prev = cost;
   }
@@ -338,26 +342,108 @@ TEST(CostModel, StateAccessCounts) {
 }
 
 TEST(CostModel, PacketAccessResidencySplit) {
-  const auto profile = lnic::netronome_agilio_cx();
+  const Prices prices(lnic::netronome_agilio_cx().params);
   // Small packet: all CTM.
-  EXPECT_NEAR(packet_access_cycles(300.0, -1.0, profile.params), 50.0, 1e-9);
+  EXPECT_NEAR(packet_access_cycles(300.0, -1.0, prices), 50.0, 1e-9);
   // Large packet: average between CTM head and EMEM tail.
-  const double large = packet_access_cycles(2048.0, -1.0, profile.params);
+  const double large = packet_access_cycles(2048.0, -1.0, prices);
   EXPECT_GT(large, 50.0);
   EXPECT_LT(large, 500.0);
   // Offset-directed access.
-  EXPECT_NEAR(packet_access_cycles(2048.0, 100.0, profile.params), 50.0, 1e-9);
-  EXPECT_NEAR(packet_access_cycles(2048.0, 1500.0, profile.params), 500.0, 1e-9);
+  EXPECT_NEAR(packet_access_cycles(2048.0, 100.0, prices), 50.0, 1e-9);
+  EXPECT_NEAR(packet_access_cycles(2048.0, 1500.0, prices), 500.0, 1e-9);
 }
 
 TEST(CostModel, FpEmulationPenalty) {
-  const auto netronome = lnic::netronome_agilio_cx();
-  const auto soc = lnic::soc_arm_nic();
+  const Prices netronome(lnic::netronome_agilio_cx().params);
+  const Prices soc(lnic::soc_arm_nic().params);
   InstrMix mix;
   mix.fp = 4;
-  const double on_npu = mix_compute_cycles(mix, lnic::UnitKind::kNpuCore, netronome.params);
-  const double on_arm = mix_compute_cycles(mix, lnic::UnitKind::kNpuCore, soc.params);
+  const double on_npu = mix_compute_cycles(mix, lnic::UnitKind::kNpuCore, netronome);
+  const double on_arm = mix_compute_cycles(mix, lnic::UnitKind::kNpuCore, soc);
   EXPECT_GT(on_npu, 10.0 * on_arm);  // no FPU on the NPU
+}
+
+/// Checks that the price table built from `params` holds, field for
+/// field, what the store answers: each scalar bit for bit, and each curve
+/// evaluating as ParameterStore::eval does at every knot, midway between
+/// knots and beyond both ends.
+void expect_prices_equal_store(const lnic::ParameterStore& params, const std::string& label) {
+  namespace keys = lnic::keys;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const Prices prices(params);
+  const std::pair<const char*, double Prices::*> scalars[] = {
+      {keys::kMemReadLocal, &Prices::mem_read_local},
+      {keys::kMemReadCtm, &Prices::mem_read_ctm},
+      {keys::kMemReadImem, &Prices::mem_read_imem},
+      {keys::kMemReadEmem, &Prices::mem_read_emem},
+      {keys::kEmemCacheHit, &Prices::emem_cache_hit},
+      {keys::kInstrAlu, &Prices::instr_alu},
+      {keys::kInstrMul, &Prices::instr_mul},
+      {keys::kInstrDiv, &Prices::instr_div},
+      {keys::kInstrBranch, &Prices::instr_branch},
+      {keys::kInstrMove, &Prices::instr_move},
+      {keys::kInstrFpEmulation, &Prices::instr_fp_emulation},
+      {keys::kParseBase, &Prices::parse_base},
+      {keys::kParsePerByte, &Prices::parse_per_byte},
+      {keys::kCsumSwExtra, &Prices::csum_sw_extra},
+      {keys::kCryptoSwFactor, &Prices::crypto_sw_factor},
+      {keys::kFlowCacheHit, &Prices::flow_cache_hit},
+      {keys::kFlowCacheCapacity, &Prices::flow_cache_capacity},
+      {keys::kIngressDmaBase, &Prices::ingress_base},
+      {keys::kIngressDmaPerByte, &Prices::ingress_per_byte},
+      {keys::kEgressBase, &Prices::egress_base},
+      {keys::kCtmPacketResidency, &Prices::ctm_packet_residency},
+      {keys::kSpillPerByte, &Prices::spill_per_byte},
+      {keys::kHubService, &Prices::hub_service},
+      {keys::kClockHz, &Prices::clock_hz},
+  };
+  for (const auto& [key, field] : scalars) {
+    EXPECT_EQ(bits(prices.*field), bits(params.scalar(key))) << label << ": " << key;
+  }
+  EXPECT_EQ(bits(prices.mem_read(lnic::MemKind::kLocal)), bits(params.scalar(keys::kMemReadLocal))) << label;
+  EXPECT_EQ(bits(prices.mem_read(lnic::MemKind::kCtm)), bits(params.scalar(keys::kMemReadCtm))) << label;
+  EXPECT_EQ(bits(prices.mem_read(lnic::MemKind::kImem)), bits(params.scalar(keys::kMemReadImem))) << label;
+  EXPECT_EQ(bits(prices.mem_read(lnic::MemKind::kEmem)), bits(params.scalar(keys::kMemReadEmem))) << label;
+
+  const std::pair<const char*, lnic::PiecewiseLinear Prices::*> curves[] = {
+      {keys::kCsumAccel, &Prices::csum_accel},
+      {keys::kCryptoAccel, &Prices::crypto_accel},
+      {keys::kLpmDram, &Prices::lpm_dram},
+  };
+  for (const auto& [key, field] : curves) {
+    std::vector<double> xs = {-1.0, 0.0, 1.0, 1e9};
+    if (const auto* curve = params.try_curve(key)) {
+      const auto& points = curve->points();
+      xs = {points.front().first - 1.0, points.back().first + 1.0};
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        xs.push_back(points[i].first);
+        if (i + 1 < points.size()) xs.push_back((points[i].first + points[i + 1].first) / 2.0);
+      }
+    }
+    for (const double x : xs) {
+      EXPECT_EQ(bits((prices.*field).eval(x)), bits(params.eval(key, x))) << label << ": " << key << " at " << x;
+    }
+  }
+}
+
+TEST(CostModel, PriceTableEqualsTheStoreForEveryProfile) {
+  for (const auto& profile : lnic::all_profiles()) expect_prices_equal_store(profile.params, profile.name);
+  const auto extracted =
+      microbench::extract_parameters(nicsim::netronome_config(), lnic::netronome_agilio_cx().params);
+  expect_prices_equal_store(extracted.params, "microbench-extracted");
+}
+
+// A store may give a curve key a scalar, which eval reads as constant.
+TEST(CostModel, PriceTableReadsCurveKeysGivenAsScalars) {
+  const auto profile = lnic::netronome_agilio_cx();
+  lnic::ParameterStore scalars_only;
+  for (const auto& key : profile.params.keys()) {
+    scalars_only.set_scalar(key, profile.params.try_scalar(key).value_or(1234.5));
+  }
+  ASSERT_EQ(scalars_only.try_curve(lnic::keys::kCsumAccel), nullptr);
+  expect_prices_equal_store(scalars_only, "scalars-only");
+  EXPECT_EQ(Prices(scalars_only).lpm_dram.eval(30000.0), 1234.5);
 }
 
 TEST(Dataflow, IsolatesAccelVcalls) {
