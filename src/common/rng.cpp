@@ -28,14 +28,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-double Rng::exponential(double mean) {
-  assert(mean > 0.0);
-  // Inverse CDF; guard the log argument away from zero.
-  double u = next_double();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(u);
-}
-
 ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha) {
   assert(n > 0);
   cdf_.resize(n);
@@ -51,22 +43,17 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha) {
   // slice j = floor(u*K) has j/K <= u < (j+1)/K, so its rank lies in
   // [guide_[j], guide_[j+1]] and no rounding can put it outside.
   assert(n <= std::numeric_limits<std::uint32_t>::max());
-  const std::size_t slices = std::bit_ceil(std::min<std::size_t>(n, std::size_t{1} << 20));
+  constexpr std::size_t kMaxSlices = std::size_t{1} << 20;
+  const std::size_t slices = std::min(4 * std::bit_ceil(n), kMaxSlices);
+  slices_ = static_cast<double>(slices);
+  slice_shift_ = 53 - std::countr_zero(slices);
   guide_.resize(slices + 1);
   std::uint32_t rank = 0;
   for (std::size_t k = 0; k <= slices; ++k) {
-    const double edge = static_cast<double>(k) / static_cast<double>(slices);
+    const double edge = static_cast<double>(k) / slices_;
     while (cdf_[rank] < edge) ++rank;  // cdf_.back() == 1.0 bounds the walk
     guide_[k] = rank;
   }
-}
-
-std::size_t ZipfSampler::rank(double u) const {
-  assert(0.0 <= u && u < 1.0);
-  const auto slice = static_cast<std::size_t>(u * static_cast<double>(guide_.size() - 1));
-  const auto* first = cdf_.data() + guide_[slice];
-  const auto* last = cdf_.data() + guide_[slice + 1];
-  return static_cast<std::size_t>(std::lower_bound(first, last, u) - cdf_.data());
 }
 
 double ZipfSampler::pmf(std::size_t rank) const {

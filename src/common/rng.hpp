@@ -7,7 +7,9 @@
 // reproduce bit-identically.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -65,7 +67,13 @@ class Rng {
 
   /// Exponentially distributed value with the given mean (inter-arrival
   /// times for Poisson packet arrivals).
-  double exponential(double mean);
+  double exponential(double mean) {
+    assert(mean > 0.0);
+    // Inverse CDF; guard the log argument away from zero.
+    double u = next_double();
+    if (u <= 0.0) u = 0x1.0p-53;
+    return -mean * std::log(u);
+  }
 
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
@@ -73,14 +81,58 @@ class Rng {
   std::uint64_t s_[4];
 };
 
+/// Uniform integers in [lo, hi], drawn exactly as Rng::uniform(lo, hi)
+/// draws them: the same rejection threshold, the same remainder, so the
+/// same values from the same stream. Both are worked out once instead of
+/// once per draw: the threshold by one division here, and each remainder
+/// by Lemire's direct computation from a 128-bit reciprocal (Lemire,
+/// Kaser & Kurz, "Faster Remainder by Direct Computation", 2019), exact
+/// for every 64-bit draw and bound. A draw divides nothing.
+class UniformInt {
+ public:
+  UniformInt(std::uint64_t lo, std::uint64_t hi)
+      : lo_(lo), bound_(hi - lo + 1), threshold_(-bound_ % bound_), reciprocal_(~Wide{0} / bound_ + 1) {
+    assert(lo <= hi && bound_ > 0);
+  }
+
+  /// One draw from `gen`, an Rng or anything with its next_u64().
+  template <class Gen>
+  std::uint64_t operator()(Gen& gen) const {
+    for (;;) {
+      const std::uint64_t r = gen.next_u64();
+      if (r >= threshold_) return lo_ + remainder(r);
+    }
+  }
+
+ private:
+  using Wide = unsigned __int128;
+
+  /// r % bound_: the top 64 bits of (reciprocal_ * r mod 2^128) * bound_.
+  /// With reciprocal_ = ceil(2^128 / bound_) this is exact for r, bound_ <
+  /// 2^64 (the paper's Theorem 1 with F = 128, N = 64); bound_ = 1 wraps
+  /// reciprocal_ to 0, which yields the right remainder, 0.
+  [[nodiscard]] std::uint64_t remainder(std::uint64_t r) const {
+    const Wide fraction = reciprocal_ * r;
+    const Wide high = static_cast<Wide>(static_cast<std::uint64_t>(fraction >> 64)) * bound_;
+    const Wide low = (static_cast<Wide>(static_cast<std::uint64_t>(fraction)) * bound_) >> 64;
+    return static_cast<std::uint64_t>((high + low) >> 64);
+  }
+
+  std::uint64_t lo_;
+  std::uint64_t bound_;
+  std::uint64_t threshold_;
+  Wide reciprocal_;
+};
+
 /// Zipf-distributed sampler over ranks {0, 1, ..., n-1} with exponent
 /// `alpha`. Rank 0 is the most popular. A draw is an exact inverse-CDF
 /// search: the first rank whose cumulative mass is >= u, for u uniform in
 /// [0, 1). A guide table (Chen & Asau's indexed search) holds, for each
-/// of K = bit_ceil(n) (at most 2^20) equal slices of [0, 1], the first
+/// of K = 4 bit_ceil(n) (at most 2^20) equal slices of [0, 1], the first
 /// rank reaching the slice's lower edge, so a draw searches only its own
 /// slice: O(1) expected, O(log n) at worst, and the same rank a binary
-/// search over the whole table returns.
+/// search over the whole table returns. Four slices per rank leave most
+/// slices at most one rank boundary, which one branch-free step crosses.
 ///
 /// Flow popularity in datacenter traces is famously heavy-tailed; the
 /// workload generator uses this to decide which flow each packet belongs
@@ -91,21 +143,46 @@ class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double alpha);
 
-  std::size_t sample(Rng& rng) const { return rank(rng.next_double()); }
+  /// rank(rng.next_double()). The draw's 53 bits are kept as an integer
+  /// too: with K = 2^k, its slice floor(u * K) is their top k bits.
+  std::size_t sample(Rng& rng) const {
+    const std::uint64_t bits = rng.next_u64() >> 11;
+    return search(static_cast<double>(bits) * 0x1.0p-53, bits >> slice_shift_);
+  }
 
   /// The rank a draw of `u` in [0, 1) selects.
-  [[nodiscard]] std::size_t rank(double u) const;
+  [[nodiscard]] std::size_t rank(double u) const {
+    assert(0.0 <= u && u < 1.0);
+    // K is a power of two, so u * K is exact: a u in slice j has
+    // j/K <= u < (j+1)/K, and its rank lies in [guide_[j], guide_[j+1]].
+    return search(u, static_cast<std::size_t>(u * slices_));
+  }
 
   [[nodiscard]] std::size_t size() const { return cdf_.size(); }
+  /// K, the guide table's slice count.
+  [[nodiscard]] std::size_t slices() const { return guide_.size() - 1; }
   [[nodiscard]] double alpha() const { return alpha_; }
 
   /// Probability mass of the given rank.
   [[nodiscard]] double pmf(std::size_t rank) const;
 
  private:
+  /// The first rank in `slice` whose cumulative mass is >= u.
+  [[nodiscard]] std::size_t search(double u, std::size_t slice) const {
+    std::size_t r = guide_[slice];
+    r += cdf_[r] < u ? 1 : 0;  // cdf_.back() == 1.0 > u stops r at the last rank
+    if (cdf_[r] < u) [[unlikely]] {
+      r = static_cast<std::size_t>(
+          std::lower_bound(cdf_.data() + r + 1, cdf_.data() + guide_[slice + 1], u) - cdf_.data());
+    }
+    return r;
+  }
+
   std::vector<double> cdf_;
   /// guide_[k]: the first rank whose cdf_ is >= k / (guide_.size() - 1).
   std::vector<std::uint32_t> guide_;
+  double slices_ = 0.0;  // K, as rank() multiplies by it
+  int slice_shift_ = 0;  // 53 - log2(K), as sample() shifts by it
   double alpha_;
 };
 

@@ -6,8 +6,9 @@ namespace {
 
 Result<double> evaluate(const Analyzer& analyzer, const cir::Function& nf,
                         const workload::WorkloadProfile& profile) {
-  const auto trace = workload::generate_trace(profile);
-  auto analysis = analyzer.analyze(nf, trace);
+  // Summarized in the generator's own pass: prediction reads no packet.
+  const auto summary = summarize(profile, analyzer.profile(), PredictOptions{}.payload_buckets);
+  auto analysis = analyzer.analyze(nf, summary);
   if (!analysis) return analysis.error();
   return analysis.value().prediction.mean_latency_cycles;
 }

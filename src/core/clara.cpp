@@ -138,10 +138,10 @@ std::shared_ptr<const WorkloadSummary> Analyzer::summarize(const workload::Workl
     key = summary_key(workload, buckets, flow_cache_capacity(profile_));
     if (auto hit = cache.find_summary(key)) return hit;
   }
-  auto trace = workload::generate_trace(workload);
-  auto entry = std::make_shared<const WorkloadSummary>(core::summarize(trace, profile_, buckets));
+  // One generator pass: the summary always, the packets only when asked.
+  workload::Trace* trace = generated != nullptr ? &generated->emplace() : nullptr;
+  auto entry = std::make_shared<const WorkloadSummary>(core::summarize(workload, profile_, buckets, trace));
   if (use_cache) cache.insert_summary(key, entry);
-  if (generated != nullptr) *generated = std::move(trace);
   return entry;
 }
 

@@ -6,8 +6,8 @@
 //
 // Every analysis reads its workload as a WorkloadSummary (core/predict):
 // summarize(profile) takes it from the analysis cache's summary stage,
-// so a repeated spec workload generates no trace; the trace-taking
-// overloads summarize a concrete trace afresh.
+// and a miss summarizes the generator's draws without building a trace;
+// the trace-taking overloads summarize a concrete trace afresh.
 //
 // analyze() runs the full pipeline on an *unported* NF:
 //   API substitution (framework calls -> virtual calls)
@@ -119,10 +119,11 @@ class Analyzer {
   /// The summary of the trace `workload` generates, for this NIC and
   /// options.predict.payload_buckets. Looked up in (and added to) the
   /// analysis cache's summary stage when options.use_cache allows, so a
-  /// hit generates no trace; otherwise generated and summarized afresh.
-  /// When `generated` is given, a miss moves the trace it generated
-  /// there and a hit leaves it untouched, so a caller that also needs
-  /// the packets (validation) generates them only on a hit.
+  /// hit draws nothing; a miss summarizes the generator's draws as they
+  /// are made, building no trace. When `generated` is given, a miss also
+  /// collects the packets there in the same pass and a hit leaves it
+  /// untouched, so a caller that also needs the packets (validation)
+  /// generates them again only on a hit.
   [[nodiscard]] std::shared_ptr<const WorkloadSummary> summarize(
       const workload::WorkloadProfile& workload, const AnalyzeOptions& options = {},
       std::optional<workload::Trace>* generated = nullptr) const;

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <utility>
 
 #include "cir/builder.hpp"
@@ -164,84 +165,181 @@ EmemWorkingSet emem_working_set(const cir::Function& fn, const mapping::Mapping&
   return ws;
 }
 
+namespace {
+
+/// Summarizes packets fed one at a time in trace order: the one summarizer
+/// of trace files and generated specs. add() counts payloads and packets
+/// per flow as each packet arrives and keeps the 4 bytes of it that class
+/// formation needs; finish() forms the classes in one walk over those
+/// records, once the payload range is known, and asks its caller for each
+/// class's first packet.
+class SummaryBuilder {
+ public:
+  /// What add() keeps of one packet.
+  struct Record {
+    std::uint16_t payload_len;
+    std::uint8_t proto;
+    std::uint8_t flags;  // kSyn | kNewFlow
+
+    [[nodiscard]] bool syn() const { return (flags & kSyn) != 0; }
+    [[nodiscard]] bool new_flow() const { return (flags & kNewFlow) != 0; }
+  };
+
+  /// Room for `packets` packets whose flow indexes are below `flows`.
+  SummaryBuilder(std::uint64_t packets, std::size_t flows)
+      : records_(std::make_unique_for_overwrite<Record[]>(packets)), next_(records_.get()), flow_packets_(flows) {}
+
+  /// Adds the next packet; `flow` indexes its flow densely, below the
+  /// bound given at construction. Payloads are integers below 2^16 and
+  /// traces hold at most 2^24 packets, so each integer sum here is the sum
+  /// a scan in doubles makes.
+  void add(const workload::PacketMeta& p, std::uint32_t flow) {
+    lo_ = std::min(lo_, p.payload_len);
+    hi_ = std::max(hi_, p.payload_len);
+    payload_sum_ += p.payload_len;
+    const bool opens = flow_packets_[flow]++ == 0;
+    distinct_ += opens ? 1 : 0;
+    *next_++ = {.payload_len = p.payload_len,
+                .proto = p.proto,
+                .flags = static_cast<std::uint8_t>((p.is_syn() ? kSyn : 0) | (opens ? kNewFlow : 0))};
+  }
+
+  /// The summary of every packet added. `rep(ordinal, record)` returns
+  /// the packet added ordinal-th, whose record is `record`: a class's
+  /// representative.
+  template <class Rep>
+  WorkloadSummary finish(const workload::WorkloadProfile& profile, const lnic::NicProfile& nic,
+                         std::size_t payload_buckets, Rep&& rep) {
+    const std::size_t size = static_cast<std::size_t>(next_ - records_.get());
+    WorkloadSummary out;
+    out.profile = profile;
+    out.packets = size;
+    out.flow_cache_capacity = flow_cache_capacity(nic);
+    out.payload_buckets = payload_buckets;
+
+    out.distinct_flows = distinct_;
+    if (size > 0) out.mean_payload = static_cast<double>(payload_sum_) / static_cast<double>(size);
+
+    CostHints& hints = out.hints;
+    hints.avg_payload = out.mean_payload;
+    hints.params["payload_len"] = hints.avg_payload;
+    hints.params["pkt_len"] = hints.avg_payload + 54.0;
+
+    // Flow-cache hit rate: coverage of the top-capacity flows, less one
+    // compulsory miss per cached flow. When every seen flow fits, they
+    // cover every packet; otherwise the sum of the top counts does not
+    // depend on their order, and flows never seen (count 0) are never
+    // among them.
+    const double capacity = out.flow_cache_capacity;
+    if (capacity > 0.0 && size > 0) {
+      const auto top = std::min<std::size_t>(static_cast<std::size_t>(capacity), distinct_);
+      std::uint64_t covered = size;
+      if (top < distinct_) {
+        std::nth_element(flow_packets_.begin(), flow_packets_.begin() + static_cast<std::ptrdiff_t>(top),
+                         flow_packets_.end(), std::greater<>());
+        covered = 0;
+        for (std::size_t i = 0; i < top; ++i) covered += flow_packets_[i];
+      }
+      const double total = static_cast<double>(size);
+      hints.flow_cache_hit_rate = std::max(0.0, (static_cast<double>(covered) - static_cast<double>(top)) / total);
+    } else {
+      hints.flow_cache_hit_rate = 0.0;
+    }
+
+    // Packet classes: protocol, SYN, flow novelty, payload bucket.
+    const std::uint16_t lo = lo_;
+    const double width = hi_ > lo ? static_cast<double>(hi_ - lo) / static_cast<double>(payload_buckets) : 1.0;
+    // Two protocols, SYN and flow novelty per bucket, in a generated trace.
+    const std::size_t max_classes = std::min(size, 8 * payload_buckets);
+    KeyIndex class_index(max_classes);
+    // By class index: its key and first packet, its packet count, and its
+    // payload sum.
+    std::vector<std::pair<std::uint32_t, std::size_t>> first;
+    std::vector<std::uint64_t> counts, sums;
+    first.reserve(max_classes);
+    for (std::size_t i = 0; i < size; ++i) {
+      const Record& r = records_[i];
+      auto bucket = static_cast<std::uint32_t>((r.payload_len - lo) / width);
+      if (bucket >= payload_buckets) bucket = static_cast<std::uint32_t>(payload_buckets) - 1;
+      // proto, then kSyn at bit 8 and kNewFlow at bit 9, then the bucket.
+      const std::uint32_t key = r.proto | (std::uint32_t{r.flags} << 8) | (bucket << 16);
+      const std::uint32_t index = class_index(key);
+      if (index == first.size()) [[unlikely]] {
+        first.emplace_back(key, i);
+        counts.push_back(0);
+        sums.push_back(0);
+      }
+      ++counts[index];
+      sums[index] += r.payload_len;
+    }
+    std::vector<std::pair<std::uint32_t, PacketClass>> classes;
+    classes.reserve(first.size());
+    for (std::size_t c = 0; c < first.size(); ++c) {
+      const auto [key, i] = first[c];
+      const Record& r = records_[i];
+      classes.emplace_back(key, PacketClass{.proto = r.proto,
+                                            .syn = r.syn(),
+                                            .new_flow = r.new_flow(),
+                                            .bucket = key >> 16,
+                                            .count = counts[c],
+                                            .payload_sum = static_cast<double>(sums[c]),
+                                            .rep = rep(i, r)});
+    }
+    // Ascending class key, as a consumer iterating the summary expects.
+    std::sort(classes.begin(), classes.end(), [](const auto& a, const auto& b) { return a.first < b.first; });
+    out.classes.reserve(classes.size());
+    for (auto& [key, cls] : classes) out.classes.push_back(std::move(cls));
+    return out;
+  }
+
+ private:
+  static constexpr std::uint8_t kSyn = 1, kNewFlow = 2;
+
+  std::unique_ptr<Record[]> records_;
+  Record* next_;
+  std::vector<std::uint32_t> flow_packets_;  // by flow index
+  std::uint16_t lo_ = 0xffff, hi_ = 0;
+  std::uint64_t payload_sum_ = 0;
+  std::uint32_t distinct_ = 0;
+};
+
+}  // namespace
+
 WorkloadSummary summarize(const workload::Trace& trace, const lnic::NicProfile& nic,
                           std::size_t payload_buckets) {
   CLARA_TRACE_SCOPE("core/summarize");
-  WorkloadSummary out;
-  out.profile = trace.profile;
-  out.packets = trace.packets.size();
-  out.flow_cache_capacity = flow_cache_capacity(nic);
-  out.payload_buckets = payload_buckets;
+  // A trace file's flow ids are arbitrary u32s: index them densely.
+  KeyIndex flow_index(std::min<std::size_t>(trace.packets.size(), trace.profile.flows));
+  SummaryBuilder builder(trace.packets.size(), trace.packets.size());
+  for (const auto& p : trace.packets) builder.add(p, flow_index(p.flow_id));
+  return builder.finish(trace.profile, nic, payload_buckets,
+                        [&trace](std::size_t i, const SummaryBuilder::Record&) { return trace.packets[i]; });
+}
 
-  // Payload range and sum, packets per flow, and which packet opens its
-  // flow — in packet order, so every sum matches a plain scan.
-  std::uint16_t lo = 0xffff, hi = 0;
-  double payload_sum = 0.0;
-  const std::size_t max_flows = std::min<std::size_t>(trace.packets.size(), trace.profile.flows);
-  KeyIndex flow_index(max_flows);
-  std::vector<std::uint64_t> flow_packets;  // by flow index
-  flow_packets.reserve(max_flows);
-  std::vector<bool> opens_flow(trace.packets.size());
-  for (std::size_t i = 0; i < trace.packets.size(); ++i) {
-    const auto& p = trace.packets[i];
-    lo = std::min(lo, p.payload_len);
-    hi = std::max(hi, p.payload_len);
-    payload_sum += p.payload_len;
-    const std::uint32_t flow = flow_index(p.flow_id);
-    if (flow == flow_packets.size()) flow_packets.push_back(0);
-    opens_flow[i] = flow_packets[flow]++ == 0;
+WorkloadSummary summarize(const workload::WorkloadProfile& profile, const lnic::NicProfile& nic,
+                          std::size_t payload_buckets, workload::Trace* trace) {
+  CLARA_TRACE_SCOPE("core/summarize");
+  // A generated trace's flow ids are already dense indexes below `flows`.
+  workload::Generator generator(profile);
+  SummaryBuilder builder(profile.packets, profile.flows);
+  const auto add = [&builder](const workload::PacketMeta& p) { builder.add(p, p.flow_id); };
+  if (trace != nullptr) {
+    *trace = generator.collect(add);
+    return builder.finish(profile, nic, payload_buckets,
+                          [trace](std::size_t i, const SummaryBuilder::Record&) { return trace->packets[i]; });
   }
-  out.distinct_flows = flow_index.size();
-  if (out.packets > 0) out.mean_payload = payload_sum / static_cast<double>(out.packets);
-
-  CostHints& hints = out.hints;
-  hints.avg_payload = out.mean_payload;
-  hints.params["payload_len"] = hints.avg_payload;
-  hints.params["pkt_len"] = hints.avg_payload + 54.0;
-
-  // Flow-cache hit rate: coverage of the top-capacity flows, less one
-  // compulsory miss per cached flow.
-  const double capacity = out.flow_cache_capacity;
-  if (capacity > 0.0 && out.packets > 0) {
-    // The sum of the top counts does not depend on their order.
-    const auto top = std::min<std::size_t>(static_cast<std::size_t>(capacity), flow_packets.size());
-    std::nth_element(flow_packets.begin(), flow_packets.begin() + static_cast<std::ptrdiff_t>(top),
-                     flow_packets.end(), std::greater<>());
-    std::uint64_t covered = 0;
-    for (std::size_t i = 0; i < top; ++i) covered += flow_packets[i];
-    const double total = static_cast<double>(out.packets);
-    hints.flow_cache_hit_rate = std::max(0.0, (static_cast<double>(covered) - static_cast<double>(top)) / total);
-  } else {
-    hints.flow_cache_hit_rate = 0.0;
-  }
-
-  // Packet classes: protocol, SYN, flow novelty, payload bucket.
-  const double width = hi > lo ? static_cast<double>(hi - lo) / static_cast<double>(payload_buckets) : 1.0;
-  // Two protocols, SYN and flow novelty per bucket, in a generated trace.
-  const std::size_t max_classes = std::min(trace.packets.size(), 8 * payload_buckets);
-  KeyIndex class_index(max_classes);
-  std::vector<std::pair<std::uint32_t, PacketClass>> classes;  // by class index
-  classes.reserve(max_classes);
-  for (std::size_t i = 0; i < trace.packets.size(); ++i) {
-    const auto& p = trace.packets[i];
-    const bool new_flow = opens_flow[i];
-    auto bucket = static_cast<std::uint32_t>((p.payload_len - lo) / width);
-    if (bucket >= payload_buckets) bucket = static_cast<std::uint32_t>(payload_buckets) - 1;
-    const std::uint32_t key = p.proto | (p.is_syn() ? 1u << 8 : 0) | (new_flow ? 1u << 9 : 0) | (bucket << 16);
-    const std::uint32_t index = class_index(key);
-    if (index == classes.size()) {
-      classes.emplace_back(
-          key, PacketClass{.proto = p.proto, .syn = p.is_syn(), .new_flow = new_flow, .bucket = bucket, .rep = p});
-    }
-    PacketClass& cls = classes[index].second;
-    ++cls.count;
-    cls.payload_sum += p.payload_len;
-  }
-  // Ascending class key, as a consumer iterating the summary expects.
-  std::sort(classes.begin(), classes.end(), [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.classes.reserve(classes.size());
-  for (auto& [key, cls] : classes) out.classes.push_back(std::move(cls));
-  return out;
+  // What a representative needs that no record keeps: its flow and arrival.
+  auto flow = std::make_unique_for_overwrite<std::uint32_t[]>(profile.packets);
+  auto arrival_ns = std::make_unique_for_overwrite<std::uint64_t[]>(profile.packets);
+  std::size_t next = 0;
+  generator.run([&](const workload::PacketMeta& p) {
+    add(p);
+    flow[next] = p.flow_id;
+    arrival_ns[next++] = p.arrival_ns;
+  });
+  return builder.finish(profile, nic, payload_buckets, [&](std::size_t i, const SummaryBuilder::Record& r) {
+    return generator.packet(flow[i], r.syn(), r.payload_len, arrival_ns[i]);
+  });
 }
 
 Result<Prediction> predict(const cir::Function& fn, const DataflowGraph& graph, const mapping::Mapping& mapping,

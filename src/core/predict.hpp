@@ -162,4 +162,12 @@ EmemWorkingSet emem_working_set(const cir::Function& fn, const mapping::Mapping&
 WorkloadSummary summarize(const workload::Trace& trace, const lnic::NicProfile& nic,
                           std::size_t payload_buckets);
 
+/// The summary of the trace `profile` generates, bit for bit
+/// summarize(generate_trace(profile), nic, payload_buckets), taken in the
+/// generator's own pass without holding its packets. When `trace` is
+/// given, the same pass also collects the packets there (counted in
+/// workload/traces_generated, like generate_trace).
+WorkloadSummary summarize(const workload::WorkloadProfile& profile, const lnic::NicProfile& nic,
+                          std::size_t payload_buckets, workload::Trace* trace = nullptr);
+
 }  // namespace clara::core

@@ -28,12 +28,23 @@
 #include <cstdint>
 #include <utility>
 
+#include "obs/metrics.hpp"
+
 namespace clara::ilp {
 
 namespace {
 
 constexpr double kEps = 1e-9;
 constexpr std::size_t kNone = ~std::size_t{0};
+
+/// Dual simplex pivot tolerance, relative to the pivot row's largest
+/// entry: a smaller entry is noise in a row of that scale, and pivoting
+/// on it divides the row by that noise.
+constexpr double kPivotTol = 1e-7;
+
+/// Largest relative gap between a pivot entry priced from its row (BTRAN)
+/// and read from its column (FTRAN) that one eta file may show.
+constexpr double kAgree = 1e-6;
 
 /// Iterations one run of primal or dual simplex may take before it
 /// reports kLimit.
@@ -577,16 +588,22 @@ class Engine {
   /// Dual simplex. Precondition: reduced costs >= 0 (dual feasibility);
   /// drives b >= 0 while keeping them so. Leaving row: smallest index
   /// with b < -eps (Bland-safe); entering: minimum ratio
-  /// reduced_j / |a[row][j]| over a[row][j] < -eps, where the pivot row
+  /// reduced_j / |a[row][j]| over a[row][j] < -tol, where the pivot row
   /// a[row][·] is priced as rho · A_j with rho = row `row` of B^-1
-  /// (one BTRAN of a unit vector). A row with no negative coefficient
-  /// proves primal infeasibility.
+  /// (one BTRAN of a unit vector) and tol is kPivotTol of the row's
+  /// largest |a[row][j]| (at least kEps). A row with no coefficient below
+  /// -tol proves primal infeasibility. The chosen entry is checked on its
+  /// FTRAN column before the pivot: when the two disagree, the eta file
+  /// has drifted, so the basis is refactored and the row priced again
+  /// (counted in ilp/pivot_retries).
   SolveStatus dual_run() {
+    static auto& retries = obs::metrics().counter("ilp/pivot_retries");
     std::size_t pivots = 0;
     while (true) {
       if (++pivots > kMaxPivots) return SolveStatus::kLimit;
       if (since_refactor_ >= kRefactorEvery) refactor();
       if (refactor_failed_) return SolveStatus::kLimit;
+      const bool fresh = since_refactor_ == 0;
       std::size_t row = kNone;
       for (std::size_t r = 0; r < m_; ++r) {
         if (x_b_[r] < -kEps) {
@@ -599,16 +616,24 @@ class Engine {
       rho_.assign(m_, 0.0);
       rho_[row] = 1.0;
       eta_.btran(rho_.data());
-      std::size_t entering = kNone;
-      double best_ratio = kInf;
       // Basic columns are unit vectors with a zero in `row` (or +1 for
       // the row's own basis column), so they never qualify as entering.
+      row_.resize(s_->n);
+      double row_max = 0.0;
       for (std::size_t j = 0; j < s_->n; ++j) {
         double a_rj = 0.0;
         for (std::size_t k = s_->col_ptr[j]; k < s_->col_ptr[j + 1]; ++k) {
           a_rj += rho_[s_->col_row[k]] * s_->col_val[k];
         }
-        if (a_rj >= -kEps) continue;
+        row_[j] = a_rj;
+        row_max = std::max(row_max, std::abs(a_rj));
+      }
+      const double tol = std::max(kEps, kPivotTol * row_max);
+      std::size_t entering = kNone;
+      double best_ratio = kInf;
+      for (std::size_t j = 0; j < s_->n; ++j) {
+        const double a_rj = row_[j];
+        if (a_rj >= -tol) continue;
         const double ratio = std::max(0.0, reduced_cost(j, c_)) / -a_rj;
         if (ratio < best_ratio - kEps) {
           best_ratio = ratio;
@@ -616,7 +641,17 @@ class Engine {
         }
       }
       if (entering == kNone) return SolveStatus::kInfeasible;
-      pivot(row, entering, column(entering));
+      const double* w = column(entering);
+      const double a_rj = row_[entering];
+      if (w[row] >= -kEps || std::abs(w[row] - a_rj) > kAgree * std::abs(a_rj)) {
+        // A fresh factorization prices both ways alike; if it still
+        // disagrees the basis is numerically singular.
+        if (fresh) return SolveStatus::kLimit;
+        retries.inc();
+        refactor();
+        continue;
+      }
+      pivot(row, entering, w);
     }
   }
 
@@ -655,6 +690,7 @@ class Engine {
   std::vector<double> c_;                 // costs, resized over artificials
   std::vector<double> pi_;                // dual vector c_B' B^-1
   std::vector<double> rho_;               // one row of B^-1 (dual pricing)
+  std::vector<double> row_;               // the pivot row rho · A_j (dual pricing)
   std::vector<double> scratch_;           // the column column() materializes
   std::vector<double> phase1_cost_;
   std::vector<double> y_;

@@ -56,6 +56,63 @@ TEST(Rng, UniformInclusiveRange) {
   EXPECT_EQ(seen.size(), 4u);  // all four values appear
 }
 
+// UniformInt draws what Rng::uniform draws, value for value and draw for
+// draw: spans from 1 to 2^64 - 1, rejection-heavy ones (just above 2^63)
+// included, keep both streams in step.
+TEST(Rng, UniformIntMatchesUniform) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<std::uint64_t> spans = {1,          2,          3,          7,          8,
+                                            64,         1000,       1437,       8937,       9001,
+                                            64512,      65536,      65537,      (1ULL << 31) - 1,
+                                            1ULL << 32, (1ULL << 32) + 1,       (1ULL << 53) + 7,
+                                            (1ULL << 63) - 1,       1ULL << 63, (1ULL << 63) + 1,
+                                            (1ULL << 63) + 12345,   kMax - 1,   kMax};
+  std::size_t draws = 0;
+  for (const std::uint64_t span : spans) {
+    for (const std::uint64_t lo : {std::uint64_t{0}, std::uint64_t{64}, kMax - span + 1}) {
+      if (lo > kMax - (span - 1)) continue;
+      const UniformInt draw(lo, lo + (span - 1));
+      Rng a(span ^ lo), b(span ^ lo);
+      for (int i = 0; i < 20'000; ++i, ++draws) {
+        ASSERT_EQ(draw(a), b.uniform(lo, lo + (span - 1))) << "span " << span << " lo " << lo << " draw " << i;
+      }
+      ASSERT_EQ(a.next_u64(), b.next_u64()) << "span " << span << " lo " << lo;
+    }
+  }
+  EXPECT_GE(draws, 1'000'000u);
+}
+
+// The remainder is exact at the edges a random stream seldom reaches:
+// the rejection threshold, multiples of the span and their neighbours,
+// and the largest draw.
+TEST(Rng, UniformIntExactAtEdges) {
+  struct Script {
+    std::vector<std::uint64_t> values;
+    std::size_t next = 0;
+    std::uint64_t next_u64() { return values.at(next++); }
+  };
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::vector<std::uint64_t> spans = {3, 1437, 64512, (1ULL << 32) + 1, (1ULL << 63) + 1, kMax - 1};
+  for (const std::uint64_t span : spans) {
+    const std::uint64_t threshold = (0 - span) % span;
+    std::vector<std::uint64_t> edges = {threshold, threshold + 1, kMax, kMax - 1, kMax - span, kMax - span + 1};
+    for (std::uint64_t k = 1; k < 4 && span <= kMax / (k + 1); ++k) {
+      for (const std::uint64_t d : {span * k - 1, span * k, span * k + 1}) edges.push_back(d);
+    }
+    const std::uint64_t lo = span - 1 <= kMax - 5 ? 5 : 0;  // lo + span - 1 must not wrap
+    for (const std::uint64_t r : edges) {
+      if (r < threshold) continue;  // rejected; see below
+      Script script{{r}};
+      EXPECT_EQ(UniformInt(lo, lo + (span - 1))(script), lo + r % span) << "span " << span << " r " << r;
+    }
+    if (threshold > 0) {  // a draw below the threshold is rejected, and the next one used
+      Script script{{threshold - 1, kMax}};
+      EXPECT_EQ(UniformInt(0, span - 1)(script), kMax % span) << "span " << span;
+      EXPECT_EQ(script.next, 2u);
+    }
+  }
+}
+
 TEST(Rng, DoubleInUnitInterval) {
   Rng rng(11);
   for (int i = 0; i < 1000; ++i) {
@@ -149,7 +206,8 @@ TEST(Zipf, GuideTableMatchesLowerBound) {
         const std::size_t rank = z.sample(rng);
         ASSERT_EQ(rank, expected(reference.next_double())) << "n=" << n << " alpha=" << alpha << " draw " << i;
       }
-      const std::size_t slices = std::bit_ceil(std::min<std::size_t>(n, std::size_t{1} << 20));
+      const std::size_t slices = z.slices();
+      ASSERT_EQ(slices, std::min(4 * std::bit_ceil(n), std::size_t{1} << 20)) << "n=" << n;
       for (std::size_t k = 0; k < slices; ++k) {
         const double edge = static_cast<double>(k) / static_cast<double>(slices);
         for (const double u : {std::nextafter(edge, 0.0), edge, std::nextafter(edge, 1.0)}) {

@@ -631,6 +631,37 @@ TEST(ServeServiceTest, ValidateGeneratesItsTraceOnce) {
   ::unlink(path.c_str());
 }
 
+// Only validate holds packets: an analyze, a sweep (both points) and a
+// repair of a fresh spec summarize it in the generator's own pass, cold
+// or with the cache off, and answer the same bytes either way at every
+// jobs level.
+TEST(ServeServiceTest, SpecRequestsBuildNoTrace) {
+  Service service(ServiceOptions{0});
+  auto& traces = obs::metrics().counter("workload/traces_generated");
+  auto requests = every_kind();
+  requests.pop_back();  // validate: ValidateGeneratesItsTraceOnce
+  for (auto& request : requests) request.workload = "tcp=0.8 flows=2000 payload=64:1500 packets=2000 seed=4242";
+  std::vector<std::string> reference;
+  for (const std::size_t jobs_level : {1u, 2u, 8u}) {
+    JobsGuard jobs(jobs_level);
+    CacheGuard cache;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const std::string tag = strf("jobs=%zu %s", jobs_level, to_string(requests[i].kind));
+      Request uncached = requests[i];
+      uncached.options.use_cache = false;
+      const std::uint64_t before = traces.value();
+      const Response off = service.handle(uncached);
+      const Response cold = service.handle(requests[i]);
+      EXPECT_EQ(traces.value() - before, 0u) << tag;
+      ASSERT_TRUE(off.ok) << tag << ": " << off.error;
+      ASSERT_TRUE(cold.ok) << tag << ": " << cold.error;
+      if (reference.size() == i) reference.push_back(off.to_json());
+      EXPECT_EQ(off.to_json(), reference[i]) << tag << " cache=off";
+      EXPECT_EQ(cold.to_json(), reference[i]) << tag << " cache=on cold";
+    }
+  }
+}
+
 TEST(ServeServiceTest, EveryKindIsByteIdenticalCacheOnOrOffAcrossJobsLevels) {
   Service service(ServiceOptions{0});
   const auto requests = every_kind();

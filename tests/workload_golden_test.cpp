@@ -2,8 +2,11 @@
 //
 // Every spec of a seeded corpus is generated with
 // workload::generate_trace and summarized with core::summarize on each
-// NIC profile at 1, 8 and 64 payload buckets. Each spec must reproduce
-// its recorded line exactly:
+// NIC profile at 1, 8 and 64 payload buckets. Each spec is also
+// summarized through Analyzer::summarize, which builds no trace, on the
+// same NICs and bucket counts; those nine summaries must mix to the same
+// digest, or the line gains ` spec-summary=<FNV-1a>`. Each spec must
+// reproduce its recorded line exactly:
 //
 //   <spec, spaces as commas> packets=<n> trace=<FNV-1a> summary=<FNV-1a>
 //
@@ -28,6 +31,7 @@
 #include <cmath>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +39,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
+#include "core/clara.hpp"
 #include "core/predict.hpp"
 #include "lnic/profiles.hpp"
 #include "workload/tracegen.hpp"
@@ -124,6 +129,16 @@ const std::vector<lnic::NicProfile>& nics() {
   return profiles;
 }
 
+/// One analyzer per NIC, in nics() order.
+const std::vector<std::unique_ptr<core::Analyzer>>& analyzers() {
+  static const auto all = [] {
+    std::vector<std::unique_ptr<core::Analyzer>> out;
+    for (const auto& nic : nics()) out.push_back(std::make_unique<core::Analyzer>(nic));
+    return out;
+  }();
+  return all;
+}
+
 std::string line(const WorkloadProfile& spec) {
   const auto trace = workload::generate_trace(spec);
   Fnv1a packets;
@@ -132,11 +147,25 @@ std::string line(const WorkloadProfile& spec) {
   for (const auto& nic : nics()) {
     for (const std::size_t buckets : {1, 8, 64}) mix(summaries, core::summarize(trace, nic, buckets));
   }
+  // The same nine summaries, each taken in the generator's own pass.
+  Fnv1a from_spec;
+  for (const auto& analyzer : analyzers()) {
+    for (const std::size_t buckets : {1, 8, 64}) {
+      core::AnalyzeOptions options;
+      options.use_cache = false;
+      options.predict.payload_buckets = buckets;
+      mix(from_spec, *analyzer->summarize(spec, options));
+    }
+  }
   std::string tag = spec.serialize();
   for (char& c : tag) c = c == ' ' ? ',' : c;
-  return strf("%s packets=%zu trace=%016llx summary=%016llx", tag.c_str(), trace.size(),
-              static_cast<unsigned long long>(packets.digest()),
-              static_cast<unsigned long long>(summaries.digest()));
+  std::string out = strf("%s packets=%zu trace=%016llx summary=%016llx", tag.c_str(), trace.size(),
+                         static_cast<unsigned long long>(packets.digest()),
+                         static_cast<unsigned long long>(summaries.digest()));
+  if (from_spec.digest() != summaries.digest()) {
+    out += strf(" spec-summary=%016llx", static_cast<unsigned long long>(from_spec.digest()));
+  }
+  return out;
 }
 
 /// Golden file lines keyed by their first field (the spec).
