@@ -391,6 +391,15 @@ void TaskGroup::wait() {
   }
 }
 
+void post(std::function<void()> fn) {
+  auto* impl = pool().impl_.get();
+  if (impl->states.empty()) {
+    fn();
+    return;
+  }
+  impl->enqueue(new Task{std::move(fn), nullptr}, t_worker_id);
+}
+
 // ---------------------------------------------------------------------------
 // Globals
 

@@ -147,9 +147,15 @@ class ThreadPool {
  private:
   friend class TaskGroup;
   friend std::size_t jobs();
+  friend void post(std::function<void()> fn);
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Enqueues fn on the pool with no group: the caller tracks completion
+/// itself, so nothing waits by running other pool tasks (runs inline
+/// when the pool has no workers). fn must not throw.
+void post(std::function<void()> fn);
 
 /// Parallel loop over [begin, end): body(i) for every index, partitioned
 /// into ~4x-jobs() contiguous chunks of at least `grain` indices. The

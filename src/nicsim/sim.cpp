@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <iterator>
+#include <mutex>
 #include <numeric>
 #include <utility>
 
@@ -285,10 +286,47 @@ void NicSim::reset() {
   timeline_dirty_ = false;
 }
 
-NicSim& reset_thread_sim() {
-  thread_local NicSim sim;
-  sim.reset();
-  return sim;
+namespace {
+
+struct SimFreeList {
+  std::mutex mu;
+  std::vector<std::unique_ptr<NicSim>> sims;  // every one reset()
+  std::size_t built = 0;
+};
+
+SimFreeList& sim_free_list() {
+  // Leaked: a lease may be returned from a thread-exit or static destructor.
+  static auto* list = new SimFreeList;
+  return *list;
+}
+
+}  // namespace
+
+SimLease::SimLease() {
+  SimFreeList& list = sim_free_list();
+  {
+    const std::lock_guard<std::mutex> lock(list.mu);
+    if (!list.sims.empty()) {
+      sim_ = std::move(list.sims.back());
+      list.sims.pop_back();
+      return;
+    }
+    ++list.built;
+  }
+  sim_ = std::make_unique<NicSim>();
+}
+
+SimLease::~SimLease() {
+  sim_->reset();
+  SimFreeList& list = sim_free_list();
+  const std::lock_guard<std::mutex> lock(list.mu);
+  list.sims.push_back(std::move(sim_));
+}
+
+std::size_t leased_sims_built() {
+  SimFreeList& list = sim_free_list();
+  const std::lock_guard<std::mutex> lock(list.mu);
+  return list.built;
 }
 
 NicSim::RunSnapshot NicSim::snapshot_counters() const {

@@ -266,12 +266,27 @@ class NicSim {
   std::uint64_t dma_bytes_ = 0;
 };
 
-/// The calling thread's simulator on netronome_config(), reset(): a fresh
-/// NicSim without building its cache model per call. It stays the
-/// caller's until the thread calls this again, which resets it. The pool
-/// runs other tasks on a thread that waits on it, and one of those may
-/// call this, so a caller must not wait on the pool between this call
-/// and its last use of the simulator or of anything made on it.
-NicSim& reset_thread_sim();
+/// A simulator on netronome_config(), leased from a process-wide free list
+/// of reset() ones: a fresh NicSim without building its cache model per
+/// lease. It is the holder's alone until the lease is destroyed, which
+/// resets it and returns it to the list; anything made on it (tables, a
+/// port) must go first. The list never builds more simulators than were
+/// ever leased at once.
+class SimLease {
+ public:
+  SimLease();
+  ~SimLease();
+  SimLease(const SimLease&) = delete;
+  SimLease& operator=(const SimLease&) = delete;
+
+  NicSim& operator*() const { return *sim_; }
+  NicSim* operator->() const { return sim_.get(); }
+
+ private:
+  std::unique_ptr<NicSim> sim_;
+};
+
+/// Simulators SimLease has built over the process's lifetime.
+std::size_t leased_sims_built();
 
 }  // namespace clara::nicsim

@@ -55,10 +55,8 @@ Result<ScenarioResult, Error> validate_prediction(const core::Analyzer& analyzer
                            "netronome-agilio-cx",
                            nic.c_str()));
   }
-  // Nothing from here to the end of run() waits on the pool
-  // (reset_thread_sim's contract).
-  nicsim::NicSim& sim = nicsim::reset_thread_sim();
-  auto ported = nf::port(scenario.nf, analysis.lowered, sim,
+  const nicsim::SimLease sim;
+  auto ported = nf::port(scenario.nf, analysis.lowered, *sim,
                          nf::mapped_levels(analyzer.profile(), analysis.mapping.state_region),
                          {.flow_cache = scenario.lpm_flow_cache});
   if (!ported) return ported.error();
@@ -78,7 +76,7 @@ Result<ScenarioResult, Error> validate_prediction(const core::Analyzer& analyzer
                            "validate against",
                            scenario.name().c_str()));
   }
-  const auto stats = sim.run(*ported.value().program, trace);
+  const auto stats = sim->run(*ported.value().program, trace);
   if (stats.packets == 0 || stats.mean_latency() <= 0.0) {
     return make_error(strf("simulator delivered no packets for '%s'", scenario.nf.c_str()));
   }

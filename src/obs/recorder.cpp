@@ -44,47 +44,80 @@ const char* to_string(FlightEventKind kind) {
   return "unknown";
 }
 
-/// One thread's ring. Every slot field is an atomic so concurrent
-/// snapshot reads of a slot being overwritten are races on values, never
-/// on memory: `seq` (index+1 when the slot is fully written, 0 while
-/// in-flight) is checked on both sides of the field reads, so a torn
-/// slot is skipped instead of surfaced.
+/// One thread's ring at a time. Every slot field is an atomic so
+/// concurrent snapshot reads of a slot being overwritten are races on
+/// values, never on memory: `seq` (index+1 when the slot is fully
+/// written, 0 while in-flight) is checked on both sides of the field
+/// reads, so a torn slot is skipped instead of surfaced. Each slot keeps
+/// its recording thread's id, since a ring outlives the thread it
+/// served.
 struct FlightRecorder::Ring {
   struct Slot {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::int64_t> ts_ns{0};
     std::atomic<std::uint64_t> a{0};
     std::atomic<std::uint64_t> b{0};
+    std::atomic<std::uint32_t> tid{0};
     std::atomic<std::uint8_t> kind{0};
   };
+  static_assert(sizeof(Slot) == 40, "the thread id fits in the slot's padding");
 
-  explicit Ring(std::uint32_t id) : tid(id) {}
-
-  const std::uint32_t tid;
-  std::atomic<std::uint64_t> head{0};
+  std::atomic<std::uint64_t> head{0};  // written by the holding thread only
   std::array<Slot, kRingCapacity> slots;
 };
 
+/// Every ring, and the ones no live thread holds.
+struct FlightRecorder::Rings {
+  std::mutex mu;
+  std::vector<std::unique_ptr<Ring>> all;
+  std::vector<Ring*> free;
+};
+
 FlightRecorder::FlightRecorder()
-    : instance_id_(g_next_instance_id.fetch_add(1, std::memory_order_relaxed)) {}
+    : instance_id_(g_next_instance_id.fetch_add(1, std::memory_order_relaxed)),
+      rings_(std::make_shared<Rings>()) {}
 
 FlightRecorder::~FlightRecorder() = default;
 
 FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() {
-  // Instance ids are never reused, so a stale cache entry for a
-  // destroyed recorder can never match a live one.
-  struct CacheEntry {
-    std::uint64_t instance_id;
-    Ring* ring;
+  // The calling thread's rings, one per recorder it recorded into, handed
+  // back as the thread exits. Instance ids are never reused, so an entry
+  // for a destroyed recorder can never match a live one.
+  struct HeldRings {
+    struct Entry {
+      std::uint64_t instance_id;
+      Ring* ring;
+      std::weak_ptr<Rings> owner;
+    };
+    std::vector<Entry> entries;
+    HeldRings() = default;
+    HeldRings(const HeldRings&) = delete;
+    HeldRings& operator=(const HeldRings&) = delete;
+    ~HeldRings() {
+      for (const auto& entry : entries) {
+        if (const auto owner = entry.owner.lock()) {
+          const std::lock_guard<std::mutex> lock(owner->mu);
+          owner->free.push_back(entry.ring);
+        }
+      }
+    }
   };
-  thread_local std::vector<CacheEntry> cache;
-  for (const auto& entry : cache) {
+  thread_local HeldRings held;
+  for (const auto& entry : held.entries) {
     if (entry.instance_id == instance_id_) return entry.ring;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  rings_.push_back(std::make_unique<Ring>(thread_id()));
-  Ring* ring = rings_.back().get();
-  cache.push_back({instance_id_, ring});
+  Ring* ring = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(rings_->mu);
+    if (rings_->free.empty()) {
+      rings_->all.push_back(std::make_unique<Ring>());
+      ring = rings_->all.back().get();
+    } else {
+      ring = rings_->free.back();
+      rings_->free.pop_back();
+    }
+  }
+  held.entries.push_back({instance_id_, ring, rings_});
   return ring;
 }
 
@@ -97,16 +130,17 @@ void FlightRecorder::record(FlightEventKind kind, std::uint64_t a, std::uint64_t
   slot.ts_ns.store(now_ns(), std::memory_order_relaxed);
   slot.a.store(a, std::memory_order_relaxed);
   slot.b.store(b, std::memory_order_relaxed);
+  slot.tid.store(thread_id(), std::memory_order_relaxed);
   slot.kind.store(static_cast<std::uint8_t>(kind), std::memory_order_relaxed);
   slot.seq.store(i + 1, std::memory_order_release);
   ring->head.store(i + 1, std::memory_order_release);
 }
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::lock_guard<std::mutex> lock(rings_->mu);
   const std::int64_t epoch = epoch_ns_.load(std::memory_order_acquire);
   std::vector<FlightEvent> out;
-  for (const auto& ring : rings_) {
+  for (const auto& ring : rings_->all) {
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
     const std::uint64_t begin = head > kRingCapacity ? head - kRingCapacity : 0;
     for (std::uint64_t i = begin; i < head; ++i) {
@@ -117,7 +151,7 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
       event.a = slot.a.load(std::memory_order_relaxed);
       event.b = slot.b.load(std::memory_order_relaxed);
       event.kind = static_cast<FlightEventKind>(slot.kind.load(std::memory_order_relaxed));
-      event.tid = ring->tid;
+      event.tid = slot.tid.load(std::memory_order_relaxed);
       if (slot.seq.load(std::memory_order_acquire) != i + 1) continue;  // overwritten mid-read
       if (event.ts_ns < epoch) continue;                                // cleared
       out.push_back(event);
@@ -129,10 +163,15 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
 }
 
 std::uint64_t FlightRecorder::total_recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::lock_guard<std::mutex> lock(rings_->mu);
   std::uint64_t total = 0;
-  for (const auto& ring : rings_) total += ring->head.load(std::memory_order_relaxed);
+  for (const auto& ring : rings_->all) total += ring->head.load(std::memory_order_relaxed);
   return total;
+}
+
+std::size_t FlightRecorder::ring_count() const {
+  const std::lock_guard<std::mutex> lock(rings_->mu);
+  return rings_->all.size();
 }
 
 void FlightRecorder::clear() { epoch_ns_.store(now_ns(), std::memory_order_release); }

@@ -2,13 +2,16 @@
 //
 // Metrics say *how much*, traces say *where time went when tracing was
 // switched on*; the flight recorder answers "what just happened" after
-// the fact. Every thread that records gets a fixed-size ring buffer of
+// the fact. Every thread that records holds a fixed-size ring buffer of
 // timestamped events (task start/stop, steals, queue overflows, solver
 // wave barriers, analysis-cache hits/misses, fault fires). Recording is
 // a handful of relaxed atomic stores into the calling thread's own ring
 // — no locks, no allocation after the first event — so it stays enabled
 // in production. The rings keep the most recent kRingCapacity events per
-// thread; older ones are overwritten.
+// ring; older ones are overwritten. A thread that exits hands its ring
+// back, events and all, and the next thread to record takes it over, so
+// the rings number at most the threads that ever recorded at once (a
+// daemon's short-lived reader threads share them).
 //
 // The recorder dumps automatically (once per process, to
 // $CLARA_FLIGHT_DIR or the working directory) when something goes
@@ -70,9 +73,9 @@ class FlightRecorder {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Appends an event to the calling thread's ring (registering the ring
-  /// on first use). Lock-free after registration; overwrites the oldest
-  /// event once the ring is full.
+  /// Appends an event to the calling thread's ring (taking a free ring,
+  /// or registering a new one, on first use). Lock-free after that;
+  /// overwrites the oldest event once the ring is full.
   void record(FlightEventKind kind, std::uint64_t a = 0, std::uint64_t b = 0);
 
   /// Best-effort copy of every ring's surviving events, oldest first.
@@ -82,8 +85,11 @@ class FlightRecorder {
   /// Total events ever recorded (including overwritten ones).
   [[nodiscard]] std::uint64_t total_recorded() const;
 
+  /// Rings allocated so far, held by live threads or free for reuse.
+  [[nodiscard]] std::size_t ring_count() const;
+
   /// Logically drops all recorded events (snapshot/export see only
-  /// events recorded afterwards). Rings and thread registrations stay.
+  /// events recorded afterwards). Rings stay.
   void clear();
 
   /// Chrome trace-event JSON via the shared obs/trace exporter:
@@ -111,15 +117,18 @@ class FlightRecorder {
 
  private:
   struct Ring;
+  struct Rings;
   Ring* ring_for_this_thread();
 
   std::atomic<bool> enabled_{true};
   std::atomic<bool> auto_dumped_{false};
   std::atomic<std::int64_t> epoch_ns_{0};  // clear() raises this watermark
   const std::uint64_t instance_id_;
+  // Recording threads keep a weak reference to hand their ring back when
+  // they exit, so a thread that outlives this recorder touches none of it.
+  const std::shared_ptr<Rings> rings_;
 
-  mutable std::mutex mu_;  // guards rings_/dump bookkeeping, not recording
-  std::vector<std::unique_ptr<Ring>> rings_;
+  mutable std::mutex mu_;  // guards the dump bookkeeping
   std::string dump_dir_;
   std::string last_dump_path_;
 };

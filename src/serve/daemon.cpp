@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
 #include <string_view>
@@ -105,6 +106,11 @@ struct ConnShared {
   std::mutex write_mu;
   std::atomic<bool> dead{false};
   int fd = -1;
+  // Requests handed to the pool and not yet finished; the reader waits
+  // for none before it closes the socket.
+  std::mutex pooled_mu;
+  std::condition_variable pooled_done;
+  std::size_t pooled = 0;
 };
 
 bool transient_accept_errno(int err) {
@@ -339,6 +345,33 @@ void Daemon::serve_connection(Conn* conn) {
     }
   };
 
+  // Answers one dispatched request line and writes the response, on the
+  // calling thread. The request stops counting as dispatched once its
+  // response is made, before the client can see it. Once the connection
+  // is dead the line is abandoned; under serve/conn_reset the response
+  // is dropped and the socket killed (a mid-pipeline reset: the client
+  // sees EOF and, with retries, re-asks).
+  auto respond = [this, shared, write_response](const std::string& line) {
+    if (shared->dead.load(std::memory_order_acquire)) {
+      dispatched_.fetch_sub(1, std::memory_order_acq_rel);
+      obs::metrics().counter("serve/aborted_requests").inc();
+      return;
+    }
+    auto request = core::Request::from_json(line);
+    const std::string rid = request ? request.value().id : salvage_id(line);
+    const std::uint64_t key = Fnv1a().mix(rid).digest();
+    const core::Response response = request ? service_.handle(request.value())
+                                            : respond_parse_error(line, request.error());
+    dispatched_.fetch_sub(1, std::memory_order_acq_rel);
+    if (fault::active() && fault::inject("serve/conn_reset", key)) {
+      shared->dead.store(true, std::memory_order_release);
+      obs::metrics().counter("serve/conn_resets").inc();
+      ::shutdown(shared->fd, SHUT_RDWR);
+      return;
+    }
+    write_response(response, key);
+  };
+
   // Answers a protocol violation (oversized line, read timeout) with a
   // typed response before the close, so abusive peers still get one
   // well-formed line explaining the cut.
@@ -349,10 +382,11 @@ void Daemon::serve_connection(Conn* conn) {
     write_response(core::error_response(salvage, code, std::move(message)), 0);
   };
 
-  // One group per connection: every request line becomes a pool task
-  // (inline and serial at jobs=1); the reader drains the group before
-  // closing so responses never race the close.
-  parallel::TaskGroup group;
+  // With no pool workers every request is answered here, serially.
+  const bool has_workers = parallel::pool().workers() > 0;
+  static auto& reader_path = obs::metrics().counter("serve/dispatch", "path=reader");
+  static auto& pool_path = obs::metrics().counter("serve/dispatch", "path=pool");
+  static auto& queue_us = obs::metrics().histogram("serve/queue_us");
   std::string buffer;
   char chunk[4096];
   bool open = true;
@@ -412,27 +446,35 @@ void Daemon::serve_connection(Conn* conn) {
         write_response(reject, 0);
         continue;
       }
-      group.run([this, shared, write_response, line = std::move(line)] {
-        if (shared->dead.load(std::memory_order_acquire)) {
-          obs::metrics().counter("serve/aborted_requests").inc();
-          return;
+      // The reader answers the line itself when nothing else is
+      // dispatched and no byte waits behind the line: waking a worker
+      // would only add its wake-up to the round trip. A reader busy
+      // answering reads nothing, so a line with more behind it, or any
+      // line while others are in flight, goes to the pool.
+      std::size_t idle = 0;
+      if (!has_workers) {
+        dispatched_.fetch_add(1, std::memory_order_acq_rel);
+      } else if (start < buffer.size() ||
+                 !dispatched_.compare_exchange_strong(idle, 1, std::memory_order_acq_rel)) {
+        dispatched_.fetch_add(1, std::memory_order_acq_rel);
+        pool_path.inc();
+        {
+          const std::lock_guard<std::mutex> lock(shared->pooled_mu);
+          ++shared->pooled;
         }
-        auto request = core::Request::from_json(line);
-        const std::string rid = request ? request.value().id : salvage_id(line);
-        const std::uint64_t key = Fnv1a().mix(rid).digest();
-        const core::Response response = request
-                                            ? service_.handle(request.value())
-                                            : respond_parse_error(line, request.error());
-        if (fault::active() && fault::inject("serve/conn_reset", key)) {
-          // Mid-pipeline reset: the response is dropped and the socket
-          // killed; the client sees EOF and (with retries) re-asks.
-          shared->dead.store(true, std::memory_order_release);
-          obs::metrics().counter("serve/conn_resets").inc();
-          ::shutdown(shared->fd, SHUT_RDWR);
-          return;
-        }
-        write_response(response, key);
-      });
+        parallel::post([shared, respond, line = std::move(line), queued = Clock::now()] {
+          queue_us.observe(
+              std::chrono::duration<double, std::micro>(Clock::now() - queued).count());
+          respond(line);
+          // Last: once the reader sees no pooled request it may close the
+          // socket and the daemon may go away.
+          const std::lock_guard<std::mutex> lock(shared->pooled_mu);
+          if (--shared->pooled == 0) shared->pooled_done.notify_all();
+        });
+        continue;
+      }
+      reader_path.inc();
+      respond(line);
     }
     buffer.erase(0, start);
     if (buffer.empty()) {
@@ -454,7 +496,10 @@ void Daemon::serve_connection(Conn* conn) {
       }
     }
   }
-  group.wait();
+  {
+    std::unique_lock<std::mutex> lock(shared->pooled_mu);
+    shared->pooled_done.wait(lock, [&shared] { return shared->pooled == 0; });
+  }
   {
     const std::lock_guard<std::mutex> lock(mu_);
     ::close(fd);

@@ -5,11 +5,19 @@
 // connect it writes one hello line (a Response with kind "hello"), then
 // reads one JSON request object per line and writes one JSON response
 // object per line. Requests on a connection are independent and may be
-// pipelined: each is dispatched onto the shared work-stealing pool
-// (parallel::pool) as it arrives, and responses are written as they
-// complete — possibly out of order, which is why every request carries
-// a client-chosen id that the response echoes. At --jobs=1 dispatch is
-// inline and serial, so the whole server is deterministic.
+// pipelined, and responses are written as they complete — possibly out
+// of order, which is why every request carries a client-chosen id that
+// the response echoes.
+//
+// Dispatch (serve/dispatch{path=reader|pool}): a request is answered on
+// the reader thread that read it when the daemon has no other request
+// dispatched and unanswered and its line is the last byte the reader
+// holds; every other request goes to the shared work-stealing pool
+// (parallel::pool) as it arrives. So a lone client's round trip wakes no
+// pool worker, while pipelined bursts and concurrent clients fan out
+// over the pool, and at most --jobs requests execute at once (the
+// pool's workers plus one reader). At --jobs=1 the pool has no workers
+// and every request is answered on its reader, serially per connection.
 //
 // Hostile-client hardening (docs/robustness.md "Serve resilience"):
 // per-connection limits close abusive peers with a typed response
@@ -23,11 +31,13 @@
 // serve/accept_fail, serve/slow_read) make all of this reproducible
 // chaos-test input.
 //
-// Threading: one accept thread, one reader thread per connection, the
-// pool for the actual analysis work. A per-connection write mutex keeps
-// response lines intact. Finished connection threads are reaped by the
-// accept loop as it iterates, so a long-lived daemon does not
-// accumulate one std::thread per connection ever served. stop() drains
+// Threading: one accept thread, one reader thread per connection that
+// also answers requests that arrive at an idle daemon, the pool for the
+// rest. A per-connection write mutex keeps response lines intact; a
+// reader waits for its connection's pooled requests, without running
+// them, before it closes the socket. Finished connection threads are
+// reaped by the accept loop as it iterates, so a long-lived daemon does
+// not accumulate one std::thread per connection ever served. stop() drains
 // with a bounded deadline: after drain_deadline_ms it force-closes the
 // remaining sockets so a stalled client cannot hang shutdown; the
 // destructor calls it. begin_drain() stops accepting and answers new
@@ -144,6 +154,9 @@ class Daemon {
   std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> accept_retries_{0};
   std::atomic<std::size_t> open_conns_{0};
+  /// Requests dispatched (to a reader or the pool) whose response is not
+  /// made yet; a reader answers a request itself only when this is 0.
+  std::atomic<std::size_t> dispatched_{0};
   std::thread accept_thread_;
   std::mutex mu_;  // guards conns_ (slot list) and fd close transitions
   std::vector<std::unique_ptr<Conn>> conns_;

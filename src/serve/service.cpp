@@ -253,7 +253,8 @@ Response handle_sweep(const Request& request, const core::Analyzer& analyzer,
 }
 
 Response handle_repair(const Request& request, const core::Analyzer& analyzer,
-                       const cir::Function& fn, const core::WorkloadSummary& workload) {
+                       const cir::Function& fn, const core::WorkloadSummary& workload,
+                       FaultedAnalyzers& faulted) {
   auto plan = fault::FaultPlan::parse(request.fault_plan);
   if (!plan) return core::error_response(request, plan.error().code, plan.error().message);
   if (!plan.value().sites.empty()) {
@@ -272,11 +273,22 @@ Response handle_repair(const Request& request, const core::Analyzer& analyzer,
     return core::error_response(request, healthy.error().code, healthy.error().message);
   }
 
-  lnic::NicProfile faulted_profile = analyzer.profile();
-  if (auto applied = fault::apply_to_profile(plan.value(), faulted_profile); !applied) {
-    return core::error_response(request, applied.error().code, applied.error().message);
+  // Unit faults only, without the plan's seed: nothing else changes the
+  // faulted profile.
+  fault::FaultPlan units;
+  units.failed_units = plan.value().failed_units;
+  units.derated_units = plan.value().derated_units;
+  const std::string key = analyzer.profile().name + '\n' + units.serialize();
+  auto degraded = faulted.find(key);
+  obs::metrics().counter("serve/faulted_analyzers", degraded ? "result=hit" : "result=miss").inc();
+  if (!degraded) {
+    lnic::NicProfile faulted_profile = analyzer.profile();
+    if (auto applied = fault::apply_to_profile(units, faulted_profile); !applied) {
+      return core::error_response(request, applied.error().code, applied.error().message);
+    }
+    degraded = faulted.keep(key, std::make_shared<const core::Analyzer>(std::move(faulted_profile)));
   }
-  const core::Analyzer degraded_analyzer(std::move(faulted_profile));
+  const core::Analyzer& degraded_analyzer = *degraded;
   auto repaired = degraded_analyzer.repair(fn, workload, healthy.value(), request.options);
   if (!repaired) {
     return core::error_response(request, repaired.error().code, repaired.error().message);
@@ -317,6 +329,31 @@ Response handle_validate(const Request& request, const core::Analyzer& analyzer,
 }
 
 }  // namespace
+
+std::shared_ptr<const core::Analyzer> FaultedAnalyzers::find(const std::string& key) {
+  const std::lock_guard lock(mu_);
+  const auto it = std::find_if(entries_.begin(), entries_.end(),
+                               [&](const auto& entry) { return entry.first == key; });
+  if (it == entries_.end()) return nullptr;
+  std::rotate(entries_.begin(), it, it + 1);
+  return entries_.front().second;
+}
+
+std::shared_ptr<const core::Analyzer> FaultedAnalyzers::keep(
+    const std::string& key, std::shared_ptr<const core::Analyzer> analyzer) {
+  const std::lock_guard lock(mu_);
+  for (const auto& entry : entries_) {
+    if (entry.first == key) return entry.second;  // a concurrent miss kept it first
+  }
+  entries_.emplace_front(key, std::move(analyzer));
+  if (entries_.size() > kCapacity) entries_.pop_back();
+  return entries_.front().second;
+}
+
+std::size_t FaultedAnalyzers::size() const {
+  const std::lock_guard lock(mu_);
+  return entries_.size();
+}
 
 Service::Service(ServiceOptions options) : options_(options), gate_(options.max_inflight) {
   for (auto& profile : lnic::all_profiles()) analyzers_.emplace_back(std::move(profile));
@@ -373,7 +410,7 @@ Response Service::dispatch(const Request& request) const {
     case RequestKind::kSweep:
       return handle_sweep(request, *analyzer, fn.value(), workload);
     case RequestKind::kRepair:
-      return handle_repair(request, *analyzer, fn.value(), workload);
+      return handle_repair(request, *analyzer, fn.value(), workload, faulted_);
     case RequestKind::kValidate:
       return handle_validate(request, *analyzer, fn.value(), workload, *resolved.value().trace);
     case RequestKind::kHello: break;  // handled above

@@ -16,8 +16,8 @@
 // latency and queue-wait accumulators, both hit rates, achieved pps,
 // energy, every breakdown component, and a digest of per-NPU busy
 // cycles (which NPU ran each packet). The first round of each simulator
-// case is also replayed on the one simulator nicsim::reset_thread_sim()
-// hands a thread, reset between scenarios, and must match the same line.
+// case is also replayed on a nicsim::SimLease, whose simulator is reset
+// and leased again between scenarios, and must match the same line.
 //
 // tests/data/engine_golden.txt holds one line per case: three key
 // fields, then the outcome. A case whose line is missing or differs
@@ -272,9 +272,10 @@ TEST(SoaEquiv, BatchedRunMatchesScalarAcrossRepeatedRunsOnOneSim) {
 
 TEST(SoaEquiv, EvictedSpilledTailsPinThePacketOrdinal) { EXPECT_EQ(check_rounds(spill_scenario()), 3u); }
 
-// The simulator validate and simulate share per thread: one instance,
-// reset before each scenario, must replay every scenario's first round
-// exactly as a freshly built simulator does, whatever ran on it before.
+// The simulators validate and simulate lease: one instance, reset as
+// each lease ends and leased again, must replay every scenario's first
+// round exactly as a freshly built simulator does, whatever ran on it
+// before.
 TEST(SoaEquiv, ResetThreadSimMatchesAFreshSimOnEveryScenario) {
   auto scenarios = obs::AccuracyLedger::default_matrix();
   scenarios.push_back({"nat", "repeat", "tcp=0.8 flows=2000 payload=300 pps=80000 packets=5000"});
@@ -286,9 +287,10 @@ TEST(SoaEquiv, ResetThreadSimMatchesAFreshSimOnEveryScenario) {
     for (std::size_t k = 0; k < scenarios.size(); ++k) {
       const auto& scenario = scenarios[reverse ? scenarios.size() - 1 - k : k];
       const auto trace = workload::generate_trace(workload::parse_profile(scenario.workload).value());
-      nicsim::NicSim& sim = nicsim::reset_thread_sim();
+      const nicsim::SimLease lease;
+      nicsim::NicSim& sim = *lease;
       if (first == nullptr) first = &sim;
-      EXPECT_EQ(&sim, first) << "one simulator per thread";
+      EXPECT_EQ(&sim, first) << "a returned simulator is leased again";
       auto port = make_scenario_port(scenario, sim);
       ASSERT_TRUE(port.ok()) << scenario.name() << ": " << port.error().message;
       const auto stats = sim.run(*port.value().program, trace);

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -113,6 +116,32 @@ TEST(Parallel, SubmitInlineWhenSerial) {
   // jobs()==1 runs inline: the future is ready before get().
   EXPECT_EQ(future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_EQ(future.get(), 42);
+}
+
+// post() hands tasks to the workers with no group: the caller counts
+// them done itself, and a pool with no workers runs each inline.
+TEST(Parallel, PostRunsEveryTaskOnAWorkerOrInline) {
+  for (const std::size_t jobs_level : {1u, 4u}) {
+    JobsGuard guard(jobs_level);
+    std::mutex mu;
+    std::condition_variable all_done;
+    int done = 0;
+    std::set<std::thread::id> ran_on;
+    for (int i = 0; i < 200; ++i) {
+      post([&] {
+        const std::lock_guard<std::mutex> lock(mu);
+        ran_on.insert(std::this_thread::get_id());
+        if (++done == 200) all_done.notify_all();
+      });
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    all_done.wait(lock, [&] { return done == 200; });
+    if (jobs_level == 1) {
+      EXPECT_EQ(ran_on, std::set<std::thread::id>{std::this_thread::get_id()});
+    } else {
+      EXPECT_EQ(ran_on.count(std::this_thread::get_id()), 0u) << "posted tasks run on workers";
+    }
+  }
 }
 
 TEST(Parallel, TaskGroupWaitsForAll) {

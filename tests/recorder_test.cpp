@@ -1,6 +1,7 @@
 // Self-profiling subsystem tests: flight-recorder rings (wrap, clear,
-// concurrent record/snapshot), the Chrome export shared with the span
-// tracer (parses, sane fields, stable tids, file round-trip), auto-dump
+// concurrent record/snapshot, reuse after a thread exits), the Chrome
+// export shared with the span tracer (parses, sane fields, stable tids,
+// file round-trip), auto-dump
 // throttling, pool self-profile attribution coverage, bench-diff
 // regression gating, the Prometheus metrics exposition, and the JSON
 // parser they all lean on.
@@ -9,6 +10,8 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <latch>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -116,12 +119,16 @@ TEST(FlightRecorder, ConcurrentRecordAndSnapshotIsSafe) {
       for (const auto& e : events) EXPECT_GE(e.ts_ns, 0);
     }
   });
+  // Writers stay alive until all have recorded: a writer that exited
+  // early would hand its ring to the next one, which would overwrite it.
+  std::latch recorded(kThreads);
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&rec, t] {
+    writers.emplace_back([&rec, &recorded, t] {
       for (std::size_t i = 0; i < kPerThread; ++i) {
         rec.record(FlightEventKind::kMark, i, static_cast<std::uint64_t>(t));
       }
+      recorded.arrive_and_wait();
     });
   }
   for (auto& w : writers) w.join();
@@ -134,6 +141,59 @@ TEST(FlightRecorder, ConcurrentRecordAndSnapshotIsSafe) {
   std::set<std::uint32_t> tids;
   for (const auto& e : events) tids.insert(e.tid);
   EXPECT_EQ(tids.size(), static_cast<std::size_t>(kThreads));
+}
+
+// A thread that exits hands its ring back, and the next thread to record
+// takes it over: the rings number the threads alive at once, and each
+// event keeps the id of the thread that recorded it.
+TEST(FlightRecorder, ExitedThreadsHandTheirRingsBack) {
+  FlightRecorder rec;
+  constexpr std::uint64_t kOneShots = 50;
+  for (std::uint64_t t = 0; t < kOneShots; ++t) {
+    std::thread([&rec, t] { rec.record(FlightEventKind::kMark, t); }).join();
+  }
+  EXPECT_EQ(rec.ring_count(), 1u);
+  const auto events = rec.snapshot();
+  ASSERT_EQ(events.size(), kOneShots);
+  std::set<std::uint32_t> tids;
+  for (std::uint64_t t = 0; t < kOneShots; ++t) {
+    EXPECT_EQ(events[t].a, t);
+    tids.insert(events[t].tid);
+  }
+  EXPECT_EQ(tids.size(), kOneShots);
+
+  constexpr int kAlive = 4;
+  for (int round = 0; round < 10; ++round) {
+    std::latch recorded(kAlive);
+    std::vector<std::thread> alive;
+    for (int t = 0; t < kAlive; ++t) {
+      alive.emplace_back([&rec, &recorded] {
+        rec.record(FlightEventKind::kMark);
+        recorded.arrive_and_wait();
+      });
+    }
+    for (auto& thread : alive) thread.join();
+  }
+  EXPECT_EQ(rec.ring_count(), static_cast<std::size_t>(kAlive));
+  EXPECT_EQ(rec.total_recorded(), kOneShots + 10 * kAlive);
+}
+
+// A thread that outlives the recorder it recorded into hands nothing back
+// as it exits (the ASan build checks that it touches none of it).
+TEST(FlightRecorder, ThreadOutlivingItsRecorderExitsCleanly) {
+  auto rec = std::make_unique<FlightRecorder>();
+  std::latch recorded(1);
+  std::latch destroyed(1);
+  std::thread thread([&] {
+    rec->record(FlightEventKind::kMark, 1);
+    recorded.count_down();
+    destroyed.wait();
+  });
+  recorded.wait();
+  EXPECT_EQ(rec->ring_count(), 1u);
+  rec.reset();
+  destroyed.count_down();
+  thread.join();
 }
 
 // --- Chrome export -----------------------------------------------------------

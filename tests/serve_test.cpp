@@ -12,7 +12,12 @@
 // one typed error each from a daemon that keeps serving, deadline
 // expiry degrades instead of erroring, and the admission gate
 // rejects overload with typed responses rather than dropped
-// connections. The resilience half (docs/robustness.md "Serve
+// connections. Dispatch: an idle daemon's reader answers a lone
+// request, a pipelined burst or a line with bytes behind it goes to the
+// pool, both paths answer the same bytes, at most jobs requests execute
+// at once, drain and stop still answer a request the reader holds, and
+// one-shot connections leave no recorder ring or simulator behind;
+// repairs keep a bounded set of faulted analyzers. The resilience half (docs/robustness.md "Serve
 // resilience"): a seeded mutation-fuzz corpus over the wire parser,
 // hostile-client limits (oversized lines, newline-less floods,
 // slow-loris drips, connection caps), accept-loop errno survival,
@@ -22,7 +27,9 @@
 // -DCLARA_SANITIZE=thread.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -47,7 +54,9 @@
 #include "core/request.hpp"
 #include "fault/fault.hpp"
 #include "nf/nf_cir.hpp"
+#include "nicsim/sim.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/loadgen.hpp"
@@ -862,6 +871,49 @@ TEST(ServeServiceTest, RepairAppliesUnitFaultsPerRequest) {
   EXPECT_EQ(rejected.error_code, ErrorCode::kParse);
 }
 
+// A repair builds its faulted analyzer once per NIC and unit-fault plan
+// (the plan's seed aside) and keeps the most recently used few; every
+// repair answers the same bytes whether its analyzer was kept or built.
+TEST(ServeServiceTest, RepairKeepsABoundedSetOfFaultedAnalyzers) {
+  CacheGuard cache;
+  Service service(ServiceOptions{0});
+  auto& hits = obs::metrics().counter("serve/faulted_analyzers", "result=hit");
+  auto& misses = obs::metrics().counter("serve/faulted_analyzers", "result=miss");
+  const std::uint64_t hits0 = hits.value();
+  const std::uint64_t misses0 = misses.value();
+
+  const Request repair = every_kind()[2];
+  const Response first = service.handle(repair);
+  ASSERT_TRUE(first.ok) << first.error;
+  Request reseeded = repair;
+  reseeded.fault_plan = "seed 9\n" + repair.fault_plan;
+  EXPECT_EQ(service.handle(repair).to_json(), first.to_json());
+  EXPECT_EQ(service.handle(reseeded).to_json(), first.to_json());
+  EXPECT_EQ(misses.value() - misses0, 1u) << "a repeated repair built another analyzer";
+  EXPECT_EQ(hits.value() - hits0, 2u);
+
+  std::map<std::string, std::string> answers;
+  for (std::size_t pct = 10; pct < 10 + 2 * FaultedAnalyzers::kCapacity; ++pct) {
+    Request derated = repair;
+    derated.fault_plan = strf("%sderate-unit npu0 %zu\n", repair.fault_plan.c_str(), pct);
+    const Response response = service.handle(derated);
+    ASSERT_TRUE(response.ok) << derated.fault_plan << ": " << response.error;
+    answers[derated.fault_plan] = response.to_json();
+    EXPECT_LE(service.faulted_analyzers(), FaultedAnalyzers::kCapacity);
+  }
+  EXPECT_EQ(service.faulted_analyzers(), FaultedAnalyzers::kCapacity);
+  EXPECT_EQ(misses.value() - misses0, 1u + 2 * FaultedAnalyzers::kCapacity);
+  // Evicted ones are built again and answer as before.
+  const std::uint64_t misses_before_rebuild = misses.value();
+  EXPECT_EQ(service.handle(repair).to_json(), first.to_json());
+  for (const auto& [plan, answer] : answers) {
+    Request again = repair;
+    again.fault_plan = plan;
+    EXPECT_EQ(service.handle(again).to_json(), answer) << plan;
+  }
+  EXPECT_GT(misses.value(), misses_before_rebuild);
+}
+
 TEST(ServeServiceTest, SweepValidatesGridAndReturnsPoints) {
   CacheGuard cache;
   Service service(ServiceOptions{0});
@@ -1042,6 +1094,370 @@ TEST(ServeDaemonTest, PipelinedRequestsAnswerByCorrelationId) {
     seen.insert(response.value().id);
   }
   EXPECT_EQ(seen.size(), kPipelined) << "every pipelined id answered exactly once";
+  daemon.stop();
+}
+
+// --- dispatch: the reader or the pool ---------------------------------------
+
+struct DispatchCounts {
+  std::uint64_t reader = 0;
+  std::uint64_t pool = 0;
+  std::uint64_t queued = 0;  // serve/queue_us samples
+};
+
+DispatchCounts dispatch_counts() {
+  auto& registry = obs::metrics();
+  return {registry.counter("serve/dispatch", "path=reader").value(),
+          registry.counter("serve/dispatch", "path=pool").value(),
+          registry.histogram("serve/queue_us").count()};
+}
+
+/// A FIFO that holds a request inside Service::handle: a request naming
+/// it as its trace file blocks opening it until a writer comes, then
+/// reading it until the writer goes. entered() waits for a request to be
+/// blocked there (a non-blocking open for writing succeeds only once the
+/// FIFO has a reader); release() lets it finish, answered kParse
+/// (truncated header).
+class HandleGate {
+ public:
+  explicit HandleGate(const char* tag)
+      : path_(strf("/tmp/clara-serve-test-%s-%d.fifo", tag, static_cast<int>(::getpid()))) {
+    ::unlink(path_.c_str());
+    ok_ = ::mkfifo(path_.c_str(), 0600) == 0;
+  }
+  ~HandleGate() {
+    // A request still blocked on the gate would hold up the daemon's
+    // stop(): one opened for reading, or opening, before the unlink sees
+    // this writer come and go; one after it finds no file.
+    const int any = ::open(path_.c_str(), O_RDWR | O_NONBLOCK);
+    ::unlink(path_.c_str());
+    release();
+    if (any >= 0) ::close(any);
+  }
+  HandleGate(const HandleGate&) = delete;
+  HandleGate& operator=(const HandleGate&) = delete;
+
+  [[nodiscard]] bool ok() const { return ok_; }
+
+  [[nodiscard]] Request request(const char* id) const {
+    Request request = small_analyze();
+    request.id = id;
+    request.workload.clear();
+    request.trace_file = path_;
+    return request;
+  }
+
+  bool entered() {
+    for (int i = 0; i < 2500 && writer_ < 0; ++i) {
+      writer_ = ::open(path_.c_str(), O_WRONLY | O_NONBLOCK);
+      if (writer_ < 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return writer_ >= 0;
+  }
+
+  void release() {
+    if (writer_ >= 0) ::close(writer_);
+    writer_ = -1;
+  }
+
+ private:
+  std::string path_;
+  bool ok_ = false;
+  int writer_ = -1;
+};
+
+// A lone client's requests find the daemon idle and the reader answers
+// them; a burst in one write leaves bytes behind every line but the last,
+// so those go to the pool and record their wait for a worker.
+TEST(ServeDaemonTest, LoneRequestsAnswerOnTheReaderAndABurstOnThePool) {
+  CacheGuard cache;
+  JobsGuard jobs(4);
+  DaemonOptions options;
+  options.socket_path = temp_socket("dispatch");
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.start().ok());
+
+  auto client = Client::connect(options.socket_path);
+  ASSERT_TRUE(client.ok()) << client.error().message;
+  const DispatchCounts before = dispatch_counts();
+  for (std::size_t i = 0; i < 20; ++i) {
+    Request request = small_analyze(i % 2 == 0 ? "lpm" : "rewrite");
+    request.id = strf("lone-%zu", i);
+    auto response = client.value().call(request);
+    ASSERT_TRUE(response.ok()) << response.error().message;
+    EXPECT_TRUE(response.value().ok) << response.value().error;
+  }
+  const DispatchCounts lone = dispatch_counts();
+  EXPECT_EQ(lone.reader - before.reader, 20u);
+  EXPECT_EQ(lone.pool - before.pool, 0u);
+  EXPECT_EQ(lone.queued - before.queued, 0u);
+
+  RawClient raw(options.socket_path);
+  ASSERT_TRUE(raw.ok());
+  ASSERT_FALSE(raw.read_line().empty()) << "no hello";
+  std::string burst;
+  for (std::size_t i = 0; i < 8; ++i) {
+    Request request = small_analyze(i % 2 == 0 ? "lpm" : "rewrite");
+    request.id = strf("burst-%zu", i);
+    burst += request.to_line();
+  }
+  ASSERT_TRUE(raw.send_bytes(burst));
+  std::set<std::string> ids;
+  for (std::size_t i = 0; i < 8; ++i) {
+    auto response = Response::from_json(raw.read_line());
+    ASSERT_TRUE(response.ok()) << response.error().message;
+    EXPECT_TRUE(response.value().ok) << response.value().error;
+    ids.insert(response.value().id);
+  }
+  EXPECT_EQ(ids.size(), 8u);
+  const DispatchCounts burst_counts = dispatch_counts();
+  EXPECT_GE(burst_counts.pool - lone.pool, 7u);
+  EXPECT_GE(burst_counts.queued - lone.queued, 7u);
+  EXPECT_EQ(burst_counts.reader + burst_counts.pool - lone.reader - lone.pool, 8u);
+  daemon.stop();
+}
+
+// Every kind, sent alone (answered on the reader) and twice in one write
+// (the first copy, with bytes behind it, answered on the pool), answers
+// the same bytes either way at every jobs level. jobs=1 has no pool
+// workers, so its reader answers all three.
+TEST(ServeDaemonTest, EveryKindAnswersAlikeOnTheReaderAndOnThePool) {
+  CacheGuard cache;
+  const auto requests = every_kind();
+  std::vector<std::string> reference;
+  for (const std::size_t jobs_level : {1u, 2u, 8u}) {
+    JobsGuard jobs(jobs_level);
+    DaemonOptions options;
+    options.socket_path = temp_socket("paths");
+    Daemon daemon(options);
+    ASSERT_TRUE(daemon.start().ok());
+    RawClient raw(options.socket_path);
+    ASSERT_TRUE(raw.ok());
+    ASSERT_FALSE(raw.read_line().empty()) << "no hello";
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const std::string tag = strf("jobs=%zu %s", jobs_level, to_string(requests[i].kind));
+      const DispatchCounts before = dispatch_counts();
+      ASSERT_TRUE(raw.send_bytes(requests[i].to_line()));
+      const std::string alone = raw.read_line();
+      const DispatchCounts mid = dispatch_counts();
+      ASSERT_TRUE(raw.send_bytes(requests[i].to_line() + requests[i].to_line()));
+      const std::string first = raw.read_line();
+      const std::string second = raw.read_line();
+      const DispatchCounts after = dispatch_counts();
+
+      EXPECT_EQ(mid.reader - before.reader, 1u) << tag;
+      if (jobs_level == 1) {
+        EXPECT_EQ(after.reader - mid.reader, 2u) << tag;
+      } else {
+        EXPECT_GE(after.pool - mid.pool, 1u) << tag;
+      }
+      auto parsed = Response::from_json(alone);
+      ASSERT_TRUE(parsed.ok()) << tag << ": " << alone;
+      EXPECT_TRUE(parsed.value().ok) << tag << ": " << parsed.value().error;
+      EXPECT_EQ(first, alone) << tag;
+      EXPECT_EQ(second, alone) << tag;
+      if (reference.size() == i) reference.push_back(alone);
+      EXPECT_EQ(alone, reference[i]) << tag;
+    }
+    daemon.stop();
+  }
+}
+
+// A reader answering a request reads nothing meanwhile, so a request with
+// a partial line behind it goes to the pool: the reader stays free to cut
+// the stalled line off at its deadline while the request is still
+// running.
+TEST(ServeDaemonTest, RequestWithAPartialLineBehindItGoesToThePool) {
+  JobsGuard jobs(4);
+  DaemonOptions options;
+  options.socket_path = temp_socket("behind");
+  options.read_deadline_ms = 150.0;
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.start().ok());
+  HandleGate gate("behind");
+  ASSERT_TRUE(gate.ok());
+  RawClient raw(options.socket_path);
+  ASSERT_TRUE(raw.ok());
+  ASSERT_FALSE(raw.read_line().empty()) << "no hello";
+
+  const DispatchCounts before = dispatch_counts();
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(raw.send_bytes(gate.request("gated").to_line() +
+                             R"({"proto":"clara-serve/1","id":"stalled")"));
+  ASSERT_TRUE(gate.entered());
+  const std::string cut = raw.read_line();
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_FALSE(cut.empty()) << "the stalled line was not cut off while the request ran";
+  auto timeout = Response::from_json(cut);
+  ASSERT_TRUE(timeout.ok()) << cut;
+  EXPECT_EQ(timeout.value().id, "stalled");
+  EXPECT_EQ(timeout.value().error_code, ErrorCode::kParse);
+  EXPECT_NE(timeout.value().error.find("read deadline"), std::string::npos) << timeout.value().error;
+  EXPECT_LT(elapsed_ms, 1500.0) << "the read deadline fired late";
+
+  gate.release();
+  auto answered = Response::from_json(raw.read_line());
+  ASSERT_TRUE(answered.ok()) << answered.error().message;
+  EXPECT_EQ(answered.value().id, "gated");
+  EXPECT_EQ(answered.value().error_code, ErrorCode::kParse) << answered.value().error;
+  EXPECT_TRUE(raw.at_eof());
+  const DispatchCounts after = dispatch_counts();
+  EXPECT_EQ(after.pool - before.pool, 1u);
+  EXPECT_EQ(after.reader - before.reader, 0u);
+  daemon.stop();
+}
+
+// begin_drain() or stop() while a reader answers a request: the request
+// still gets its own answer, not a draining reject, and stop() returns
+// once it is written, well within the drain deadline.
+TEST(ServeDaemonTest, DrainOrStopDuringAReaderAnswerStillAnswersIt) {
+  JobsGuard jobs(4);
+  for (const bool drain : {true, false}) {
+    const std::string tag = drain ? "begin_drain" : "stop";
+    DaemonOptions options;
+    options.socket_path = temp_socket("inline-stop");
+    options.drain_deadline_ms = 1000.0;
+    Daemon daemon(options);
+    ASSERT_TRUE(daemon.start().ok());
+    HandleGate gate("inline-stop");
+    ASSERT_TRUE(gate.ok());
+    auto client = Client::connect(options.socket_path);
+    ASSERT_TRUE(client.ok()) << client.error().message;
+
+    const DispatchCounts before = dispatch_counts();
+    ASSERT_TRUE(client.value().send(gate.request("inline")).ok());
+    ASSERT_TRUE(gate.entered()) << tag;
+    EXPECT_EQ(dispatch_counts().reader - before.reader, 1u) << tag << ": an idle daemon's reader answers";
+
+    double stop_ms = -1.0;
+    std::thread stopper;
+    if (drain) {
+      daemon.begin_drain();
+    } else {
+      stopper = std::thread([&daemon, &stop_ms] {
+        const auto t0 = std::chrono::steady_clock::now();
+        daemon.stop();
+        stop_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    gate.release();
+    auto response = client.value().read_response();
+    ASSERT_TRUE(response.ok()) << tag << ": " << response.error().message;
+    EXPECT_EQ(response.value().id, "inline") << tag;
+    EXPECT_EQ(response.value().error_code, ErrorCode::kParse)
+        << tag << ": the request's own answer, not a draining reject: " << response.value().error;
+    if (drain) {
+      Request late = small_analyze();
+      late.id = "late";
+      auto rejected = client.value().call(late);
+      ASSERT_TRUE(rejected.ok()) << rejected.error().message;
+      EXPECT_EQ(rejected.value().error_code, ErrorCode::kOverloaded);
+      client.value().close();
+      const auto t0 = std::chrono::steady_clock::now();
+      daemon.stop();
+      stop_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    } else {
+      stopper.join();
+    }
+    EXPECT_GE(stop_ms, 0.0) << tag;
+    EXPECT_LT(stop_ms, options.drain_deadline_ms) << tag;
+  }
+}
+
+// The admission gate inside Service::handle, set to --jobs, is a probe
+// of how many requests execute at once: a 16-client flood, more clients
+// than lanes, must never trip it. Warm analyses only, which run no
+// nested parallel loop.
+TEST(ServeDaemonTest, AtMostJobsRequestsExecuteAtOnceUnderAFlood) {
+  CacheGuard cache;
+  const char* nfs[] = {"lpm", "nat", "rewrite", "meter"};
+  for (const std::size_t jobs_level : {2u, 4u}) {
+    JobsGuard jobs(jobs_level);
+    DaemonOptions options;
+    options.socket_path = temp_socket("flood");
+    options.max_inflight = jobs_level;
+    Daemon daemon(options);
+    ASSERT_TRUE(daemon.start().ok());
+    {
+      auto warm = Client::connect(options.socket_path);
+      ASSERT_TRUE(warm.ok()) << warm.error().message;
+      for (const char* nf : nfs) ASSERT_TRUE(warm.value().call(small_analyze(nf)).ok());
+    }
+
+    constexpr std::size_t kClients = 16;
+    constexpr std::size_t kPerClient = 24;
+    std::atomic<std::size_t> ok_count{0};
+    std::atomic<std::size_t> overloaded{0};
+    std::atomic<std::size_t> other{0};
+    const DispatchCounts before = dispatch_counts();
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        auto client = Client::connect(options.socket_path);
+        if (!client) {
+          other.fetch_add(kPerClient);
+          return;
+        }
+        for (std::size_t i = 0; i < kPerClient; ++i) {
+          Request request = small_analyze(nfs[(c + i) % 4]);
+          request.id = strf("flood-%zu-%zu", c, i);
+          auto response = client.value().call(request);
+          if (response.ok() && response.value().ok) {
+            ok_count.fetch_add(1);
+          } else if (response.ok() && response.value().error_code == ErrorCode::kOverloaded) {
+            overloaded.fetch_add(1);
+          } else {
+            other.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& client : clients) client.join();
+    daemon.stop();
+    const DispatchCounts after = dispatch_counts();
+    EXPECT_EQ(overloaded.load(), 0u) << "jobs=" << jobs_level << ": more than jobs requests ran at once";
+    EXPECT_EQ(other.load(), 0u) << "jobs=" << jobs_level;
+    EXPECT_EQ(ok_count.load(), kClients * kPerClient) << "jobs=" << jobs_level;
+    EXPECT_GT(after.pool - before.pool, 0u) << "jobs=" << jobs_level;
+  }
+}
+
+// A reader that answers records into a flight-recorder ring and leases a
+// simulator for a validate; both go back for reuse when the request or
+// the thread ends, so a daemon serving one-shot clients holds as many as
+// threads were alive at once, not one per connection.
+TEST(ServeDaemonTest, OneShotConnectionsLeaveNoRingOrSimulatorBehind) {
+  CacheGuard cache;
+  JobsGuard jobs(4);
+  DaemonOptions options;
+  options.socket_path = temp_socket("oneshot");
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.start().ok());
+  Request validate = every_kind()[3];
+  {
+    auto client = Client::connect(options.socket_path);
+    ASSERT_TRUE(client.ok()) << client.error().message;
+    ASSERT_TRUE(client.value().call(validate).ok());
+  }
+  const std::size_t rings_before = obs::recorder().ring_count();
+  const std::size_t sims_before = nicsim::leased_sims_built();
+  const DispatchCounts before = dispatch_counts();
+  for (std::size_t i = 0; i < 200; ++i) {
+    auto client = Client::connect(options.socket_path);
+    ASSERT_TRUE(client.ok()) << client.error().message;
+    validate.id = strf("oneshot-%zu", i);
+    auto response = client.value().call(validate);
+    ASSERT_TRUE(response.ok()) << response.error().message;
+    ASSERT_TRUE(response.value().ok) << response.value().error;
+  }
+  EXPECT_EQ(dispatch_counts().reader - before.reader, 200u);
+  // This thread, the accept thread, three pool workers and the few
+  // readers whose connections are still winding down.
+  EXPECT_LE(obs::recorder().ring_count() - rings_before, 8u);
+  EXPECT_EQ(nicsim::leased_sims_built() - sims_before, 0u)
+      << "each validate leased the simulator the one before returned";
   daemon.stop();
 }
 
@@ -1482,6 +1898,8 @@ TEST(ServeDaemonTest, WriteFailureAbortsRemainingPipeline) {
   options.socket_path = temp_socket("writefail");
   Daemon daemon(options);
   ASSERT_TRUE(daemon.start().ok());
+  HandleGate gate("writefail");
+  ASSERT_TRUE(gate.ok());
 
   auto& write_errors = obs::metrics().counter("serve/write_errors");
   auto& aborted = obs::metrics().counter("serve/aborted_requests");
@@ -1489,13 +1907,18 @@ TEST(ServeDaemonTest, WriteFailureAbortsRemainingPipeline) {
   {
     auto client = Client::connect(options.socket_path);
     ASSERT_TRUE(client.ok()) << client.error().message;
-    for (std::size_t i = 0; i < 6; ++i) {
+    // The first request stays inside Service::handle until the client
+    // has gone, so at least its answer meets a dead peer.
+    ASSERT_TRUE(client.value().send(gate.request("gone-0")).ok());
+    ASSERT_TRUE(gate.entered());
+    for (std::size_t i = 1; i < 6; ++i) {
       Request request = small_analyze("nat");
       request.id = strf("gone-%zu", i);
       request.options.use_cache = false;  // keep each request live for a while
       ASSERT_TRUE(client.value().send(request).ok());
     }
   }  // close without reading a single response
+  gate.release();
   for (int spin = 0; spin < 1000 && daemon.open_connections() > 0; ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
