@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
@@ -393,10 +394,7 @@ void TaskGroup::wait() {
 
 void post(std::function<void()> fn) {
   auto* impl = pool().impl_.get();
-  if (impl->states.empty()) {
-    fn();
-    return;
-  }
+  assert(!impl->states.empty() && "post() needs a pool with workers");
   impl->enqueue(new Task{std::move(fn), nullptr}, t_worker_id);
 }
 

@@ -153,8 +153,9 @@ class ThreadPool {
 };
 
 /// Enqueues fn on the pool with no group: the caller tracks completion
-/// itself, so nothing waits by running other pool tasks (runs inline
-/// when the pool has no workers). fn must not throw.
+/// itself, so nothing waits by running other pool tasks. The pool must
+/// have workers (jobs() > 1), since only a worker runs fn; a caller with
+/// none runs its work itself. fn must not throw.
 void post(std::function<void()> fn);
 
 /// Parallel loop over [begin, end): body(i) for every index, partitioned

@@ -59,6 +59,13 @@ bool send_all(int fd, std::string_view data, double deadline_ms) {
   return true;
 }
 
+/// Whether the socket holds bytes not read yet (or has hung up), without
+/// waiting.
+bool bytes_waiting(int fd) {
+  pollfd pfd{fd, POLLIN, 0};
+  return ::poll(&pfd, 1, 0) > 0;
+}
+
 core::Response hello_response() {
   core::Response hello;
   hello.id = "clarad";
@@ -382,7 +389,8 @@ void Daemon::serve_connection(Conn* conn) {
     write_response(core::error_response(salvage, code, std::move(message)), 0);
   };
 
-  // With no pool workers every request is answered here, serially.
+  // Only a pool with workers takes posted requests; with none every
+  // request is answered here, serially.
   const bool has_workers = parallel::pool().workers() > 0;
   static auto& reader_path = obs::metrics().counter("serve/dispatch", "path=reader");
   static auto& pool_path = obs::metrics().counter("serve/dispatch", "path=pool");
@@ -447,14 +455,17 @@ void Daemon::serve_connection(Conn* conn) {
         continue;
       }
       // The reader answers the line itself when nothing else is
-      // dispatched and no byte waits behind the line: waking a worker
-      // would only add its wake-up to the round trip. A reader busy
-      // answering reads nothing, so a line with more behind it, or any
-      // line while others are in flight, goes to the pool.
+      // dispatched and no byte waits behind the line, read or still in
+      // the socket: waking a worker would only add its wake-up to the
+      // round trip. A reader busy answering reads nothing, so a line
+      // with more behind it, or any line while others are in flight,
+      // goes to the pool. The count is read before the socket is polled
+      // so that loaded traffic pays no extra syscall.
       std::size_t idle = 0;
       if (!has_workers) {
         dispatched_.fetch_add(1, std::memory_order_acq_rel);
-      } else if (start < buffer.size() ||
+      } else if (start < buffer.size() || dispatched_.load(std::memory_order_acquire) != 0 ||
+                 bytes_waiting(fd) ||
                  !dispatched_.compare_exchange_strong(idle, 1, std::memory_order_acq_rel)) {
         dispatched_.fetch_add(1, std::memory_order_acq_rel);
         pool_path.inc();

@@ -11,13 +11,17 @@
 //
 // Dispatch (serve/dispatch{path=reader|pool}): a request is answered on
 // the reader thread that read it when the daemon has no other request
-// dispatched and unanswered and its line is the last byte the reader
-// holds; every other request goes to the shared work-stealing pool
-// (parallel::pool) as it arrives. So a lone client's round trip wakes no
-// pool worker, while pipelined bursts and concurrent clients fan out
-// over the pool, and at most --jobs requests execute at once (the
-// pool's workers plus one reader). At --jobs=1 the pool has no workers
-// and every request is answered on its reader, serially per connection.
+// dispatched and unanswered and no byte waits behind its line, neither
+// in the reader's buffer nor in the socket; every other request goes to
+// the shared work-stealing pool (parallel::pool) as it arrives. So a
+// lone client's round trip wakes no pool worker, while pipelined bursts
+// and concurrent clients fan out over the pool, and at most --jobs
+// requests execute at once (the pool's workers plus one reader). A
+// reader answering a request reads nothing meanwhile: on an idle daemon,
+// a request that reaches the socket after the one before it was taken
+// up waits for that answer and cannot overtake it. At --jobs=1 the pool
+// has no workers and every request is answered on its reader, serially
+// per connection.
 //
 // Hostile-client hardening (docs/robustness.md "Serve resilience"):
 // per-connection limits close abusive peers with a typed response

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "cir/printer.hpp"
@@ -64,36 +65,46 @@ struct Workload {
   std::shared_ptr<const workload::Trace> trace;
 };
 
-/// Longest trace the validate memo keeps (2 MiB of packets), so no
-/// request can pin a large one: the Zipf memo's bound.
-constexpr std::uint64_t kMemoPackets = 65'536;
-
-/// The last trace generated for a validate, by its profile's digest.
-/// Traces are immutable and shared, so every worker reads one copy; a
-/// repeated validate, whose summary hits, replays it instead of
-/// generating its packets again.
-class TraceMemo {
+/// The last value kept and its key: a one-entry memo that every thread
+/// shares. Values are immutable and shared, so every reader uses one
+/// copy.
+template <class Key, class Value>
+class LastMemo {
  public:
-  std::shared_ptr<const workload::Trace> find(std::uint64_t digest) const {
+  std::shared_ptr<const Value> find(const Key& key) const {
     const std::lock_guard lock(mutex_);
-    return digest == digest_ ? trace_ : nullptr;
+    return key == key_ ? value_ : nullptr;
   }
 
-  void keep(std::uint64_t digest, std::shared_ptr<const workload::Trace> trace) {
-    if (trace->size() > kMemoPackets) return;
+  void keep(Key key, std::shared_ptr<const Value> value) {
     const std::lock_guard lock(mutex_);
-    digest_ = digest;
-    trace_ = std::move(trace);
+    key_ = std::move(key);
+    value_ = std::move(value);
   }
 
  private:
   mutable std::mutex mutex_;
-  std::uint64_t digest_ = 0;
-  std::shared_ptr<const workload::Trace> trace_;
+  Key key_{};
+  std::shared_ptr<const Value> value_;
 };
 
-TraceMemo& trace_memo() {
-  static TraceMemo memo;
+/// Longest trace the validate memo keeps (2 MiB of packets), so no
+/// request can pin a large one: the Zipf memo's bound.
+constexpr std::uint64_t kMemoPackets = 65'536;
+
+/// The last trace generated for a validate, by its profile's digest. A
+/// repeated validate, whose summary hits, replays it instead of
+/// generating its packets again.
+LastMemo<std::uint64_t, workload::Trace>& trace_memo() {
+  static LastMemo<std::uint64_t, workload::Trace> memo;
+  return memo;
+}
+
+/// The faulted analyzer the last repair built, by its NIC's content
+/// digest and unit faults. Building one copies, hashes and maps a whole
+/// profile; a repair with the same NIC and unit faults reuses it.
+LastMemo<std::string, core::Analyzer>& faulted_memo() {
+  static LastMemo<std::string, core::Analyzer> memo;
   return memo;
 }
 
@@ -130,7 +141,7 @@ Result<Workload> resolve_workload(const Request& request, const core::Analyzer& 
     generated = workload::generate_trace(profile.value());
   }
   out.trace = std::make_shared<const workload::Trace>(std::move(*generated));
-  trace_memo().keep(digest, out.trace);
+  if (out.trace->size() <= kMemoPackets) trace_memo().keep(digest, out.trace);
   return out;
 }
 
@@ -253,8 +264,7 @@ Response handle_sweep(const Request& request, const core::Analyzer& analyzer,
 }
 
 Response handle_repair(const Request& request, const core::Analyzer& analyzer,
-                       const cir::Function& fn, const core::WorkloadSummary& workload,
-                       FaultedAnalyzers& faulted) {
+                       const cir::Function& fn, const core::WorkloadSummary& workload) {
   auto plan = fault::FaultPlan::parse(request.fault_plan);
   if (!plan) return core::error_response(request, plan.error().code, plan.error().message);
   if (!plan.value().sites.empty()) {
@@ -278,15 +288,16 @@ Response handle_repair(const Request& request, const core::Analyzer& analyzer,
   fault::FaultPlan units;
   units.failed_units = plan.value().failed_units;
   units.derated_units = plan.value().derated_units;
-  const std::string key = analyzer.profile().name + '\n' + units.serialize();
-  auto degraded = faulted.find(key);
+  std::string key = std::to_string(analyzer.profile_hash()) + '\n' + units.serialize();
+  auto degraded = faulted_memo().find(key);
   obs::metrics().counter("serve/faulted_analyzers", degraded ? "result=hit" : "result=miss").inc();
   if (!degraded) {
     lnic::NicProfile faulted_profile = analyzer.profile();
     if (auto applied = fault::apply_to_profile(units, faulted_profile); !applied) {
       return core::error_response(request, applied.error().code, applied.error().message);
     }
-    degraded = faulted.keep(key, std::make_shared<const core::Analyzer>(std::move(faulted_profile)));
+    degraded = std::make_shared<const core::Analyzer>(std::move(faulted_profile));
+    faulted_memo().keep(std::move(key), degraded);
   }
   const core::Analyzer& degraded_analyzer = *degraded;
   auto repaired = degraded_analyzer.repair(fn, workload, healthy.value(), request.options);
@@ -329,31 +340,6 @@ Response handle_validate(const Request& request, const core::Analyzer& analyzer,
 }
 
 }  // namespace
-
-std::shared_ptr<const core::Analyzer> FaultedAnalyzers::find(const std::string& key) {
-  const std::lock_guard lock(mu_);
-  const auto it = std::find_if(entries_.begin(), entries_.end(),
-                               [&](const auto& entry) { return entry.first == key; });
-  if (it == entries_.end()) return nullptr;
-  std::rotate(entries_.begin(), it, it + 1);
-  return entries_.front().second;
-}
-
-std::shared_ptr<const core::Analyzer> FaultedAnalyzers::keep(
-    const std::string& key, std::shared_ptr<const core::Analyzer> analyzer) {
-  const std::lock_guard lock(mu_);
-  for (const auto& entry : entries_) {
-    if (entry.first == key) return entry.second;  // a concurrent miss kept it first
-  }
-  entries_.emplace_front(key, std::move(analyzer));
-  if (entries_.size() > kCapacity) entries_.pop_back();
-  return entries_.front().second;
-}
-
-std::size_t FaultedAnalyzers::size() const {
-  const std::lock_guard lock(mu_);
-  return entries_.size();
-}
 
 Service::Service(ServiceOptions options) : options_(options), gate_(options.max_inflight) {
   for (auto& profile : lnic::all_profiles()) analyzers_.emplace_back(std::move(profile));
@@ -410,7 +396,7 @@ Response Service::dispatch(const Request& request) const {
     case RequestKind::kSweep:
       return handle_sweep(request, *analyzer, fn.value(), workload);
     case RequestKind::kRepair:
-      return handle_repair(request, *analyzer, fn.value(), workload, faulted_);
+      return handle_repair(request, *analyzer, fn.value(), workload);
     case RequestKind::kValidate:
       return handle_validate(request, *analyzer, fn.value(), workload, *resolved.value().trace);
     case RequestKind::kHello: break;  // handled above

@@ -4,16 +4,17 @@
 // resolves the NF (corpus name or inline CIR), the LNIC profile, and
 // the workload, runs the Analyzer, and fills the response with the
 // deterministic analysis summary. The built-in profiles and their
-// Analyzers are built once per Service, and a repair's faulted Analyzer
-// is kept for later repairs with the same unit faults (FaultedAnalyzers).
+// Analyzers are built once per Service, and the last repair's faulted
+// Analyzer is kept for a later repair with the same NIC and unit faults.
 // A spec workload resolves through the analysis cache's summary stage,
 // so a warm request generates no trace (a warm validate replays the
 // last validate trace the service kept, and a trace file is read and
-// summarized afresh on every request). The CLI calls handle() in-process; the daemon (serve/daemon) calls it from
-// reader threads and pool tasks, one call per request line, so the
-// Service must be safe to call concurrently — it keeps no per-request
-// mutable state and never touches process-global knobs (fault plans
-// apply to a copy of the profile via fault::apply_to_profile).
+// summarized afresh on every request). The CLI calls handle()
+// in-process; the daemon (serve/daemon) calls it from reader threads
+// and pool tasks, one call per request line, so the Service must be
+// safe to call concurrently — it keeps no per-request mutable state and
+// never touches process-global knobs (fault plans apply to a copy of
+// the profile via fault::apply_to_profile).
 //
 // Admission control: a counting gate bounds concurrently-executing
 // requests; beyond max_inflight, handle() immediately answers with
@@ -30,10 +31,6 @@
 #include <atomic>
 #include <cstddef>
 #include <deque>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <utility>
 
 #include "core/clara.hpp"
 #include "core/request.hpp"
@@ -70,27 +67,6 @@ class InflightGate {
   std::size_t limit_;
 };
 
-/// Faulted analyzers built for repair requests, by the NIC and the unit
-/// faults applied to it: building one copies, hashes and maps a whole
-/// profile. Keeps the kCapacity most recently used. Thread-safe.
-class FaultedAnalyzers {
- public:
-  static constexpr std::size_t kCapacity = 8;
-
-  /// The analyzer kept under `key`, or nullptr.
-  std::shared_ptr<const core::Analyzer> find(const std::string& key);
-  /// Keeps `analyzer` under `key`, unless one is kept there already, and
-  /// returns the one kept.
-  std::shared_ptr<const core::Analyzer> keep(const std::string& key,
-                                             std::shared_ptr<const core::Analyzer> analyzer);
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  // Most recently used first.
-  std::deque<std::pair<std::string, std::shared_ptr<const core::Analyzer>>> entries_;
-};
-
 struct ServiceOptions {
   /// Concurrently-executing request cap (0 = unlimited). Requests
   /// beyond it are rejected with kOverloaded, never queued.
@@ -112,10 +88,6 @@ class Service {
 
   [[nodiscard]] const ServiceOptions& options() const { return options_; }
 
-  /// Faulted analyzers kept for repair requests (at most
-  /// FaultedAnalyzers::kCapacity).
-  [[nodiscard]] std::size_t faulted_analyzers() const { return faulted_.size(); }
-
  private:
   core::Response dispatch(const core::Request& request) const;
 
@@ -124,7 +96,6 @@ class Service {
   // One per built-in NIC profile. A deque never moves what it holds, and
   // an Analyzer cannot move.
   std::deque<core::Analyzer> analyzers_;
-  mutable FaultedAnalyzers faulted_;
 };
 
 }  // namespace clara::serve
